@@ -12,6 +12,7 @@ bare decimals are accepted only for numeric-only flags (``--at``, ``--dt``,
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from dataclasses import dataclass, fields, replace
@@ -27,8 +28,9 @@ from .expr import (
     mul, num, sym, substitute, to_text,
 )
 from .fracnum import (
-    FracConfig, Grid, gl_rl_derivative, power_profile, rl_power_rule,
-    relative_deviation, UnsupportedProfileError, GL_BACKEND,
+    FracConfig, gl_rl_derivative, power_profile, rl_power_rule,
+    relative_deviation, sample_power_sum, UnsupportedProfileError,
+    GL_BACKEND,
 )
 from .parser import ParseError, parse_expression
 from .pde import (
@@ -346,6 +348,19 @@ def run_fracderiv(cfg: SessionConfig, expr_text: str, at: float) -> ReportDoc:
     alpha = cfg.alpha_float()
     if not 0 < alpha < 1:
         doc.add_check("alpha", STATUS_FAIL, detail="alpha must be in (0, 1)")
+    at_ok = 0 < at < math.inf
+    if not at_ok:
+        doc.add_check("at", STATUS_FAIL,
+                      detail=f"--at must be finite and > 0 (the RL lower "
+                             f"terminal is 0), got {at!r}")
+    if not 0 < cfg.dt < math.inf:
+        doc.add_check("dt", STATUS_FAIL,
+                      detail=f"--dt must be finite and > 0, got {cfg.dt!r}")
+    elif at_ok and not at / cfg.dt < math.inf:
+        doc.add_check("dt", STATUS_FAIL,
+                      detail=f"--dt {cfg.dt!r} is too small for --at {at!r}: "
+                             "the grid would need infinitely many steps")
+    if doc.checks:
         return doc
     try:
         e = parse_expression(expr_text)
@@ -372,10 +387,8 @@ def run_fracderiv(cfg: SessionConfig, expr_text: str, at: float) -> ReportDoc:
             "origin; the power rule is exact)")
         return doc
     steps = max(int(round(at / cfg.dt)) + 1, 2)
-    grid = Grid.sample(lambda t: sum(
-        c * float(t) ** float(p.get("t", Q(0))) for c, p in profile)
-        if profile else 0.0, 0.0, at, steps)
-    gl = gl_rl_derivative(grid, FracConfig(alpha=alpha)).values[-1]
+    grid = sample_power_sum(profile, at, steps)
+    gl = gl_rl_derivative(grid, FracConfig(alpha=alpha))
     dev = relative_deviation(exact, gl)
     status = STATUS_PASS if dev < GL_CHECK_TOLERANCE else STATUS_FAIL
     doc.add_check("power_rule_vs_gl", status, deviation=dev,

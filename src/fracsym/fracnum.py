@@ -6,16 +6,16 @@ the Riemann-Liouville power rule; the Grünwald-Letnikov history sum handles
 everything else (and cross-checks the power rule at first order in the grid
 spacing).  The RL lower terminal is fixed at 0 throughout.
 
-The GL convolution is the one hot loop: a compiled kernel is preferred at
-import time, with a NumPy fallback (set ``FRACSYM_GL_BACKEND=python`` or
-``compiled`` to force one).
+The GL value is taken at the last grid node only: one extended-precision
+dot product of the weights with the reversed history, O(N) in the number
+of samples, in NumPy.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from itertools import repeat
 
 import numpy as np
 
@@ -30,31 +30,17 @@ from .special import gamma_fn
 __all__ = [
     "Grid", "FracConfig", "FracDomainError", "UnsupportedProfileError",
     "gamma_fn", "rl_power_rule", "gl_weights", "gl_rl_derivative",
-    "power_profile", "pde_residual_on_grid", "fode_residual_on_grid",
-    "GL_BACKEND", "REL_TOL_DEFAULT", "ABS_TOL_DEFAULT", "relative_deviation",
+    "sample_power_sum", "power_profile", "pde_residual_on_grid",
+    "fode_residual_on_grid", "GL_BACKEND", "REL_TOL_DEFAULT",
+    "ABS_TOL_DEFAULT", "relative_deviation",
 ]
 
 REL_TOL_DEFAULT = 1e-8
 ABS_TOL_DEFAULT = 1e-10
 
 
-def _select_backend():
-    choice = os.environ.get("FRACSYM_GL_BACKEND", "").strip().lower()
-    if choice == "python":
-        from . import _glkernel_py as impl
-        return impl, "python"
-    try:
-        from . import _glkernel as impl  # compiled extension
-        return impl, "compiled"
-    except ImportError:
-        if choice == "compiled":
-            raise ImportError(
-                "FRACSYM_GL_BACKEND=compiled but the extension is not built")
-        from . import _glkernel_py as impl
-        return impl, "python"
-
-
-_impl, GL_BACKEND = _select_backend()
+# the one GL implementation; run reports stamp it
+GL_BACKEND = "python"
 
 
 class FracDomainError(ExprError):
@@ -135,30 +121,52 @@ def rl_power_rule(p, alpha: float, t: float) -> float:
 
 
 def gl_weights(alpha: float, n: int) -> np.ndarray:
-    """First n GL weights via the multiplicative recurrence (no Gamma calls)."""
-    out = np.empty(n, dtype=np.float64)
-    _impl.gl_weights(float(alpha), out)
+    """First n GL weights via the multiplicative recurrence (no Gamma calls).
+
+    w_0 = 1, w_i = w_{i-1} * (1 - (alpha+1)/i), accumulated in long double
+    and rounded to float64.
+    """
+    out = np.ones(n, dtype=np.float64)
+    ratios = 1.0 - (np.longdouble(float(alpha)) + 1.0) / np.arange(
+        1, n, dtype=np.longdouble)
+    out[1:] = np.cumprod(ratios)
     return out
 
 
-def gl_rl_derivative(samples: Grid, cfg: FracConfig) -> Grid:
-    """Grünwald-Letnikov approximation of the RL derivative on the grid.
+def gl_rl_derivative(samples: Grid, cfg: FracConfig) -> float:
+    """Grünwald-Letnikov approximation of the RL derivative at samples.t1.
 
-    (D^a f)(t_j) ~ dt^-a * sum_{i<=j} w_i f(t_{j-i}); first-order accurate
-    for smooth f with f(history_start) = 0.  The samples must start at the
-    lower terminal (samples.t0 == cfg.history_start).
+    (D^a f)(t_j) ~ dt^-a * sum_{i<=j} w_i f(t_{j-i}), evaluated at the last
+    node j = N-1 as one long-double dot product (the history is windowed to
+    cfg.truncation terms when set); first-order accurate for smooth f with
+    f(history_start) = 0.  The samples must start at the lower terminal
+    (samples.t0 == cfg.history_start).
     """
     if abs(samples.t0 - cfg.history_start) > 1e-12:
         raise FracDomainError(
             "samples must start at the RL lower terminal "
             f"({samples.t0} != {cfg.history_start})")
     n = samples.steps
-    w = gl_weights(cfg.alpha, n)
-    window = cfg.truncation if cfg.truncation is not None else n
-    out = np.empty(n, dtype=np.float64)
-    _impl.gl_convolve(w, samples.values, out, int(window))
-    out *= samples.dt ** (-cfg.alpha)
-    return Grid(samples.t0, samples.t1, out)
+    m = n if cfg.truncation is None else min(cfg.truncation, n)
+    w = gl_weights(cfg.alpha, m).astype(np.longdouble)
+    history = samples.values[::-1][:m].astype(np.longdouble)
+    value = np.float64(np.dot(w, history))
+    return float(value * samples.dt ** (-cfg.alpha))
+
+
+def sample_power_sum(profile: list, t1: float, steps: int) -> Grid:
+    """Sample sum(c * t^p) on [0, t1] from a power_profile in t.
+
+    Each term goes through Python's pow, node by node, so the samples are
+    bitwise those of float(t) ** p (NumPy's vectorized power is not).
+    """
+    nodes = np.linspace(0.0, t1, steps)
+    values = np.zeros(steps)
+    for coeff, exps in profile:
+        p = float(exps.get("t", Q(0)))
+        values += coeff * np.fromiter(map(pow, nodes.tolist(), repeat(p)),
+                                      float, steps)
+    return Grid(0.0, t1, values)
 
 
 # ---------------------------------------------------------------------------

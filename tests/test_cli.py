@@ -152,6 +152,40 @@ class TestRunFracDeriv:
         doc = run_fracderiv(SessionConfig(alpha="1/2"), "0", 1.0)
         assert doc.checks[0].status == STATUS_PASS
 
+    @pytest.mark.parametrize("expr", [
+        "t", "3/2*t^(3/2) + 2*t^3", "t^(a-1)/Gamma(a)", "0"])
+    def test_report_prints_plain_floats(self, expr, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        assert main(["frac-deriv", "--expr", expr, "--alpha", "1/2",
+                     "--at", "0.5", "--out", str(path)]) == 0
+        assert "np.float64(" not in path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("at, dt, failing", [
+        (1.0, 0.0, {"dt"}),
+        (1.0, -1e-4, {"dt"}),
+        (1.0, float("nan"), {"dt"}),
+        (1.0, float("inf"), {"dt"}),
+        (1.0, 1e-320, {"dt"}),
+        (float("inf"), 1.0, {"at"}),
+        (float("nan"), 1e-4, {"at"}),
+        (0.0, 1e-4, {"at"}),
+        (-1.0, 1e-4, {"at"}),
+        (float("nan"), -1.0, {"at", "dt"}),
+    ])
+    def test_grid_inputs_fail_by_name(self, at, dt, failing):
+        doc = run_fracderiv(SessionConfig(alpha="1/2", dt=dt), "t", at)
+        assert statuses(doc) == {name: STATUS_FAIL for name in failing}
+        assert all(f"--{c.name} " in c.detail for c in doc.checks)
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--dt", "0"], "dt"), (["--at", "inf", "--dt", "1"], "at"),
+        (["--at", "nan"], "at"), (["--dt", "-0.0001"], "dt")])
+    def test_grid_inputs_exit_1_with_a_report(self, flags, name, capsys):
+        argv = ["frac-deriv", "--expr", "t", "--alpha", "1/2", "--at", "1"]
+        assert main(argv + flags) == 1
+        out, err = capsys.readouterr()
+        assert f"fail] {name} -- --{name} " in out and err == ""
+
 
 class TestEmitAndRead:
     def test_round_trip(self, tmp_path):

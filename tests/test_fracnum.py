@@ -1,13 +1,11 @@
 """Numeric fractional-calculus tests: gamma, power rule, GL scheme, grids."""
 
-import importlib.util
 import math
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
 
-from fracsym import _glkernel_py
 from fracsym import fracnum as fn
 from fracsym.expr import (
     ZERO, MINUS_ONE, add, func, gammaf, mul, num, pow_, sym,
@@ -16,8 +14,6 @@ from fracsym.pde import CoeffForm, CoeffTag, PdeSpec
 from fracsym.special import GammaPoleError, gamma_fn
 
 t, x, r = sym("t"), sym("x"), sym("r")
-
-HAVE_COMPILED = importlib.util.find_spec("fracsym._glkernel") is not None
 
 
 class TestGamma:
@@ -93,15 +89,26 @@ class TestGrid:
         assert g.nodes()[3] == pytest.approx(0.3)
 
 
-def gl_value_at_1(p, a, steps, impl=None):
+def gl_value_at_1(p, a, steps):
     g = fn.Grid.sample(lambda tv: tv ** p, 0.0, 1.0, steps)
-    if impl is None:
-        return fn.gl_rl_derivative(g, fn.FracConfig(alpha=a)).values[-1]
-    w = np.empty(steps)
-    impl.gl_weights(a, w)
-    out = np.empty(steps)
-    impl.gl_convolve(w, g.values, out, steps)
-    return out[-1] * g.dt ** (-a)
+    return fn.gl_rl_derivative(g, fn.FracConfig(alpha=a))
+
+
+def gl_on_prefixes(values, cfg):
+    """GL value at every node t_j >= t_1, each from the prefix grid
+    [t_0, t_j] of a grid on [0, 1]."""
+    t = np.linspace(0.0, 1.0, len(values))
+    return np.array([fn.gl_rl_derivative(fn.Grid(0.0, t[j], values[:j + 1]),
+                                         cfg)
+                     for j in range(1, len(values))])
+
+
+def convolution_reference(grid, cfg):
+    """The full-grid long-double history convolution, every node."""
+    w = fn.gl_weights(cfg.alpha, grid.steps)[:cfg.truncation]
+    full = np.convolve(w.astype(np.longdouble),
+                       grid.values.astype(np.longdouble))[:grid.steps]
+    return full.astype(np.float64) * grid.dt ** (-cfg.alpha)
 
 
 class TestGrunwaldLetnikov:
@@ -116,8 +123,8 @@ class TestGrunwaldLetnikov:
         assert got == pytest.approx(exact, abs=2e-3)
 
     def test_zero_function(self):
-        g = fn.Grid(0.0, 1.0, np.zeros(64))
-        assert np.all(fn.gl_rl_derivative(g, fn.FracConfig(0.3)).values == 0.0)
+        values = gl_on_prefixes(np.zeros(64), fn.FracConfig(0.3))
+        assert len(values) == 63 and np.all(values == 0.0)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
@@ -140,11 +147,9 @@ class TestGrunwaldLetnikov:
         f = rng.normal(size=400)
         g = rng.normal(size=400)
         a = 0.6
-        grid = lambda v: fn.Grid(0.0, 1.0, v)
         cfg = fn.FracConfig(alpha=a)
-        lhs = fn.gl_rl_derivative(grid(2.5 * f + g), cfg).values
-        rhs = 2.5 * fn.gl_rl_derivative(grid(f), cfg).values \
-            + fn.gl_rl_derivative(grid(g), cfg).values
+        lhs = gl_on_prefixes(2.5 * f + g, cfg)
+        rhs = 2.5 * gl_on_prefixes(f, cfg) + gl_on_prefixes(g, cfg)
         assert np.allclose(lhs, rhs, rtol=5e-14, atol=5e-12)
 
     def test_history_start_must_match(self):
@@ -154,26 +159,40 @@ class TestGrunwaldLetnikov:
 
     def test_truncation_window_hook(self):
         g = fn.Grid.sample(lambda tv: tv, 0.0, 1.0, 501)
-        full = fn.gl_rl_derivative(g, fn.FracConfig(alpha=0.5))
-        windowed = fn.gl_rl_derivative(
-            g, fn.FracConfig(alpha=0.5, truncation=50))
-        # windowed sum drops old history: identical on the first 50 nodes
-        assert np.allclose(full.values[:50], windowed.values[:50])
-        assert not np.allclose(full.values[-1], windowed.values[-1])
+        full = gl_on_prefixes(g.values, fn.FracConfig(alpha=0.5))
+        windowed = gl_on_prefixes(
+            g.values, fn.FracConfig(alpha=0.5, truncation=50))
+        # windowed sum drops old history: identical on nodes t_1..t_49,
+        # whose prefixes hold at most 50 samples
+        assert np.allclose(full[:49], windowed[:49])
+        assert not np.allclose(full[-1], windowed[-1])
 
-    def test_python_fallback_matches_selected_backend(self):
-        for p, a in ((1, 0.5), (2, 0.25)):
-            via_fallback = gl_value_at_1(p, a, 2001, impl=_glkernel_py)
-            via_selected = gl_value_at_1(p, a, 2001)
-            assert via_fallback == pytest.approx(via_selected, rel=1e-12)
+    def test_value_is_a_plain_float(self):
+        assert type(gl_value_at_1(1, 0.5, 101)) is float
 
-    @pytest.mark.skipif(not HAVE_COMPILED, reason="extension not built")
-    def test_compiled_kernel_matches_fallback(self):
-        from fracsym import _glkernel
-        for p, a in ((1, 0.5), (3, 0.75)):
-            assert gl_value_at_1(p, a, 2001, impl=_glkernel) \
-                == pytest.approx(gl_value_at_1(p, a, 2001, impl=_glkernel_py),
-                                 rel=1e-12)
+
+class TestPointEvaluation:
+    """The O(N) value at the last node against the full convolution."""
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 1001, 10001, 20001])
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+    def test_equals_last_node_of_full_convolution(self, n, a):
+        grid = fn.Grid(0.0, 1.0, np.random.default_rng(n).normal(size=n))
+        for window in (1, 50, n, n + 5):
+            cfg = fn.FracConfig(alpha=a, truncation=window)
+            assert fn.gl_rl_derivative(grid, cfg) \
+                == convolution_reference(grid, cfg)[-1], window
+
+    def test_power_sum_sampler_matches_per_node_lambda(self):
+        e = add(mul(num(Q(3, 2)), pow_(t, num(Q(3, 2)))),
+                mul(num(Q(-5, 7)), pow_(t, 3)), mul(-2, t))
+        for profile in (fn.power_profile(e, ("t",)), []):
+            got = fn.sample_power_sum(profile, 1.7, 20001)
+            want = fn.Grid.sample(lambda tv: sum(
+                c * float(tv) ** float(p.get("t", Q(0))) for c, p in profile)
+                if profile else 0.0, 0.0, 1.7, 20001)
+            assert (got.t0, got.t1) == (want.t0, want.t1)
+            assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestGridResiduals:
