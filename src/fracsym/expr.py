@@ -68,13 +68,18 @@ _GAMMA_FOLD_LIMIT = 64
 
 
 class Expr:
-    """Base class; all nodes are immutable and hash-cached."""
+    """Base class; all nodes are immutable and hash-cached.
 
-    __slots__ = ("_key", "_hash")
+    ``_key`` is the structural sort key (nested tuples).  ``_hash`` is built
+    once from the tag and the children's cached hashes, so hashing a node
+    never walks its subtree.  ``_free`` caches :func:`free_symbols`.
+    """
 
-    def _set_key(self, key):
+    __slots__ = ("_key", "_hash", "_free")
+
+    def _set_key(self, key, h):
         object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_hash", h)
 
     def __setattr__(self, name, value):
         raise AttributeError("expressions are immutable")
@@ -84,7 +89,7 @@ class Expr:
             return True
         if not isinstance(other, Expr):
             return NotImplemented
-        return self._key == other._key
+        return self._hash == other._hash and self._key == other._key
 
     def __hash__(self):
         return self._hash
@@ -132,7 +137,7 @@ class Num(Expr):
 
     def __init__(self, value: Q):
         object.__setattr__(self, "value", value)
-        self._set_key((0, value))
+        self._set_key((0, value), hash((0, value.numerator, value.denominator)))
 
 
 class Sym(Expr):
@@ -140,7 +145,7 @@ class Sym(Expr):
 
     def __init__(self, name: str):
         object.__setattr__(self, "name", name)
-        self._set_key((1, name))
+        self._set_key((1, name), hash((1, name)))
 
 
 class Pow(Expr):
@@ -149,7 +154,8 @@ class Pow(Expr):
     def __init__(self, base: Expr, exp: Expr):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exp", exp)
-        self._set_key((2, base._key, exp._key))
+        self._set_key((2, base._key, exp._key),
+                      hash((2, base._hash, exp._hash)))
 
 
 class Prod(Expr):
@@ -157,7 +163,8 @@ class Prod(Expr):
 
     def __init__(self, factors: tuple):
         object.__setattr__(self, "factors", factors)
-        self._set_key((3, tuple(f._key for f in factors)))
+        self._set_key((3, tuple([f._key for f in factors])),
+                      hash((3, *[f._hash for f in factors])))
 
 
 class Sum(Expr):
@@ -165,7 +172,8 @@ class Sum(Expr):
 
     def __init__(self, terms: tuple):
         object.__setattr__(self, "terms", terms)
-        self._set_key((4, tuple(t._key for t in terms)))
+        self._set_key((4, tuple([t._key for t in terms])),
+                      hash((4, *[t._hash for t in terms])))
 
 
 class Func(Expr):
@@ -177,7 +185,8 @@ class Func(Expr):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "order", order)
-        self._set_key((5, name, order, tuple(a._key for a in args)))
+        self._set_key((5, name, order, tuple([a._key for a in args])),
+                      hash((5, name, order, *[a._hash for a in args])))
 
 
 class GammaF(Expr):
@@ -185,7 +194,7 @@ class GammaF(Expr):
 
     def __init__(self, arg: Expr):
         object.__setattr__(self, "arg", arg)
-        self._set_key((6, arg._key))
+        self._set_key((6, arg._key), hash((6, arg._hash)))
 
 
 class FDeriv(Expr):
@@ -197,7 +206,8 @@ class FDeriv(Expr):
         object.__setattr__(self, "expr", expr)
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "alpha", alpha)
-        self._set_key((7, expr._key, var._key, alpha._key))
+        self._set_key((7, expr._key, var._key, alpha._key),
+                      hash((7, expr._hash, var._hash, alpha._hash)))
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +277,15 @@ def add(*terms) -> Expr:
         else:
             flat.append(t)
     const = Q(0)
-    table: dict[tuple, list] = {}
+    table: dict[Expr, list] = {}
     for t in flat:
         coeff, mono = _coeff_mono(t)
         if mono is None:
             const += coeff
             continue
-        entry = table.get(mono._key)
+        entry = table.get(mono)
         if entry is None:
-            table[mono._key] = [coeff, mono]
+            table[mono] = [coeff, mono]
         else:
             entry[0] += coeff
     out = [_term_from(c, m) for c, m in
@@ -306,7 +316,7 @@ def mul(*factors) -> Expr:
 
     for _ in range(32):
         coeff = Q(1)
-        powers: dict[tuple, list] = {}
+        powers: dict[Expr, list] = {}
         for f in flat:
             if isinstance(f, Num):
                 coeff *= f.value
@@ -320,9 +330,9 @@ def mul(*factors) -> Expr:
                 if lead != 1:
                     coeff *= lead ** int(exp.value)
                     base = monic
-            entry = powers.get(base._key)
+            entry = powers.get(base)
             if entry is None:
-                powers[base._key] = [base, [exp]]
+                powers[base] = [base, [exp]]
             else:
                 entry[1].append(exp)
         if coeff == 0:
@@ -348,10 +358,15 @@ def mul(*factors) -> Expr:
 
     sums = [p for p in pieces if isinstance(p, Sum)]
     if sums:
-        first = sums[0]
-        rest = [p for p in pieces if p is not first]
+        # expand the sum factors pairwise into one accumulator, then apply
+        # the coefficient and the other factors to each of its terms once
+        acc: Expr = sums[0]
+        for s in sums[1:]:
+            acc = _distribute(acc, s)
+        rest = [p for p in pieces if not isinstance(p, Sum)]
         c = num(coeff)
-        return add(*(mul(c, t, *rest) for t in first.terms))
+        acc_terms = acc.terms if isinstance(acc, Sum) else (acc,)
+        return add(*(mul(c, t, *rest) for t in acc_terms))
 
     pieces.sort(key=lambda p: p._key)
     if coeff != 1:
@@ -406,6 +421,8 @@ def _monic_sum(s: Sum):
     valid to apply under integer exponents.
     """
     lead, _ = _coeff_mono(s.terms[0])
+    if lead == 1:
+        return lead, s
     out = []
     for term in s.terms:
         coeff, mono = _coeff_mono(term)
@@ -414,16 +431,21 @@ def _monic_sum(s: Sum):
     return lead, add(*out)
 
 
-def _expand_sum_power(s: Sum, k: int) -> Expr:
-    """(t1 + ... + tn)^k by direct distribution over the terms.
+def _distribute(acc: Expr, s: Sum) -> Expr:
+    """acc * s expanded term by term (acc is a Sum or a single term).
 
     Multiplies term-by-term so the product canonicalizer never sees two
-    identical Sum factors (which it would just merge back into a power).
+    Sum factors at once (identical ones it would merge back into a power).
     """
+    acc_terms = acc.terms if isinstance(acc, Sum) else (acc,)
+    return add(*(mul(a, b) for a in acc_terms for b in s.terms))
+
+
+def _expand_sum_power(s: Sum, k: int) -> Expr:
+    """(t1 + ... + tn)^k by direct distribution over the terms."""
     out: Expr = s
     for _ in range(k - 1):
-        out_terms = out.terms if isinstance(out, Sum) else (out,)
-        out = add(*(mul(a, b) for a in out_terms for b in s.terms))
+        out = _distribute(out, s)
     return out
 
 
@@ -527,13 +549,11 @@ def fderiv(expr, var, alpha) -> Expr:
 # structure queries
 
 
-_FREE_CACHE: dict[tuple, frozenset] = {}
-
-
 def free_symbols(e: Expr) -> frozenset:
-    got = _FREE_CACHE.get(e._key)
-    if got is not None:
-        return got
+    try:
+        return e._free
+    except AttributeError:
+        pass
     if isinstance(e, Num):
         out = frozenset()
     elif isinstance(e, Sym):
@@ -551,7 +571,7 @@ def free_symbols(e: Expr) -> frozenset:
         out = free_symbols(e.expr) | free_symbols(e.alpha) | {e.var.name}
     else:  # pragma: no cover
         raise TypeError(type(e))
-    _FREE_CACHE[e._key] = out
+    object.__setattr__(e, "_free", out)
     return out
 
 
@@ -694,14 +714,14 @@ def replace_node(e: Expr, target: Expr, replacement: Expr) -> Expr:
 
 
 def _negative_power_clearers(e: Expr) -> dict:
-    """Map base-key -> (base, most-negative Num exponent) over all terms."""
-    found: dict[tuple, list] = {}
+    """Map base -> (base, most-negative Num exponent) over all terms."""
+    found: dict[Expr, list] = {}
 
     def scan_factor(f: Expr):
         if isinstance(f, Pow) and isinstance(f.exp, Num) and f.exp.value < 0:
-            entry = found.get(f.base._key)
+            entry = found.get(f.base)
             if entry is None:
-                found[f.base._key] = [f.base, f.exp.value]
+                found[f.base] = [f.base, f.exp.value]
             else:
                 entry[1] = min(entry[1], f.exp.value)
 

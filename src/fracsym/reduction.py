@@ -30,6 +30,7 @@ from .fracnum import (
     fode_residual_on_grid, pde_residual_on_grid, relative_deviation,
 )
 from .pde import Generator, PdeSpec, PdeModelError, T, U, X
+from .symmetry import rl_partial_t
 
 __all__ = [
     "ReductionError", "SimilarityReduction", "CoefficientComparison",
@@ -107,7 +108,7 @@ def characteristic_invariants(gen: Generator) -> SimilarityReduction:
     )
 
 
-def _rescale_fd_nodes(e: Expr, alpha: Expr) -> Expr:
+def _rescale_fd_nodes(e: Expr) -> Expr:
     """Rewrite FD(h(t*lam(x)), t, a) -> lam^a * FD(h(r), r, a) recursively.
 
     Applies only when the inner argument is t times an x-only factor; other
@@ -183,7 +184,7 @@ def similarity_substitute(spec: PdeSpec,
     frac = fderiv(u_sub, T, spec.alpha)
     # the ansatz splits as x^p * h(...): RL linearity over the x-only factor
     frac = _pull_x_factor(frac)
-    frac = _rescale_fd_nodes(frac, spec.alpha)
+    frac = _rescale_fd_nodes(frac)
 
     convect = mul(num(spec.zeta), diff(pow_(u_sub, spec.m), "x", 1))
     disperse = mul(spec.g.expr(), diff(pow_(u_sub, spec.n), "x", 3))
@@ -382,8 +383,9 @@ def _as_float(e: Expr) -> float:
 class KernelSolution:
     """h(t) = kappa * t^(alpha-1) / Gamma(alpha), the RL null-space element.
 
-    ``residual`` is the symbolic image under the RL power rule: the rule
-    gives Gamma(alpha)/Gamma(0) * t^-1 with 1/Gamma(0) = 0, hence exact 0.
+    ``residual`` is the symbolic image of ``expr`` under the RL power rule
+    (:func:`fracsym.symmetry.rl_partial_t`): Gamma(alpha)/Gamma(0) * t^-1
+    with 1/Gamma(0) = 0, hence exact 0 when the kernel matches its order.
     At alpha = 1 the operator degenerates to the classical derivative and
     the kernel is the constant solution instead (``classical`` is set).
     """
@@ -413,9 +415,5 @@ def kernel_solution(alpha, kappa) -> KernelSolution:
                               residual=ZERO)
     expr = mul(num(kappa), pow_(T, num(alpha - 1)),
                pow_(gammaf(alpha), MINUS_ONE))
-    # power rule on t^(alpha-1): Gamma(alpha)/Gamma(0) = 0 by the 1/Gamma pole
-    shifted = alpha - 1 + 1 - alpha  # == 0: the pole argument
-    assert shifted == 0
-    residual = ZERO
     return KernelSolution(alpha=alpha, kappa=kappa, expr=expr,
-                          residual=residual)
+                          residual=rl_partial_t(expr, num(alpha)))

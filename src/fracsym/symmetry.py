@@ -18,7 +18,6 @@ affine/scaling ansatz xi_t = e*t, xi_x = a0 + a1*x, eta = c*u.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
@@ -63,15 +62,20 @@ class OutsideCatalogError(SymmetryError):
     """(alpha, g) combination not covered by the classification catalog."""
 
 
+def _binomials(alpha: Expr, top: int) -> list[Expr]:
+    """[C(alpha, 0), ..., C(alpha, top)] by
+    C(alpha, m+1) = C(alpha, m) * (alpha - m) / (m + 1)."""
+    out = [ONE]
+    for m in range(top):
+        out.append(mul(out[-1], add(alpha, num(-m)), num(Q(1, m + 1))))
+    return out
+
+
 def generalized_binomial(alpha, m: int) -> Expr:
     """C(alpha, m) = prod_{j<m} (alpha - j) / m!  with exact arithmetic."""
     if m < 0:
         raise ValueError("binomial order must be >= 0")
-    if m == 0:
-        return ONE
-    alpha = as_expr(alpha)
-    out = mul(*(add(alpha, num(-j)) for j in range(m)))
-    return mul(num(Q(1, math.factorial(m))), out)
+    return _binomials(as_expr(alpha), m)[m]
 
 
 def _gamma_ratio(a: Expr, b: Expr) -> Expr:
@@ -163,6 +167,7 @@ def eta_alpha(gen: Generator, alpha, M: int = DEFAULT_TRUNCATION,
     ctx = ctx or JetContext()
     _check_polynomial_gen(gen)
     alpha = as_expr(alpha)
+    binom = _binomials(alpha, M + 1)
 
     eta_u = diff(gen.eta, "u")
     dt_xi_t = total_derivative_t(gen.xi_t, ctx)
@@ -182,14 +187,14 @@ def eta_alpha(gen: Generator, alpha, M: int = DEFAULT_TRUNCATION,
         dtk_xi_t = total_derivative_t(dtk_xi_t, ctx)  # D_t^{m+1} xi_t
         dtk_xi_x = total_derivative_t(dtk_xi_x, ctx)  # D_t^m xi_x
         coeff_u = add(
-            mul(generalized_binomial(alpha, m), diff(eta_u, "t", m)),
-            mul(MINUS_ONE, generalized_binomial(alpha, m + 1), dtk_xi_t),
+            mul(binom[m], diff(eta_u, "t", m)),
+            mul(MINUS_ONE, binom[m + 1], dtk_xi_t),
         )
         if coeff_u != ZERO:
             series.append(SeriesTerm(m, "u", coeff_u))
             tail.append(mul(coeff_u,
                             fderiv(U, T, add(alpha, num(-m)))))
-        coeff_ux = mul(MINUS_ONE, generalized_binomial(alpha, m), dtk_xi_x)
+        coeff_ux = mul(MINUS_ONE, binom[m], dtk_xi_x)
         if coeff_ux != ZERO:
             series.append(SeriesTerm(m, "u_x", coeff_ux))
             tail.append(mul(coeff_ux,
@@ -246,11 +251,13 @@ def invariance_residual(spec: PdeSpec, gen: Generator,
 @dataclass
 class DeterminingSystem:
     """Linear homogeneous system on the ansatz coefficients (a0, a1, e, c)
-    of xi_x = a0 + a1*x, xi_t = e*t, eta = c*u."""
+    of xi_x = a0 + a1*x, xi_t = e*t, eta = c*u, built at Leibniz
+    truncation ``truncation``."""
 
     spec: PdeSpec
     equations: list[Expr]
     unknowns: tuple[Sym, ...] = (_A0, _A1, _E, _C)
+    truncation: int = DEFAULT_TRUNCATION
 
     @property
     def g_form(self) -> CoeffTag:
@@ -285,7 +292,7 @@ class DeterminingSystem:
             gens.append(scaling)
         verified = []
         for gen in gens:
-            if invariance_residual(self.spec, gen) == ZERO:
+            if invariance_residual(self.spec, gen, self.truncation) == ZERO:
                 verified.append(gen)
         return verified
 
@@ -307,12 +314,9 @@ class DeterminingSystem:
 def _solve_linear_2(eqs: list[Expr], xsym: Sym, ysym: Sym):
     """Solve a consistent linear system in two unknowns; (None, None) if no
     solution can be isolated or the system is inconsistent."""
-    work = list(eqs)
-    x_val = y_val = None
     # eliminate y first from some equation with invertible y-coefficient
     for first, second in ((ysym, xsym), (xsym, ysym)):
-        work = list(eqs)
-        sol = _try_elimination(work, first, second)
+        sol = _try_elimination(eqs, first, second)
         if sol is not None:
             fv, sv = sol
             if first is ysym:
@@ -397,10 +401,10 @@ def determining_system(spec: PdeSpec,
                     raise SymmetryError(
                         "determining equation is not linear in the ansatz "
                         f"coefficients: {to_text(eq)}")
-            if eq._key not in seen:
-                seen.add(eq._key)
+            if eq not in seen:
+                seen.add(eq)
                 equations.append(eq)
-    return DeterminingSystem(spec=spec, equations=equations)
+    return DeterminingSystem(spec=spec, equations=equations, truncation=M)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,32 @@ x, t, u, r, h = sym("x"), sym("t"), sym("u"), sym("r"), sym("h")
 alpha, b = sym("alpha"), sym("b")
 
 
+class TestExpansion:
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_product_of_sums_equals_left_fold(self, k):
+        factors = [add(x, num(-j)) for j in range(k)]
+        folded = factors[0]
+        for f in factors[1:]:
+            folded = mul(folded, f)
+        got = mul(*factors)
+        assert got == folded
+        # falling factorial: x (x-1) ... (x-k+1) at x = k + 1/2
+        want = math.prod(k + 0.5 - j for j in range(k))
+        assert eval_numeric(got, {"x": k + 0.5}) == pytest.approx(want)
+
+    def test_coefficient_and_plain_factors_distribute_once(self):
+        sums = [add(x, 1), add(t, -2), add(x, t)]
+        got = mul(3, pow_(x, -1), t, *sums)
+        folded = mul(3, pow_(x, -1), t)
+        for s in sums:
+            folded = mul(folded, s)
+        assert got == folded
+
+    def test_monic_sum_keeps_unit_lead(self):
+        s = add(x, t, 1)
+        assert pow_(s, -2) == pow_(mul(2, s), -2) * 4
+
+
 class TestSimplify:
     def test_additive_identity(self):
         e = add(mul(2, u, sym("u_x")), ZERO)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracsym.expr import (
-    EvalError, ZERO, add, eval_numeric, mul, num, pow_, simplify, sym,
-    to_text,
+    EvalError, ZERO, add, eval_numeric, mul, num, pow_, simplify, substitute,
+    sym, to_text,
 )
 from fracsym.fracnum import gl_weights
 from fracsym.parser import parse_expression
@@ -72,6 +72,61 @@ class TestAlgebraProperties:
             return
         v2 = eval_numeric(simplify(e), point)
         assert v2 == pytest.approx(v1, rel=1e-9, abs=1e-9)
+
+
+def recipes(depth: int = 4):
+    """Construction recipes: nested tuples that build() turns into a tree,
+    so one recipe can be built along different paths."""
+    leaf = st.one_of(rationals.map(lambda q: ("num", q)),
+                     names.map(lambda n: ("sym", n)))
+    return st.recursive(
+        leaf,
+        lambda inner: st.one_of(
+            st.tuples(st.just("add"), st.lists(inner, min_size=2, max_size=3)),
+            st.tuples(st.just("mul"), st.lists(inner, min_size=2, max_size=3)),
+            st.tuples(st.just("pow"), inner, st.integers(1, 3)),
+        ),
+        max_leaves=depth * 4,
+    )
+
+
+def build(recipe, env=None, reverse=False):
+    """Build a recipe; ``env`` binds symbols directly, ``reverse`` feeds
+    every sum and product its operands in reverse order."""
+    kind = recipe[0]
+    if kind == "num":
+        return num(recipe[1])
+    if kind == "sym":
+        return (env or {}).get(recipe[1], sym(recipe[1]))
+    if kind == "pow":
+        return pow_(build(recipe[1], env, reverse), num(recipe[2]))
+    parts = [build(r, env, reverse) for r in recipe[1]]
+    if reverse:
+        parts.reverse()
+    return (add if kind == "add" else mul)(*parts)
+
+
+class TestHashConsistency:
+    """Equal nodes hash equal, however they were built."""
+
+    @given(recipes())
+    @settings(max_examples=200, deadline=None)
+    def test_permuted_operands(self, recipe):
+        a, b = build(recipe), build(recipe, reverse=True)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @given(recipes(), exprs(depth=2))
+    @settings(max_examples=150, deadline=None)
+    def test_substitute_versus_direct_construction(self, recipe, value):
+        direct = build(recipe, {"x": value})
+        substituted = substitute(build(recipe), {"x": value})
+        if direct == substituted:
+            assert hash(direct) == hash(substituted)
+        # re-canonicalizing rebuilds every node and must keep the hash
+        again = simplify(substituted)
+        assert again == substituted and hash(again) == hash(substituted)
 
 
 class TestWeightProperties:

@@ -19,7 +19,7 @@ from fracsym.reduction import (
     ReductionError, characteristic_invariants, compare_reduced_forms,
     kernel_solution, reduced_residual_identity_check, similarity_substitute,
 )
-from fracsym.symmetry import classify
+from fracsym.symmetry import classify, rl_partial_t
 
 r = sym("r")
 h = func("h", (r,))
@@ -240,6 +240,22 @@ class TestKernelSolution:
         ks = kernel_solution(1, 3)
         assert ks.classical
         assert ks.expr == num(3)
+
+    @pytest.mark.parametrize("a", [Q(1, 4), Q(1, 3), Q(1, 2), Q(3, 4)])
+    def test_residual_is_the_power_rule_image(self, a):
+        assert kernel_solution(a, 1).residual == ZERO
+        # the same kernel under another order is not annihilated
+        other = a + Q(1, 8)
+        image = rl_partial_t(kernel_solution(a, 1).expr, num(other))
+        assert image != ZERO
+        want = rl_power_rule(a - 1, other, 1.7) / eval_numeric(gammaf(a))
+        assert eval_numeric(image, {"t": 1.7}) == pytest.approx(want, rel=1e-12)
+
+    def test_check_fails_when_the_order_is_wrong(self, monkeypatch):
+        import fracsym.reduction as reduction
+        monkeypatch.setattr(reduction, "rl_partial_t",
+                            lambda e, a: rl_partial_t(e, add(a, Q(1, 10))))
+        assert not kernel_solution(Q(1, 2), 1).annihilated
 
     def test_power_rule_agrees_numerically(self):
         # independent numeric check of the annihilation

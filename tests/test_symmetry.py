@@ -49,6 +49,15 @@ class TestBinomial:
         got = generalized_binomial(ALPHA, 2)
         assert got == mul(Q(1, 2), add(pow_(ALPHA, 2), mul(-1, ALPHA)))
 
+    @pytest.mark.parametrize("a", [ALPHA, num(Q(1, 3)), num(Q(3, 4)),
+                                   num(Q(-5, 2)), num(7)])
+    def test_recurrence_matches_product_form(self, a):
+        # reference: prod_{j<m} (a - j) / m!, one product per order
+        for m in range(9):
+            product = mul(num(Q(1, math.factorial(m))),
+                          mul(*(add(a, num(-j)) for j in range(m))))
+            assert generalized_binomial(a, m) == product, m
+
 
 class TestRlPartial:
     def test_constant_maps_to_power(self):
@@ -180,6 +189,21 @@ class TestDeterminingSystem:
         ds = determining_system(spec)
         assert ds.is_solution(ZERO, add(ALPHA, mul(-1, B)), MINUS_ONE,
                               add(mul(2, ALPHA), mul(-1, B)))
+
+    def test_solve_reverifies_at_the_configured_truncation(self, monkeypatch):
+        import fracsym.symmetry as symmetry
+        seen = []
+        real = symmetry.invariance_residual
+
+        def spy(spec, gen, M=symmetry.DEFAULT_TRUNCATION):
+            seen.append(M)
+            return real(spec, gen, M)
+
+        monkeypatch.setattr(symmetry, "invariance_residual", spy)
+        gens = classify(PdeSpec(g=CoeffForm(CoeffTag.POWER)), M=2)
+        assert len(gens) == 2
+        # one call builds the system, one re-verifies each candidate
+        assert seen == [2, 2, 2]
 
     def test_arbitrary_g_only_translation(self):
         spec = PdeSpec(g=CoeffForm(CoeffTag.ARBITRARY))
