@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .expr import (
     Expr, Num, Sym, Sum, Prod, Pow, Func, GammaF, FDeriv,
     ExprError, ZERO, ONE, MINUS_ONE,
-    add, mul, pow_, sym, as_expr, free_symbols, contains_symbol,
+    add, mul, pow_, sym, as_expr, children, free_symbols, contains_symbol,
     contains_node,
 )
 
@@ -193,24 +193,18 @@ def is_polynomial_in(e: Expr, names) -> bool:
     names = set(names)
 
     def ok(node: Expr) -> bool:
-        if isinstance(node, (Num, Sym)):
+        if not contains_symbol(node, names):
             return True
-        if isinstance(node, Sum):
-            return all(ok(t) for t in node.terms)
-        if isinstance(node, Prod):
-            return all(ok(f) for f in node.factors)
         if isinstance(node, Pow):
-            if contains_symbol(node.exp, names):
+            # only a base raised to a natural number; a Num exponent is free
+            # of the names, so this also rejects names in the exponent
+            exp = node.exp
+            if not (isinstance(exp, Num) and exp.value.denominator == 1
+                    and exp.value >= 0):
                 return False
-            if contains_symbol(node.base, names):
-                if not (isinstance(node.exp, Num)
-                        and node.exp.value.denominator == 1
-                        and node.exp.value >= 0):
-                    return False
-            return ok(node.base)
-        if isinstance(node, (Func, GammaF, FDeriv)):
-            return not contains_symbol(node, names)
-        raise TypeError(type(node))  # pragma: no cover
+        elif isinstance(node, (Func, GammaF, FDeriv)):
+            return False
+        return all(ok(c) for c in children(node))
 
     return ok(e)
 
@@ -227,16 +221,13 @@ def _basis_parts(basis_monos):
     def scan(e: Expr):
         if isinstance(e, Sym):
             syms.add(e.name)
-        elif isinstance(e, Pow):
-            scan(e.base)
-        elif isinstance(e, Prod):
-            for f in e.factors:
-                scan(f)
-        elif isinstance(e, Sum):
-            for t in e.terms:
-                scan(t)
         elif isinstance(e, (Func, GammaF, FDeriv)):
             nodes.append(e)
+        elif isinstance(e, Pow):
+            scan(e.base)  # exponent symbols may still appear in coefficients
+        else:
+            for c in children(e):
+                scan(c)
 
     for m in basis_monos:
         scan(m)

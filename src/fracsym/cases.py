@@ -13,13 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from importlib import resources
 
-from .expr import Expr, as_expr, sym
+from .expr import Expr, Num, Sym, as_expr, sym
 from .parser import parse_expression
 from .pde import CoeffForm, CoeffTag, PdeSpec
 
 __all__ = [
     "ClassificationCase", "CLASSIFICATION_CASES", "REDUCTION_FORM_FILES",
-    "classification_case", "spec_for_case", "reduction_key_for",
+    "alpha_kind", "classification_case", "spec_for_case", "reduction_key_for",
     "load_printed_form", "TRANSLATION_REDUCTION_KEY",
 ]
 
@@ -83,6 +83,21 @@ def spec_for_case(key: str, **kwargs) -> PdeSpec:
     return classification_case(key).spec(**kwargs)
 
 
+def alpha_kind(alpha: Expr) -> str:
+    """Catalog kind of an order alpha: "generic" (a symbol), "1/2", "1/3",
+    "rational" (another number in (0, 1)) or "unsupported"."""
+    if isinstance(alpha, Sym):
+        return "generic"
+    if isinstance(alpha, Num):
+        if alpha.value == Q(1, 2):
+            return "1/2"
+        if alpha.value == Q(1, 3):
+            return "1/3"
+        if 0 < alpha.value < 1:
+            return "rational"
+    return "unsupported"
+
+
 def resolve_case_key(spec: PdeSpec) -> str | None:
     """Classification key matching a spec's (alpha, g-form), if any.
 
@@ -90,12 +105,6 @@ def resolve_case_key(spec: PdeSpec) -> str | None:
     generic alpha) fall back to the arbitrary-coefficient case key when the
     classification degenerates to the translation alone.
     """
-    from .expr import Num
-    if isinstance(spec.alpha, Num):
-        a = spec.alpha.value
-        kind = {Q(1, 2): "1/2", Q(1, 3): "1/3"}.get(a, "other")
-    else:
-        kind = "generic"
     table = {
         ("generic", CoeffTag.ARBITRARY): "1.1",
         ("generic", CoeffTag.POWER): "1.2",
@@ -109,7 +118,7 @@ def resolve_case_key(spec: PdeSpec) -> str | None:
         ("1/3", CoeffTag.POWER): "3.2",
         ("1/3", CoeffTag.CONSTANT): "3.3",
     }
-    hit = table.get((kind, spec.g.tag))
+    hit = table.get((alpha_kind(spec.alpha), spec.g.tag))
     if hit:
         return hit
     if spec.g.tag in (CoeffTag.ARBITRARY, CoeffTag.EXPONENTIAL):

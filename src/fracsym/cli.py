@@ -25,7 +25,7 @@ from .cases import (
 )
 from .expr import (
     Expr, Num, ExprError, ZERO,
-    mul, num, sym, substitute, to_text,
+    is_zero_exact, mul, num, sym, substitute, to_text,
 )
 from .fracnum import (
     FracConfig, gl_rl_derivative, power_profile, rl_power_rule,
@@ -48,7 +48,7 @@ from .report import (
 )
 from .symmetry import (
     OutsideCatalogError, SymmetryError, UnsupportedAnsatzError,
-    invariance_residual,
+    classify, invariance_residual,
 )
 
 __all__ = ["SessionConfig", "run_classify", "run_reduce", "run_verify",
@@ -178,8 +178,6 @@ def _numeric_spec(cfg: SessionConfig, spec: PdeSpec) -> PdeSpec:
 
 def run_classify(cfg: SessionConfig) -> ReportDoc:
     """Classify, then verify every generator through the invariance residual."""
-    from .symmetry import classify
-
     spec = cfg.spec()
     case_key = resolve_case_key(spec) or "-"
     doc = ReportDoc(case=case_key, config=cfg.as_dict())
@@ -212,8 +210,6 @@ def run_classify(cfg: SessionConfig) -> ReportDoc:
 
 def run_reduce(cfg: SessionConfig, generator_index: int) -> ReportDoc:
     """Invariants, derived reduced ODE, stored-form comparison, grid oracle."""
-    from .symmetry import classify
-
     spec = cfg.spec()
     case_key = resolve_case_key(spec) or "-"
     doc = ReportDoc(case=case_key, config=cfg.as_dict())
@@ -257,8 +253,7 @@ def run_reduce(cfg: SessionConfig, generator_index: int) -> ReportDoc:
     # grid oracle on a numeric specialization
     binding = _oracle_bindings(cfg, spec)
     nspec = _numeric_spec(cfg, spec)
-    from dataclasses import replace as dreplace
-    nred = dreplace(
+    nred = replace(
         red,
         p=substitute(red.p, binding),
         q=substitute(red.q, binding),
@@ -319,7 +314,6 @@ def run_verify(cfg: SessionConfig, triple) -> ReportDoc:
     # the RL lower terminal sits at t = 0; a generator moving it does not
     # map the memory structure to itself even when the Leibniz-expanded
     # criterion is formally satisfied
-    from fracsym.expr import is_zero_exact
     xi_t_at_0 = substitute(gen.xi_t, {"t": ZERO})
     if not is_zero_exact(xi_t_at_0):
         doc.add_check(

@@ -40,8 +40,8 @@ __all__ = [
     "Expr", "Num", "Sym", "Sum", "Prod", "Pow", "Func", "GammaF", "FDeriv",
     "ExprError", "SimplifyError", "EvalError", "SubstitutionError",
     "num", "sym", "add", "mul", "pow_", "func", "gammaf", "fderiv",
-    "as_expr", "simplify", "substitute", "replace_node",
-    "free_symbols", "contains_symbol", "contains_node",
+    "as_expr", "children", "rebuild", "simplify", "substitute",
+    "replace_node", "free_symbols", "contains_symbol", "contains_node",
     "eval_numeric", "is_zero_exact", "clear_denominators", "to_text",
     "ZERO", "ONE", "MINUS_ONE",
 ]
@@ -549,28 +549,58 @@ def fderiv(expr, var, alpha) -> Expr:
 # structure queries
 
 
+def children(e: Expr) -> tuple:
+    """Direct subexpressions of a node.
+
+    With :func:`rebuild` this is the one place that knows how each node kind
+    holds its children.  An FDeriv lists its variable, which rebuild keeps.
+    """
+    if isinstance(e, Sum):
+        return e.terms
+    if isinstance(e, Prod):
+        return e.factors
+    if isinstance(e, Pow):
+        return (e.base, e.exp)
+    if isinstance(e, Func):
+        return e.args
+    if isinstance(e, GammaF):
+        return (e.arg,)
+    if isinstance(e, FDeriv):
+        return (e.expr, e.var, e.alpha)
+    if isinstance(e, (Num, Sym)):
+        return ()
+    raise TypeError(type(e))
+
+
+def rebuild(e: Expr, fn) -> Expr:
+    """A node of e's kind built, through the canonical constructors, from
+    ``fn`` applied to each child; an FDeriv keeps its variable as it is."""
+    if isinstance(e, Sum):
+        return add(*map(fn, e.terms))
+    if isinstance(e, Prod):
+        return mul(*map(fn, e.factors))
+    if isinstance(e, Pow):
+        return pow_(fn(e.base), fn(e.exp))
+    if isinstance(e, Func):
+        return Func(e.name, tuple(map(fn, e.args)), e.order)
+    if isinstance(e, GammaF):
+        return gammaf(fn(e.arg))
+    if isinstance(e, FDeriv):
+        return fderiv(fn(e.expr), e.var, fn(e.alpha))
+    if isinstance(e, (Num, Sym)):
+        return e
+    raise TypeError(type(e))
+
+
 def free_symbols(e: Expr) -> frozenset:
     try:
         return e._free
     except AttributeError:
         pass
-    if isinstance(e, Num):
-        out = frozenset()
-    elif isinstance(e, Sym):
+    if isinstance(e, Sym):
         out = frozenset((e.name,))
-    elif isinstance(e, Pow):
-        out = free_symbols(e.base) | free_symbols(e.exp)
-    elif isinstance(e, (Sum, Prod)):
-        parts = e.terms if isinstance(e, Sum) else e.factors
-        out = frozenset().union(*(free_symbols(p) for p in parts))
-    elif isinstance(e, Func):
-        out = frozenset().union(*(free_symbols(a) for a in e.args)) if e.args else frozenset()
-    elif isinstance(e, GammaF):
-        out = free_symbols(e.arg)
-    elif isinstance(e, FDeriv):
-        out = free_symbols(e.expr) | free_symbols(e.alpha) | {e.var.name}
-    else:  # pragma: no cover
-        raise TypeError(type(e))
+    else:
+        out = frozenset().union(*map(free_symbols, children(e)))
     object.__setattr__(e, "_free", out)
     return out
 
@@ -582,21 +612,7 @@ def contains_symbol(e: Expr, names) -> bool:
 
 
 def contains_node(e: Expr, target: Expr) -> bool:
-    if e == target:
-        return True
-    if isinstance(e, Pow):
-        return contains_node(e.base, target) or contains_node(e.exp, target)
-    if isinstance(e, (Sum, Prod)):
-        parts = e.terms if isinstance(e, Sum) else e.factors
-        return any(contains_node(p, target) for p in parts)
-    if isinstance(e, Func):
-        return any(contains_node(a, target) for a in e.args)
-    if isinstance(e, GammaF):
-        return contains_node(e.arg, target)
-    if isinstance(e, FDeriv):
-        return (contains_node(e.expr, target) or contains_node(e.alpha, target)
-                or e.var == target)
-    return False
+    return e == target or any(contains_node(c, target) for c in children(e))
 
 
 # ---------------------------------------------------------------------------
@@ -605,22 +621,7 @@ def contains_node(e: Expr, target: Expr) -> bool:
 
 def simplify(e: Expr) -> Expr:
     """Re-canonicalize an expression (idempotent by construction)."""
-    e = as_expr(e)
-    if isinstance(e, (Num, Sym)):
-        return e
-    if isinstance(e, Sum):
-        return add(*(simplify(t) for t in e.terms))
-    if isinstance(e, Prod):
-        return mul(*(simplify(f) for f in e.factors))
-    if isinstance(e, Pow):
-        return pow_(simplify(e.base), simplify(e.exp))
-    if isinstance(e, Func):
-        return Func(e.name, tuple(simplify(a) for a in e.args), e.order)
-    if isinstance(e, GammaF):
-        return gammaf(simplify(e.arg))
-    if isinstance(e, FDeriv):
-        return fderiv(simplify(e.expr), e.var, simplify(e.alpha))
-    raise TypeError(type(e))  # pragma: no cover
+    return rebuild(as_expr(e), simplify)
 
 
 def substitute(e: Expr, bindings: Mapping) -> Expr:
@@ -652,33 +653,18 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
             raise SubstitutionError(f"cyclic binding through {name!r}")
 
     def walk(node: Expr) -> Expr:
-        if isinstance(node, Num):
-            return node
         if isinstance(node, Sym):
             return table.get(node.name, node)
         if free_symbols(node).isdisjoint(table):
             return node
-        if isinstance(node, Sum):
-            return add(*(walk(t) for t in node.terms))
-        if isinstance(node, Prod):
-            return mul(*(walk(f) for f in node.factors))
-        if isinstance(node, Pow):
-            return pow_(walk(node.base), walk(node.exp))
-        if isinstance(node, Func):
-            return Func(node.name, tuple(walk(a) for a in node.args), node.order)
-        if isinstance(node, GammaF):
-            return gammaf(walk(node.arg))
-        if isinstance(node, FDeriv):
-            new_var = node.var
-            if node.var.name in table:
-                replacement = table[node.var.name]
-                if not isinstance(replacement, Sym):
-                    raise SubstitutionError(
-                        "fractional-derivative variable can only be renamed "
-                        "to another symbol")
-                new_var = replacement
+        if isinstance(node, FDeriv) and node.var.name in table:
+            new_var = table[node.var.name]
+            if not isinstance(new_var, Sym):
+                raise SubstitutionError(
+                    "fractional-derivative variable can only be renamed "
+                    "to another symbol")
             return fderiv(walk(node.expr), new_var, walk(node.alpha))
-        raise TypeError(type(node))  # pragma: no cover
+        return rebuild(node, walk)
 
     return walk(e)
 
@@ -688,23 +674,7 @@ def replace_node(e: Expr, target: Expr, replacement: Expr) -> Expr:
     replacement = as_expr(replacement)
 
     def walk(node: Expr) -> Expr:
-        if node == target:
-            return replacement
-        if isinstance(node, (Num, Sym)):
-            return node
-        if isinstance(node, Sum):
-            return add(*(walk(t) for t in node.terms))
-        if isinstance(node, Prod):
-            return mul(*(walk(f) for f in node.factors))
-        if isinstance(node, Pow):
-            return pow_(walk(node.base), walk(node.exp))
-        if isinstance(node, Func):
-            return Func(node.name, tuple(walk(a) for a in node.args), node.order)
-        if isinstance(node, GammaF):
-            return gammaf(walk(node.arg))
-        if isinstance(node, FDeriv):
-            return fderiv(walk(node.expr), node.var, walk(node.alpha))
-        raise TypeError(type(node))  # pragma: no cover
+        return replacement if node == target else rebuild(node, walk)
 
     return walk(e)
 

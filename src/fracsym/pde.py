@@ -16,7 +16,7 @@ from .calculus import JetContext, diff
 from .expr import (
     Expr, Num, Pow, Prod, Func, ExprError,
     add, mul, pow_, num, sym, func, fderiv, as_expr, free_symbols,
-    is_zero_exact, ZERO, ONE, MINUS_ONE,
+    is_zero_exact, to_text, ZERO, ONE, MINUS_ONE,
 )
 
 __all__ = [
@@ -98,12 +98,8 @@ class CoeffForm:
         raise NotWeightHomogeneous(f"g-form {self.tag.value} is not "
                                    "weight-homogeneous")
 
-    def describe(self) -> str:
-        from .expr import to_text
-        return to_text(self.expr())
 
-
-def coeff_form_from_text(src: str, *_unused) -> CoeffForm:
+def coeff_form_from_text(src: str) -> CoeffForm:
     """Recognize a CoeffForm from an expression string.
 
     ``"arbitrary"`` selects the opaque form; otherwise the expression is
@@ -243,7 +239,6 @@ class Generator:
         return (e, a0, a1, c)
 
     def as_text_triple(self):
-        from .expr import to_text
         return (to_text(self.xi_t), to_text(self.xi_x), to_text(self.eta))
 
     def proportional_to(self, other: "Generator") -> bool:

@@ -21,9 +21,10 @@ from fractions import Fraction as Q
 
 from .calculus import diff, split_by
 from .expr import (
-    Expr, Sym, Sum, Prod, Pow, Func, FDeriv, ExprError,
+    Expr, Sym, Prod, Pow, Func, FDeriv, ExprError,
     add, mul, pow_, num, sym, func, gammaf, fderiv, as_expr,
-    contains_symbol, free_symbols, is_zero_exact, substitute, to_text,
+    contains_symbol, eval_numeric, free_symbols, is_zero_exact, rebuild,
+    substitute, to_text,
     ZERO, ONE, MINUS_ONE,
 )
 from .fracnum import (
@@ -128,13 +129,7 @@ def _rescale_fd_nodes(e: Expr) -> Expr:
                         R_SYM, node.alpha)
                     return mul(pow_(lam, node.alpha), new_fd)
             return node
-        if isinstance(node, Sum):
-            return add(*(walk(t) for t in node.terms))
-        if isinstance(node, Prod):
-            return mul(*(walk(f) for f in node.factors))
-        if isinstance(node, Pow):
-            return pow_(walk(node.base), walk(node.exp))
-        return node
+        return rebuild(node, walk)
 
     return walk(e)
 
@@ -207,11 +202,7 @@ def _pull_x_factor(e: Expr) -> Expr:
             if x_free and rest:
                 return mul(*x_free, fderiv(mul(*rest), node.var, node.alpha))
             return node
-        if isinstance(node, Sum):
-            return add(*(walk(t) for t in node.terms))
-        if isinstance(node, Prod):
-            return mul(*(walk(f) for f in node.factors))
-        return node
+        return rebuild(node, walk)
 
     return walk(e)
 
@@ -278,16 +269,8 @@ def _normalize_h_names(e: Expr) -> Expr:
     """The unknown is written h(r); stored forms sometimes say f(r)."""
     def walk(node: Expr) -> Expr:
         if isinstance(node, Func) and node.name == "f":
-            return Func("h", tuple(walk(a) for a in node.args), node.order)
-        if isinstance(node, Sum):
-            return add(*(walk(t) for t in node.terms))
-        if isinstance(node, Prod):
-            return mul(*(walk(f) for f in node.factors))
-        if isinstance(node, Pow):
-            return pow_(walk(node.base), walk(node.exp))
-        if isinstance(node, FDeriv):
-            return fderiv(walk(node.expr), node.var, node.alpha)
-        return node
+            node = Func("h", node.args, node.order)
+        return rebuild(node, walk)
 
     return walk(e)
 
@@ -362,17 +345,12 @@ def reduced_residual_identity_check(spec: PdeSpec, red: SimilarityReduction,
             rv = float(tv)
             spower = 1.0
         else:
-            rv = float(tv) * float(xv) ** float(_as_float(red.q))
-            spower = float(xv) ** float(_as_float(red.normalization_power))
+            rv = float(tv) * float(xv) ** float(eval_numeric(red.q))
+            spower = float(xv) ** float(eval_numeric(red.normalization_power))
         rhs_val = spower * fode_residual_on_grid(
             red.reduced_ode, h_test, [rv])[0]
         worst = max(worst, relative_deviation(lhs_val, rhs_val))
     return worst
-
-
-def _as_float(e: Expr) -> float:
-    from .expr import eval_numeric
-    return eval_numeric(e)
 
 
 # ---------------------------------------------------------------------------

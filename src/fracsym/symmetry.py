@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
+from .cases import alpha_kind
 from .calculus import (
     JetContext, diff, is_polynomial_in, split_by, total_derivative_t,
 )
@@ -265,21 +266,11 @@ class DeterminingSystem:
         the translation exist only for the weight-homogeneous tags."""
         return self.spec.g.tag
 
-    def coefficient_rows(self):
-        """Rows of d(eq)/d(unknown); every equation is linear homogeneous."""
-        rows = []
-        for eq in self.equations:
-            row = [diff(eq, u_) for u_ in self.unknowns]
-            rows.append(row)
-        return rows
-
-    def residual_at(self, a0, a1, e, c) -> list[Expr]:
+    def is_solution(self, a0, a1, e, c) -> bool:
         binding = {_A0.name: as_expr(a0), _A1.name: as_expr(a1),
                    _E.name: as_expr(e), _C.name: as_expr(c)}
-        return [substitute(eq, binding) for eq in self.equations]
-
-    def is_solution(self, a0, a1, e, c) -> bool:
-        return all(is_zero_exact(r) for r in self.residual_at(a0, a1, e, c))
+        return all(is_zero_exact(substitute(eq, binding))
+                   for eq in self.equations)
 
     def solve(self) -> list[Generator]:
         """Basis of the solution space within the ansatz, every candidate
@@ -414,19 +405,6 @@ def determining_system(spec: PdeSpec,
 _X_TRANSLATION = Generator(ZERO, ONE, ZERO)
 
 
-def _alpha_kind(alpha: Expr) -> str:
-    if isinstance(alpha, Sym):
-        return "generic"
-    if isinstance(alpha, Num):
-        if alpha.value == Q(1, 2):
-            return "1/2"
-        if alpha.value == Q(1, 3):
-            return "1/3"
-        if 0 < alpha.value < 1:
-            return "rational"
-    return "unsupported"
-
-
 def classify(spec: PdeSpec, M: int = DEFAULT_TRUNCATION) -> list[Generator]:
     """Symmetry-algebra basis for a catalog (alpha, g) combination.
 
@@ -435,7 +413,7 @@ def classify(spec: PdeSpec, M: int = DEFAULT_TRUNCATION) -> list[Generator]:
     alpha = 1/3 are certified by direct verification of the translation
     (the catalog attaches no further generators to them).
     """
-    kind = _alpha_kind(spec.alpha)
+    kind = alpha_kind(spec.alpha)
     if kind == "unsupported":
         raise OutsideCatalogError(
             f"alpha = {to_text(spec.alpha)} is outside the catalog")

@@ -6,12 +6,12 @@ from fractions import Fraction as Q
 import pytest
 
 from fracsym.calculus import (
-    CollectError, DiffError, JetContext, collect_terms, diff, jet_bindings,
-    split_by, total_derivative_t,
+    CollectError, DiffError, JetContext, collect_terms, diff,
+    is_polynomial_in, jet_bindings, split_by, total_derivative_t,
 )
 from fracsym.expr import (
     ZERO, ONE, MINUS_ONE, add, contains_symbol, eval_numeric, fderiv, func,
-    mul, num, pow_, substitute, sym,
+    gammaf, mul, num, pow_, substitute, sym,
 )
 
 x, t, u, c = sym("x"), sym("t"), sym("u"), sym("c")
@@ -131,11 +131,33 @@ class TestCollect:
         assert got[mul(u, u_x)] == alpha
         assert got[pow_(u, 2)] == mul(b, t)
 
+    def test_exponent_symbols_stay_in_the_coefficient(self):
+        # only a power's base contributes basis symbols
+        assert collect_terms(mul(b, pow_(u, b)), [pow_(u, b)]) == {
+            pow_(u, b): b}
+
     def test_split_by_groups_everything(self):
         e = add(mul(alpha, u), mul(b, u), x)
         groups = split_by(e, lambda f: contains_symbol(f, "u"))
         assert groups[u] == add(alpha, b)
         assert groups[ONE] == x
+
+
+@pytest.mark.parametrize("e, polynomial", [
+    (add(mul(alpha, pow_(x, 3), u), t), True),
+    (pow_(add(x, u), 2), True),
+    (pow_(alpha, Q(1, 2)), True),
+    (func("exp", (alpha,)), True),
+    (pow_(x, -1), False),
+    (pow_(x, Q(1, 2)), False),
+    (pow_(x, alpha), False),
+    (pow_(alpha, x), False),
+    (mul(alpha, func("exp", (t,))), False),
+    (gammaf(add(alpha, x)), False),
+    (fderiv(u, t, alpha), False),
+])
+def test_is_polynomial_in(e, polynomial):
+    assert is_polynomial_in(e, ("t", "x", "u")) is polynomial
 
 
 class TestJetContext:

@@ -1,0 +1,49 @@
+"""Case-key resolution: every table entry and every fallback, pinned."""
+
+from fractions import Fraction as Q
+
+import pytest
+
+from fracsym.cases import alpha_kind, resolve_case_key
+from fracsym.expr import mul, num
+from fracsym.pde import ALPHA, CoeffForm, CoeffTag, PdeSpec
+
+HALF, THIRD, OTHER = Q(1, 2), Q(1, 3), Q(3, 4)
+
+CASE_KEYS = [
+    # the classification table
+    (ALPHA, CoeffTag.ARBITRARY, "1.1"),
+    (ALPHA, CoeffTag.POWER, "1.2"),
+    (ALPHA, CoeffTag.CONSTANT, "1.3"),
+    (HALF, CoeffTag.EXPONENTIAL, "2.1"),
+    (HALF, CoeffTag.POWER, "2.2"),
+    (HALF, CoeffTag.CONSTANT, "2.3"),
+    (THIRD, CoeffTag.SHIFTED_POWER_23, "3.1"),
+    (THIRD, CoeffTag.QUAD_POWER_13, "3.1"),
+    (THIRD, CoeffTag.EXPONENTIAL, "3.1"),
+    (THIRD, CoeffTag.POWER, "3.2"),
+    (THIRD, CoeffTag.CONSTANT, "3.3"),
+    # the fallbacks: translation-only forms, then the power and constant
+    # forms at any other alpha, then nothing
+    (ALPHA, CoeffTag.EXPONENTIAL, "1.1"),
+    (OTHER, CoeffTag.ARBITRARY, "1.1"),
+    (OTHER, CoeffTag.POWER, "1.2"),
+    (mul(2, ALPHA), CoeffTag.POWER, "1.2"),
+    (Q(1), CoeffTag.CONSTANT, "1.3"),
+    (HALF, CoeffTag.SHIFTED_POWER_23, None),
+    (ALPHA, CoeffTag.QUAD_POWER_13, None),
+]
+
+
+@pytest.mark.parametrize("alpha, tag, key", CASE_KEYS)
+def test_resolve_case_key(alpha, tag, key):
+    assert resolve_case_key(PdeSpec(alpha=alpha, g=CoeffForm(tag))) == key
+
+
+@pytest.mark.parametrize("alpha, kind", [
+    (ALPHA, "generic"), (num(HALF), "1/2"), (num(THIRD), "1/3"),
+    (num(OTHER), "rational"), (num(1), "unsupported"),
+    (mul(2, ALPHA), "unsupported"),
+])
+def test_alpha_kind(alpha, kind):
+    assert alpha_kind(alpha) == kind

@@ -9,8 +9,10 @@ import pytest
 from conftest import random_expr, random_point, random_rational
 from fracsym.expr import (
     EvalError, SimplifyError, SubstitutionError, ZERO, ONE, MINUS_ONE,
-    add, clear_denominators, eval_numeric, fderiv, func, gammaf,
-    is_zero_exact, mul, num, pow_, simplify, substitute, sym, to_text,
+    Expr, FDeriv, Func, GammaF, Num, Pow, Prod, Sum, Sym,
+    add, children, clear_denominators, contains_node, eval_numeric, fderiv,
+    free_symbols, func, gammaf, is_zero_exact, mul, num, pow_, rebuild,
+    replace_node, simplify, substitute, sym, to_text,
 )
 
 x, t, u, r, h = sym("x"), sym("t"), sym("u"), sym("r"), sym("h")
@@ -165,6 +167,57 @@ class TestSubstitute:
                 continue
             if math.isfinite(v1) and abs(v1) < 1e10:
                 assert v1 == pytest.approx(v2, rel=1e-12, abs=1e-12)
+
+
+# one canonical sample per node kind; a kind missing here fails below
+NODE_SAMPLES = {
+    Num: num(Q(3, 2)),
+    Sym: x,
+    Pow: pow_(x, alpha),
+    Prod: mul(2, x, pow_(t, -1)),
+    Sum: add(1, x, mul(3, t, u)),
+    Func: func("h", (mul(t, pow_(x, 2)),), 1),
+    GammaF: gammaf(add(alpha, mul(-1, b))),
+    FDeriv: fderiv(func("h", (t,)), t, alpha),
+}
+
+
+def subtrees(e):
+    yield e
+    for c in children(e):
+        yield from subtrees(c)
+
+
+class TestTraversal:
+    @pytest.mark.parametrize("kind", Expr.__subclasses__(),
+                             ids=lambda k: k.__name__)
+    def test_every_node_kind_round_trips(self, kind):
+        e = NODE_SAMPLES[kind]
+        assert type(e) is kind
+        assert rebuild(e, lambda c: c) == e
+        assert simplify(e) == e
+        assert free_symbols(e) == {n.name for n in subtrees(e)
+                                   if isinstance(n, Sym)}
+        inside = set(subtrees(e))
+        probes = {n for s in NODE_SAMPLES.values() for n in subtrees(s)}
+        for probe in probes | {sym("w"), mul(7, sym("w"))}:
+            assert contains_node(e, probe) == (probe in inside)
+
+    def test_rebuild_keeps_the_fd_variable(self):
+        e = NODE_SAMPLES[FDeriv]
+        got = rebuild(e, lambda c: substitute(c, {"t": x}))
+        assert got == fderiv(func("h", (x,)), t, alpha)
+
+    def test_substitute_renames_the_fd_variable(self):
+        e = NODE_SAMPLES[FDeriv]
+        assert substitute(e, {"t": r}) == fderiv(func("h", (r,)), r, alpha)
+        with pytest.raises(SubstitutionError):
+            substitute(e, {"t": mul(2, r)})
+
+    def test_replace_node_rewrites_every_occurrence(self):
+        fd_u = fderiv(u, t, alpha)
+        e = add(fd_u, mul(x, pow_(fd_u, 2)))
+        assert replace_node(e, fd_u, h) == add(h, mul(x, pow_(h, 2)))
 
 
 class TestEval:
