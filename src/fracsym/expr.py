@@ -27,6 +27,7 @@ applied unconditionally.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -40,7 +41,7 @@ __all__ = [
     "Expr", "Num", "Sym", "Sum", "Prod", "Pow", "Func", "GammaF", "FDeriv",
     "ExprError", "SimplifyError", "EvalError", "SubstitutionError",
     "num", "sym", "add", "mul", "pow_", "func", "gammaf", "fderiv",
-    "as_expr", "children", "rebuild", "simplify", "substitute",
+    "as_expr", "children", "rebuild", "rewrite", "simplify", "substitute",
     "replace_node", "free_symbols", "contains_symbol", "contains_node",
     "eval_numeric", "is_zero_exact", "clear_denominators", "to_text",
     "ZERO", "ONE", "MINUS_ONE",
@@ -168,7 +169,9 @@ class Prod(Expr):
 
 
 class Sum(Expr):
-    __slots__ = ("terms",)
+    """``_monic`` caches the monic form of :func:`_monic_sum`."""
+
+    __slots__ = ("terms", "_monic")
 
     def __init__(self, terms: tuple):
         object.__setattr__(self, "terms", terms)
@@ -214,15 +217,21 @@ class FDeriv(Expr):
 # constructors
 
 
-_NUM_CACHE: dict[Q, Num] = {}
+# Num nodes are keyed by (numerator, denominator): hashing two ints is
+# cheaper than hashing the Fraction, whose hash takes a modular inverse
+_NUM_CACHE: dict[tuple, Num] = {}
 _SYM_CACHE: dict[str, Sym] = {}
+
+_Q0 = Q(0)
+_Q1 = Q(1)
 
 
 def num(value) -> Num:
     v = value if isinstance(value, Q) else Q(value)
-    node = _NUM_CACHE.get(v)
+    key = (v.numerator, v.denominator)
+    node = _NUM_CACHE.get(key)
     if node is None:
-        node = _NUM_CACHE.setdefault(v, Num(v))
+        node = _NUM_CACHE.setdefault(key, Num(v))
     return node
 
 
@@ -256,7 +265,7 @@ def _coeff_mono(term: Expr):
         rest = term.factors[1:]
         mono = rest[0] if len(rest) == 1 else Prod(rest)
         return term.factors[0].value, mono
-    return Q(1), term
+    return _Q1, term
 
 
 def _term_from(coeff: Q, mono: Expr) -> Expr:
@@ -276,7 +285,7 @@ def add(*terms) -> Expr:
             flat.extend(t.terms)
         else:
             flat.append(t)
-    const = Q(0)
+    const = _Q0
     table: dict[Expr, list] = {}
     for t in flat:
         coeff, mono = _coeff_mono(t)
@@ -315,32 +324,46 @@ def mul(*factors) -> Expr:
             flat.append(f)
 
     for _ in range(32):
-        coeff = Q(1)
+        coeff = _Q1
         powers: dict[Expr, list] = {}
         for f in flat:
             if isinstance(f, Num):
                 coeff *= f.value
                 continue
             base, exp = _base_exp(f)
-            # key sum bases by their monic form (integer exponents only) so
-            # e.g. (b-a) and (a-b)^-1 cancel structurally
+            # f, the factor node itself, is reused when its base occurs once
+            # (f = None: resolve through pow_).  The raw atoms of
+            # clear_denominators are not canonical: Pow(s, k) must expand
+            # and Pow(b, 1) collapse, so they go through pow_.
             if (isinstance(base, Sum)
                     and isinstance(exp, Num) and exp.value.denominator == 1):
+                # key sum bases by their monic form (integer exponents only)
+                # so e.g. (b-a) and (a-b)^-1 cancel structurally
                 lead, monic = _monic_sum(base)
                 if lead != 1:
                     coeff *= lead ** int(exp.value)
                     base = monic
+                    f = None
+                elif f is not base and exp.value > 0:
+                    f = None
+            elif f is not base and exp == ONE:
+                f = None
             entry = powers.get(base)
             if entry is None:
-                powers[base] = [base, [exp]]
+                powers[base] = [base, [exp], f]
             else:
                 entry[1].append(exp)
         if coeff == 0:
             return ZERO
         pieces: list[Expr] = []
         reflatten = False
-        for base, exps in powers.values():
-            resolved = pow_(base, add(*exps) if len(exps) > 1 else exps[0])
+        for base, exps, f in powers.values():
+            if len(exps) > 1:
+                resolved = pow_(base, add(*exps))
+            elif f is not None:
+                resolved = f
+            else:
+                resolved = pow_(base, exps[0])
             if isinstance(resolved, Num):
                 coeff *= resolved.value
                 if coeff == 0:
@@ -396,14 +419,14 @@ def _fold_num_power(b: Q, e: Q):
         if b == 0:
             if k < 0:
                 raise SimplifyError("division by zero in constant folding")
-            return Q(1) if k == 0 else Q(0)
+            return _Q1 if k == 0 else _Q0
         return b ** k
     if b == 0:
         if e > 0:
-            return Q(0)
+            return _Q0
         raise SimplifyError("division by zero in constant folding")
     if b == 1:
-        return Q(1)
+        return _Q1
     if b < 0:
         return None
     root_n = _nth_root_exact(b.numerator, e.denominator)
@@ -423,12 +446,18 @@ def _monic_sum(s: Sum):
     lead, _ = _coeff_mono(s.terms[0])
     if lead == 1:
         return lead, s
+    try:
+        return lead, s._monic
+    except AttributeError:
+        pass
     out = []
     for term in s.terms:
         coeff, mono = _coeff_mono(term)
         scaled = coeff / lead
         out.append(num(scaled) if mono is None else _term_from(scaled, mono))
-    return lead, add(*out)
+    monic = add(*out)
+    object.__setattr__(s, "_monic", monic)
+    return lead, monic
 
 
 def _distribute(acc: Expr, s: Sum) -> Expr:
@@ -512,7 +541,7 @@ def gammaf(arg) -> Expr:
             prefactor = mul(*(num(small + j) for j in range(shift)))
             return mul(prefactor, GammaF(num(small)))
         return GammaF(arg)
-    const = Q(0)
+    const = _Q0
     if isinstance(arg, Sum):
         first, rest = _coeff_mono(arg.terms[0])
         if rest is None:
@@ -552,8 +581,9 @@ def fderiv(expr, var, alpha) -> Expr:
 def children(e: Expr) -> tuple:
     """Direct subexpressions of a node.
 
-    With :func:`rebuild` this is the one place that knows how each node kind
-    holds its children.  An FDeriv lists its variable, which rebuild keeps.
+    With :func:`_assemble` this is the one place that knows how each node
+    kind holds its children.  An FDeriv lists its variable, which is never
+    rewritten.
     """
     if isinstance(e, Sum):
         return e.terms
@@ -572,24 +602,45 @@ def children(e: Expr) -> tuple:
     raise TypeError(type(e))
 
 
+def _rewritable(e: Expr) -> tuple:
+    """The children a rewriting walk may change: all but an FDeriv's
+    variable."""
+    return (e.expr, e.alpha) if isinstance(e, FDeriv) else children(e)
+
+
+def _assemble(e: Expr, kids: list) -> Expr:
+    """A node of e's kind from new :func:`_rewritable` children, through the
+    canonical constructors."""
+    if isinstance(e, Sum):
+        return add(*kids)
+    if isinstance(e, Prod):
+        return mul(*kids)
+    if isinstance(e, Pow):
+        return pow_(*kids)
+    if isinstance(e, Func):
+        return Func(e.name, tuple(kids), e.order)
+    if isinstance(e, GammaF):
+        return gammaf(*kids)
+    if isinstance(e, FDeriv):
+        return fderiv(kids[0], e.var, kids[1])
+    return e    # Num, Sym
+
+
 def rebuild(e: Expr, fn) -> Expr:
     """A node of e's kind built, through the canonical constructors, from
     ``fn`` applied to each child; an FDeriv keeps its variable as it is."""
-    if isinstance(e, Sum):
-        return add(*map(fn, e.terms))
-    if isinstance(e, Prod):
-        return mul(*map(fn, e.factors))
-    if isinstance(e, Pow):
-        return pow_(fn(e.base), fn(e.exp))
-    if isinstance(e, Func):
-        return Func(e.name, tuple(map(fn, e.args)), e.order)
-    if isinstance(e, GammaF):
-        return gammaf(fn(e.arg))
-    if isinstance(e, FDeriv):
-        return fderiv(fn(e.expr), e.var, fn(e.alpha))
-    if isinstance(e, (Num, Sym)):
+    return _assemble(e, [fn(c) for c in _rewritable(e)])
+
+
+def rewrite(e: Expr, fn) -> Expr:
+    """:func:`rebuild` for rewriting walks: when ``fn`` returns every child
+    as it is (the same object), ``e`` itself comes back, so a subtree the
+    walk leaves alone is not re-canonicalized."""
+    kids = _rewritable(e)
+    new = [fn(c) for c in kids]
+    if all(map(operator.is_, new, kids)):
         return e
-    raise TypeError(type(e))
+    return _assemble(e, new)
 
 
 def free_symbols(e: Expr) -> frozenset:
@@ -620,7 +671,10 @@ def contains_node(e: Expr, target: Expr) -> bool:
 
 
 def simplify(e: Expr) -> Expr:
-    """Re-canonicalize an expression (idempotent by construction)."""
+    """Re-canonicalize an expression (idempotent by construction).
+
+    Rebuilds every node, so a tree built by hand from the raw node classes
+    comes back canonical."""
     return rebuild(as_expr(e), simplify)
 
 
@@ -674,7 +728,7 @@ def replace_node(e: Expr, target: Expr, replacement: Expr) -> Expr:
     replacement = as_expr(replacement)
 
     def walk(node: Expr) -> Expr:
-        return replacement if node == target else rebuild(node, walk)
+        return replacement if node == target else rewrite(node, walk)
 
     return walk(e)
 

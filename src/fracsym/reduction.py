@@ -23,7 +23,7 @@ from .calculus import diff, split_by
 from .expr import (
     Expr, Sym, Prod, Pow, Func, FDeriv, ExprError,
     add, mul, pow_, num, sym, func, gammaf, fderiv, as_expr,
-    contains_symbol, eval_numeric, free_symbols, is_zero_exact, rebuild,
+    contains_symbol, eval_numeric, free_symbols, is_zero_exact, rewrite,
     substitute, to_text,
     ZERO, ONE, MINUS_ONE,
 )
@@ -129,7 +129,7 @@ def _rescale_fd_nodes(e: Expr) -> Expr:
                         R_SYM, node.alpha)
                     return mul(pow_(lam, node.alpha), new_fd)
             return node
-        return rebuild(node, walk)
+        return rewrite(node, walk)
 
     return walk(e)
 
@@ -202,7 +202,7 @@ def _pull_x_factor(e: Expr) -> Expr:
             if x_free and rest:
                 return mul(*x_free, fderiv(mul(*rest), node.var, node.alpha))
             return node
-        return rebuild(node, walk)
+        return rewrite(node, walk)
 
     return walk(e)
 
@@ -270,7 +270,7 @@ def _normalize_h_names(e: Expr) -> Expr:
     def walk(node: Expr) -> Expr:
         if isinstance(node, Func) and node.name == "f":
             node = Func("h", node.args, node.order)
-        return rebuild(node, walk)
+        return rewrite(node, walk)
 
     return walk(e)
 
@@ -339,17 +339,19 @@ def reduced_residual_identity_check(spec: PdeSpec, red: SimilarityReduction,
         u_expr = mul(pow_(X, red.p), substitute(h_test, {"r": r_of_xt}))
     lhs = pde_residual_on_grid(spec, u_expr, points)
 
+    if red.translation_case:
+        r_points = [float(tv) for _, tv in points]
+        spowers = [1.0] * len(points)
+    else:
+        q = float(eval_numeric(red.q))
+        s = float(eval_numeric(red.normalization_power))
+        r_points = [float(tv) * float(xv) ** q for xv, tv in points]
+        spowers = [float(xv) ** s for xv, _ in points]
+    rhs = fode_residual_on_grid(red.reduced_ode, h_test, r_points)
+
     worst = 0.0
-    for (xv, tv), lhs_val in zip(points, lhs):
-        if red.translation_case:
-            rv = float(tv)
-            spower = 1.0
-        else:
-            rv = float(tv) * float(xv) ** float(eval_numeric(red.q))
-            spower = float(xv) ** float(eval_numeric(red.normalization_power))
-        rhs_val = spower * fode_residual_on_grid(
-            red.reduced_ode, h_test, [rv])[0]
-        worst = max(worst, relative_deviation(lhs_val, rhs_val))
+    for lhs_val, spower, rhs_val in zip(lhs, spowers, rhs):
+        worst = max(worst, relative_deviation(lhs_val, spower * rhs_val))
     return worst
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from fracsym.expr import add, mul, num, pow_, sym
+from fracsym.expr import add, children, mul, num, pow_, sym
 
 SYMBOL_POOL = ("x", "t", "u", "alpha", "b", "k")
 
@@ -34,6 +34,13 @@ def random_expr(rng: random.Random, depth: int = 6):
     if kind == 2:
         return pow_(random_expr(rng, depth - 1), num(rng.randint(1, 3)))
     return mul(num(random_rational(rng)), random_expr(rng, depth - 1))
+
+
+def subtrees(e):
+    """Every node of a tree, the root first."""
+    yield e
+    for c in children(e):
+        yield from subtrees(c)
 
 
 def random_point(rng: random.Random, names=SYMBOL_POOL) -> dict:

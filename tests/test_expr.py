@@ -6,13 +6,13 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import random_expr, random_point, random_rational
+from conftest import random_expr, random_point, random_rational, subtrees
 from fracsym.expr import (
     EvalError, SimplifyError, SubstitutionError, ZERO, ONE, MINUS_ONE,
     Expr, FDeriv, Func, GammaF, Num, Pow, Prod, Sum, Sym,
-    add, children, clear_denominators, contains_node, eval_numeric, fderiv,
-    free_symbols, func, gammaf, is_zero_exact, mul, num, pow_, rebuild,
-    replace_node, simplify, substitute, sym, to_text,
+    _monic_sum, add, clear_denominators, contains_node, eval_numeric,
+    fderiv, free_symbols, func, gammaf, is_zero_exact, mul, num, pow_,
+    rebuild, replace_node, simplify, substitute, sym, to_text,
 )
 
 x, t, u, r, h = sym("x"), sym("t"), sym("u"), sym("r"), sym("h")
@@ -43,6 +43,29 @@ class TestExpansion:
     def test_monic_sum_keeps_unit_lead(self):
         s = add(x, t, 1)
         assert pow_(s, -2) == pow_(mul(2, s), -2) * 4
+
+    @pytest.mark.parametrize("s", [add(x, t, 1), add(mul(2, x), mul(3, t))],
+                             ids=["unit-lead", "lead-2"])
+    def test_raw_clearing_atoms_still_canonicalize(self, s):
+        # clear_denominators multiplies by raw Pow atoms: Pow(s, k) must
+        # expand and Pow(s, 1) collapse, as if built by pow_
+        assert mul(Pow(s, num(2)), x) == mul(pow_(s, 2), x)
+        assert mul(Pow(s, ONE)) == s
+        assert mul(Pow(x, ONE), t) == mul(x, t)
+
+    def test_single_factor_is_reused(self):
+        f = pow_(x, Q(1, 2))
+        assert mul(f, t).factors[1] is f
+
+    def test_monic_sum_is_cached_on_the_sum(self):
+        s = add(mul(3, x), mul(Q(1, 2), t), 5)
+        lead = s.terms[0].value
+        assert lead == 5
+        first, second = _monic_sum(s), _monic_sum(s)
+        assert second[1] is first[1]
+        # computed without the cache: every term divided by the lead
+        want = (lead, add(*(mul(num(1 / lead), term) for term in s.terms)))
+        assert first == second == want
 
 
 class TestSimplify:
@@ -180,12 +203,6 @@ NODE_SAMPLES = {
     GammaF: gammaf(add(alpha, mul(-1, b))),
     FDeriv: fderiv(func("h", (t,)), t, alpha),
 }
-
-
-def subtrees(e):
-    yield e
-    for c in children(e):
-        yield from subtrees(c)
 
 
 class TestTraversal:

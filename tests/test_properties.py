@@ -1,14 +1,17 @@
 """Hypothesis property tests for the expression algebra and GL weights."""
 
 import math
+from fractions import Fraction as Q
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import subtrees
 from fracsym.expr import (
-    EvalError, ZERO, add, eval_numeric, mul, num, pow_, simplify, substitute,
-    sym, to_text,
+    EvalError, ONE, ZERO, Pow, Prod, SimplifyError, Sum, add, eval_numeric,
+    fderiv, func, mul, num, pow_, rebuild, replace_node, simplify,
+    substitute, sym, to_text,
 )
 from fracsym.fracnum import gl_weights
 from fracsym.parser import parse_expression
@@ -127,6 +130,62 @@ class TestHashConsistency:
         # re-canonicalizing rebuilds every node and must keep the hash
         again = simplify(substituted)
         assert again == substituted and hash(again) == hash(substituted)
+
+
+def rich_exprs(depth: int = 4):
+    """exprs() plus h(...) applications and RL-derivative nodes in t."""
+    leaf = st.one_of(rationals.map(num), names.map(sym))
+    return st.recursive(
+        leaf,
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda p: add(*p)),
+            st.tuples(inner, inner).map(lambda p: mul(*p)),
+            st.tuples(inner, st.integers(-2, 3))
+            .filter(lambda p: p[0] != ZERO or p[1] >= 0)
+            .map(lambda p: pow_(p[0], num(p[1]))),
+            inner.map(lambda e: func("h", (e,))),
+            st.tuples(inner, st.sampled_from([num(Q(1, 2)), sym("alpha")]))
+            .map(lambda p: fderiv(p[0], "t", p[1])),
+        ),
+        max_leaves=depth * 4,
+    )
+
+
+def replace_by_full_rebuild(e, target, replacement):
+    """replace_node as it was: every node re-canonicalized on the way up."""
+    def walk(node):
+        return replacement if node == target else rebuild(node, walk)
+
+    return walk(e)
+
+
+class TestRewritingWalks:
+    @given(rich_exprs(), exprs(depth=2), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_replace_node_equals_full_rebuild(self, e, replacement, data):
+        target = data.draw(st.sampled_from(list(subtrees(e))))
+        try:
+            want = replace_by_full_rebuild(e, target, replacement)
+        except SimplifyError:   # e.g. a zero replacement under a ^-1
+            with pytest.raises(SimplifyError):
+                replace_node(e, target, replacement)
+            return
+        assert replace_node(e, target, replacement) == want
+
+    @given(rich_exprs())
+    @settings(max_examples=200, deadline=None)
+    def test_absent_target_returns_the_tree_itself(self, e):
+        for absent in (sym("w"), func("g", (sym("w"),))):
+            assert replace_node(e, absent, sym("r")) is e
+
+    @given(exprs())
+    @settings(max_examples=200, deadline=None)
+    def test_simplify_canonicalizes_hand_built_nodes(self, e):
+        x = sym("x")
+        assert simplify(Prod((ONE, x))) == x
+        assert simplify(Pow(e, ONE)) == e
+        if isinstance(e, Sum):
+            assert simplify(Sum(tuple(reversed(e.terms)))) == e
 
 
 class TestWeightProperties:

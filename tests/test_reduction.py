@@ -6,12 +6,17 @@ from fractions import Fraction as Q
 import pytest
 
 from fracsym.calculus import collect_terms
-from fracsym.cases import load_printed_form, spec_for_case
+from fracsym.cases import (
+    classification_case, load_printed_form, spec_for_case,
+)
 from fracsym.expr import (
     ZERO, MINUS_ONE, add, eval_numeric, fderiv, func, gammaf,
-    is_zero_exact, mul, num, pow_, sym, to_text,
+    is_zero_exact, mul, num, pow_, substitute, sym, to_text,
 )
-from fracsym.fracnum import rl_power_rule
+from fracsym.fracnum import (
+    fode_residual_on_grid, pde_residual_on_grid, relative_deviation,
+    rl_power_rule,
+)
 from fracsym.pde import (
     ALPHA, B, K, T, U, X, CoeffForm, CoeffTag, Generator, PdeSpec,
 )
@@ -218,6 +223,66 @@ class TestIdentityCheck:
         red = similarity_substitute(
             spec, characteristic_invariants(classify(spec)[1]))
         assert reduced_residual_identity_check(spec, red, ZERO, self.PTS) == 0
+
+
+def per_point_identity_check(spec, red, h_test, points):
+    """The identity check as it was before it batched its r-points: one
+    fode_residual_on_grid call per point, q and s evaluated at each."""
+    if red.translation_case:
+        u_expr = substitute(h_test, {"r": T})
+    else:
+        u_expr = mul(pow_(X, red.p),
+                     substitute(h_test, {"r": mul(T, pow_(X, red.q))}))
+    lhs = pde_residual_on_grid(spec, u_expr, points)
+    worst = 0.0
+    for (xv, tv), lhs_val in zip(points, lhs):
+        if red.translation_case:
+            rv = float(tv)
+            spower = 1.0
+        else:
+            rv = float(tv) * float(xv) ** float(eval_numeric(red.q))
+            spower = float(xv) ** float(eval_numeric(red.normalization_power))
+        rhs_val = spower * fode_residual_on_grid(
+            red.reduced_ode, h_test, [rv])[0]
+        worst = max(worst, relative_deviation(lhs_val, rhs_val))
+    return worst
+
+
+def seeded_points(seed: int, count: int):
+    rng = random.Random(seed)
+    return [(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+            for _ in range(count)]
+
+
+class TestBatchedIdentityCheck:
+    """One fode_residual_on_grid call over all r-points gives bitwise the
+    deviations of one call per point."""
+
+    PTS = seeded_points(1234, 20)
+    H_TESTS = (r, mul(r, r), mul(r, r, r))
+
+    # case 2.2 with the CLI oracle's b = 2, k = 1
+    SPEC = classification_case("2.2").spec(k=1, b=2)
+
+    @pytest.mark.parametrize("index", [1, 0], ids=["scaling", "translation"])
+    def test_equals_the_per_point_loop(self, index):
+        spec = self.SPEC
+        red = similarity_substitute(
+            spec, characteristic_invariants(classify(spec)[index]))
+        assert red.translation_case == (index == 0)
+        for h_test in self.H_TESTS:
+            got = reduced_residual_identity_check(spec, red, h_test, self.PTS)
+            assert got == per_point_identity_check(spec, red, h_test,
+                                                   self.PTS)
+
+    def test_fode_residual_matches_one_point_calls(self):
+        red = similarity_substitute(
+            self.SPEC, characteristic_invariants(classify(self.SPEC)[1]))
+        rs = [tv * xv ** float(eval_numeric(red.q)) for xv, tv in self.PTS]
+        for h_test in self.H_TESTS:
+            batched = fode_residual_on_grid(red.reduced_ode, h_test, rs)
+            assert batched == [fode_residual_on_grid(red.reduced_ode, h_test,
+                                                     [rv])[0] for rv in rs]
 
 
 class TestKernelSolution:

@@ -1,8 +1,9 @@
 """Golden report digests: the sha256 of the JSON report of fixed argv.
 
 Changes to the expression kernel must leave every report byte-identical.
-The digests below were taken before the kernel's hashing and expansion
-were reworked; a mismatch names the argv whose report changed.  To pin a
+The catalog and verify digests were taken before the kernel's hashing and
+expansion were reworked, the frac-deriv digests before ``num`` and the
+rewriting walks were; a mismatch names the argv whose report changed.  To pin a
 deliberate report change, regenerate with ``python tests/test_report_digests.py``
 and say in CHANGES.md why the reports moved.
 """
@@ -43,6 +44,21 @@ VERIFY_ARGV = [
     ("verify", "--m", "3", "--n", "2", "--alpha", "1/3", "--g", "k",
      "--xi-t", "-t + (1/4)", "--xi-x", "((2)*(2*(1/3))/(5) - (1/3))*x",
      "--eta", "((2*(1/3))/(5))*u"),
+]
+
+# the oracle workload's design: positive power sums, N = at/dt + 1 from
+# 5,001 to 20,001, every alpha of the design
+FRAC_DERIV_ARGV = [
+    ("frac-deriv", "--expr", "3/2*t^(1)", "--alpha", "1/4", "--at", "0.5"),
+    ("frac-deriv", "--expr", "2*t^(3/2) + 5/7*t^(3)", "--alpha", "1/2",
+     "--at", "0.5"),
+    ("frac-deriv", "--expr", "9/4*t^(1) + 1/3*t^(2) + 8/5*t^(5/2)",
+     "--alpha", "3/4", "--at", "1"),
+    ("frac-deriv", "--expr", "4/3*t^(5/2)", "--alpha", "1/2", "--at", "1"),
+    ("frac-deriv", "--expr", "6/7*t^(2) + 1*t^(3)", "--alpha", "1/4",
+     "--at", "1.5"),
+    ("frac-deriv", "--expr", "7/2*t^(3/2) + 2/5*t^(2) + 1/6*t^(3)",
+     "--alpha", "3/4", "--at", "2"),
 ]
 
 DIGESTS = {
@@ -108,6 +124,21 @@ DIGESTS = {
         '09af3940a24aff148478aacefd875494b04fdcb45678c0a136504bcbfe3daf3a',
 }
 
+FRAC_DERIV_DIGESTS = {
+    'frac-deriv --expr 3/2*t^(1) --alpha 1/4 --at 0.5':
+        '4ec4617a0442a1c11e5ef2c369978d8556888c8452e2b639139d453212187c06',
+    'frac-deriv --expr 2*t^(3/2) + 5/7*t^(3) --alpha 1/2 --at 0.5':
+        '0f1ff8858b965d9a410048e8a48d6211c5bae685b49179e5d18c225921719330',
+    'frac-deriv --expr 9/4*t^(1) + 1/3*t^(2) + 8/5*t^(5/2) --alpha 3/4 --at 1':
+        '7de9a659c0e973609158f837df42968a48d540e49fae4b23f65745c158369620',
+    'frac-deriv --expr 4/3*t^(5/2) --alpha 1/2 --at 1':
+        'ddfab9aa4666e505137c1d4bf9f4535ac9486986a743ca6e89305d2ed53270f2',
+    'frac-deriv --expr 6/7*t^(2) + 1*t^(3) --alpha 1/4 --at 1.5':
+        'a6202ee26453a939c6023cb2b29ee4a3a3ebcf60204da938b55e19ed830e5aaa',
+    'frac-deriv --expr 7/2*t^(3/2) + 2/5*t^(2) + 1/6*t^(3) --alpha 3/4 --at 2':
+        'a82228508bd7fca01e386bc63437427e0dd13ba12154d558643793582b3d7770',
+}
+
 
 def report_digest(argv, tmp_dir) -> str:
     """sha256 of the report, or of the error line when no report is written
@@ -142,11 +173,18 @@ def test_report_is_byte_identical(argv, tmp_path):
         f"report of `fracsym {_label(argv)}` changed")
 
 
+@pytest.mark.parametrize("argv", FRAC_DERIV_ARGV, ids=_label)
+def test_frac_deriv_report_is_byte_identical(argv, tmp_path):
+    got = report_digest(argv, tmp_path)
+    assert got == FRAC_DERIV_DIGESTS[_label(argv)], (
+        f"report of `fracsym {_label(argv)}` changed")
+
+
 if __name__ == "__main__":
     import pathlib
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        for argv in CATALOG_ARGV + VERIFY_ARGV:
+        for argv in CATALOG_ARGV + VERIFY_ARGV + FRAC_DERIV_ARGV:
             digest = report_digest(argv, pathlib.Path(tmp))
             print(f"    {_label(argv)!r}:\n        {digest!r},")
