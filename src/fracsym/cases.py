@@ -1,10 +1,11 @@
-"""Catalog of classification cases and their similarity reductions.
+"""Catalog of classification cases and the two printed reduced forms.
 
-Classification keys follow the symmetry table (1.1 .. 3.3); reduction keys
-follow the reduction sections (1 for the translation, then 2.1, 2.2, 3.1,
-3.2, 4.1, 4.2 for the scaling reductions).  Stored reduced forms live in
-``data/reduced_forms`` in the CLI expression grammar, one expression per
-line with '#' comments.
+Classification keys follow the symmetry table (1.1 .. 3.3).  The printed
+reduced forms are named by their paper section: 1 for the translation and
+2.1 for the scaling, whose print at generic alpha and g = k*t^b covers every
+scaling case of K(2,3) once alpha, b, k and zeta are substituted.  They live
+in ``data/reduced_forms`` in the CLI expression grammar, one expression per
+file with '#' comment lines.
 """
 
 from __future__ import annotations
@@ -13,19 +14,17 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from importlib import resources
 
-from .expr import Expr, Num, Sym, as_expr, sym
+from .expr import Expr, Num, Sym, as_expr, num, substitute, sym
 from .parser import parse_expression
 from .pde import CoeffForm, CoeffTag, PdeSpec
 
 __all__ = [
-    "ClassificationCase", "CLASSIFICATION_CASES", "REDUCTION_FORM_FILES",
-    "alpha_kind", "classification_case", "spec_for_case", "reduction_key_for",
-    "load_printed_form", "TRANSLATION_REDUCTION_KEY",
+    "ClassificationCase", "CLASSIFICATION_CASES", "alpha_kind",
+    "classification_case", "spec_for_case", "parse_printed_form",
+    "load_printed_form",
 ]
 
 ALPHA = sym("alpha")
-
-TRANSLATION_REDUCTION_KEY = "1"
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,6 @@ class ClassificationCase:
     key: str
     alpha: object            # "generic" | Fraction
     tag: CoeffTag
-    scaling_reduction: str | None  # reduction key of the scaling generator
 
     def spec(self, m: int = 2, n: int = 3, zeta: int = 1,
              k=None, b=None) -> PdeSpec:
@@ -48,25 +46,15 @@ class ClassificationCase:
 
 
 CLASSIFICATION_CASES: dict[str, ClassificationCase] = {
-    "1.1": ClassificationCase("1.1", "generic", CoeffTag.ARBITRARY, None),
-    "1.2": ClassificationCase("1.2", "generic", CoeffTag.POWER, "2.1"),
-    "1.3": ClassificationCase("1.3", "generic", CoeffTag.CONSTANT, "2.2"),
-    "2.1": ClassificationCase("2.1", Q(1, 2), CoeffTag.EXPONENTIAL, None),
-    "2.2": ClassificationCase("2.2", Q(1, 2), CoeffTag.POWER, "3.1"),
-    "2.3": ClassificationCase("2.3", Q(1, 2), CoeffTag.CONSTANT, "3.2"),
-    "3.1": ClassificationCase("3.1", Q(1, 3), CoeffTag.SHIFTED_POWER_23, None),
-    "3.2": ClassificationCase("3.2", Q(1, 3), CoeffTag.POWER, "4.1"),
-    "3.3": ClassificationCase("3.3", Q(1, 3), CoeffTag.CONSTANT, "4.2"),
-}
-
-REDUCTION_FORM_FILES = {
-    "1": "case_1.txt",
-    "2.1": "case_2_1.txt",
-    "2.2": "case_2_2.txt",
-    "3.1": "case_3_1.txt",
-    "3.2": "case_3_2.txt",
-    "4.1": "case_4_1.txt",
-    "4.2": "case_4_2.txt",
+    "1.1": ClassificationCase("1.1", "generic", CoeffTag.ARBITRARY),
+    "1.2": ClassificationCase("1.2", "generic", CoeffTag.POWER),
+    "1.3": ClassificationCase("1.3", "generic", CoeffTag.CONSTANT),
+    "2.1": ClassificationCase("2.1", Q(1, 2), CoeffTag.EXPONENTIAL),
+    "2.2": ClassificationCase("2.2", Q(1, 2), CoeffTag.POWER),
+    "2.3": ClassificationCase("2.3", Q(1, 2), CoeffTag.CONSTANT),
+    "3.1": ClassificationCase("3.1", Q(1, 3), CoeffTag.SHIFTED_POWER_23),
+    "3.2": ClassificationCase("3.2", Q(1, 3), CoeffTag.POWER),
+    "3.3": ClassificationCase("3.3", Q(1, 3), CoeffTag.CONSTANT),
 }
 
 
@@ -130,23 +118,23 @@ def resolve_case_key(spec: PdeSpec) -> str | None:
     return None
 
 
-def reduction_key_for(classification_key: str, translation: bool) -> str | None:
-    if translation:
-        return TRANSLATION_REDUCTION_KEY
-    return classification_case(classification_key).scaling_reduction
-
-
-def load_printed_form(reduction_key: str) -> Expr:
-    """Parse the stored reduced ODE for a reduction case."""
-    try:
-        fname = REDUCTION_FORM_FILES[reduction_key]
-    except KeyError:
-        raise KeyError(f"no stored reduced form for case {reduction_key!r}") \
-            from None
-    text = (resources.files("fracsym.data.reduced_forms") / fname).read_text()
+def parse_printed_form(text: str) -> Expr:
+    """Parse a reduced-form file: one expression, '#' comment lines."""
     lines = [ln.strip() for ln in text.splitlines()]
     exprs = [parse_expression(ln) for ln in lines
              if ln and not ln.startswith("#")]
     if len(exprs) != 1:
-        raise ValueError(f"{fname} must contain exactly one expression")
+        raise ValueError("a reduced-form file holds exactly one expression")
     return exprs[0]
+
+
+def load_printed_form(section: str, spec: PdeSpec) -> Expr:
+    """The printed reduced ODE of a paper section ("1", the translation, or
+    "2.1", the scaling), specialized to the spec's alpha and zeta and, for
+    g = k*t^b or a constant g, to its k and b."""
+    fname = f"case_{section.replace('.', '_')}.txt"
+    text = (resources.files("fracsym.data.reduced_forms") / fname).read_text()
+    binding = {"alpha": spec.alpha, "zeta": num(spec.zeta)}
+    if spec.g.weight_homogeneous:
+        binding.update(k=spec.g.k, b=spec.g.power_exponent())
+    return substitute(parse_printed_form(text), binding)

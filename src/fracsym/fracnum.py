@@ -21,7 +21,7 @@ import numpy as np
 
 from .calculus import diff
 from .expr import (
-    Expr, Num, Sym, Pow, Prod, Sum, EvalError, ExprError,
+    Expr, Num, Sym, Pow, Prod, Sum, Func, EvalError, ExprError,
     mul, pow_, as_expr, eval_numeric, free_symbols, ZERO, ONE,
 )
 from .pde import PdeSpec
@@ -237,7 +237,9 @@ def pde_residual_on_grid(spec: PdeSpec, u_closed_form: Expr,
     """Residual of the PDE at (x, t) points for an explicit power-sum u.
 
     The fractional term is evaluated term-by-term with the RL power rule;
-    the spatial terms are differentiated symbolically and evaluated.
+    the spatial terms are differentiated symbolically and evaluated.  g(t)
+    is evaluated only where the dispersion term it multiplies is nonzero,
+    so an x-free u needs no values for an opaque g.
     """
     alpha = _numeric_alpha(spec)
     u_expr = as_expr(u_closed_form)
@@ -256,9 +258,10 @@ def pde_residual_on_grid(spec: PdeSpec, u_closed_form: Expr,
     for xv, tv in points:
         point = {"x": float(xv), "t": float(tv)}
         frac = _rl_time_derivative_value(profile, alpha, xv, tv)
-        value = (frac
-                 + spec.zeta * eval_numeric(convect, point)
-                 + eval_numeric(g_expr, point) * eval_numeric(disperse, point))
+        value = frac + spec.zeta * eval_numeric(convect, point)
+        if disperse != ZERO:
+            value += (eval_numeric(g_expr, point)
+                      * eval_numeric(disperse, point))
         out.append(value)
     return out
 
@@ -287,7 +290,6 @@ def fode_residual_on_grid(reduced_ode: Expr, h_closed_form: Expr,
                 raise EvalError("fractional order must be numeric here")
             a = float(node.alpha.value)
             inner = node.expr
-            from .expr import Func
             if isinstance(inner, Func) and inner.name in ("h", "f") \
                     and inner.order == 0:
                 total = 0.0

@@ -38,11 +38,10 @@ __all__ = [
     "ComparisonReport", "KernelSolution",
     "characteristic_invariants", "similarity_substitute",
     "compare_reduced_forms", "reduced_residual_identity_check",
-    "kernel_solution", "R_SYM", "H_FUNC",
+    "kernel_solution", "R_SYM",
 ]
 
 R_SYM = sym("r")
-H_FUNC = func("h", (R_SYM,))
 
 
 class ReductionError(ExprError):
@@ -51,32 +50,32 @@ class ReductionError(ExprError):
 
 @dataclass
 class SimilarityReduction:
-    """Invariant pair r = t*x^q, z = u*x^(-p) plus the derived reduction."""
+    """Invariant pair r = t*x^q, z = u*x^(-p) plus the derived reduction.
+
+    The x-translation is the case p = q = 0: r = t, z = u.
+    """
 
     p: Expr
     q: Expr
-    translation_case: bool = False
     normalization_power: Expr | None = None
     reduced_ode: Expr | None = None
 
     @property
+    def translation_case(self) -> bool:
+        return self.q == ZERO
+
+    @property
     def r_expr(self) -> Expr:
-        if self.translation_case:
-            return T
         return mul(T, pow_(X, self.q))
 
     @property
     def z_expr(self) -> Expr:
-        if self.translation_case:
-            return U
         return mul(U, pow_(X, mul(MINUS_ONE, self.p)))
 
     @property
     def u_ansatz(self) -> Expr:
-        """u = x^p * h(t * x^q)  (or u = h(t) for the translation case)."""
-        if self.translation_case:
-            return func("h", (T,))
-        return mul(pow_(X, self.p), func("h", (mul(T, pow_(X, self.q)),)))
+        """u = x^p * h(t * x^q)."""
+        return mul(pow_(X, self.p), func("h", (self.r_expr,)))
 
 
 def characteristic_invariants(gen: Generator) -> SimilarityReduction:
@@ -94,7 +93,7 @@ def characteristic_invariants(gen: Generator) -> SimilarityReduction:
     if e == ZERO and a1 == ZERO and c == ZERO:
         if a0 == ZERO:
             raise PdeModelError("zero generator")  # pragma: no cover
-        return SimilarityReduction(p=ZERO, q=ZERO, translation_case=True)
+        return SimilarityReduction(p=ZERO, q=ZERO)
     if a0 != ZERO:
         raise ReductionError(
             "translation component mixed with a scaling is unsupported "
@@ -171,10 +170,6 @@ def similarity_substitute(spec: PdeSpec,
     Returns a copy of ``red`` carrying the derived reduced ODE (with the
     fractional term's coefficient equal to 1) and the stripped x-power s.
     """
-    if red.translation_case:
-        reduced = fderiv(H_FUNC, R_SYM, spec.alpha)
-        return replace(red, normalization_power=ZERO, reduced_ode=reduced)
-
     u_sub = red.u_ansatz
     frac = fderiv(u_sub, T, spec.alpha)
     # the ansatz splits as x^p * h(...): RL linearity over the x-only factor
@@ -314,11 +309,6 @@ def compare_reduced_forms(derived: Expr, printed: Expr) -> ComparisonReport:
 # grid adjudication
 
 
-def _specialize(e: Expr, values: dict) -> Expr:
-    return substitute(e, {k: num(v) if isinstance(v, (int, Q)) else v
-                          for k, v in values.items()})
-
-
 def reduced_residual_identity_check(spec: PdeSpec, red: SimilarityReduction,
                                     h_test: Expr, points: list) -> float:
     """Max relative deviation between the PDE residual of u = x^p h(t x^q)
@@ -332,21 +322,13 @@ def reduced_residual_identity_check(spec: PdeSpec, red: SimilarityReduction,
         raise ReductionError("run similarity_substitute first")
     h_test = as_expr(h_test)
 
-    if red.translation_case:
-        u_expr = substitute(h_test, {"r": T})
-    else:
-        r_of_xt = mul(T, pow_(X, red.q))
-        u_expr = mul(pow_(X, red.p), substitute(h_test, {"r": r_of_xt}))
+    u_expr = mul(pow_(X, red.p), substitute(h_test, {"r": red.r_expr}))
     lhs = pde_residual_on_grid(spec, u_expr, points)
 
-    if red.translation_case:
-        r_points = [float(tv) for _, tv in points]
-        spowers = [1.0] * len(points)
-    else:
-        q = float(eval_numeric(red.q))
-        s = float(eval_numeric(red.normalization_power))
-        r_points = [float(tv) * float(xv) ** q for xv, tv in points]
-        spowers = [float(xv) ** s for xv, _ in points]
+    q = float(eval_numeric(red.q))
+    s = float(eval_numeric(red.normalization_power))
+    r_points = [float(tv) * float(xv) ** q for xv, tv in points]
+    spowers = [float(xv) ** s for xv, _ in points]
     rhs = fode_residual_on_grid(red.reduced_ode, h_test, r_points)
 
     worst = 0.0

@@ -15,11 +15,15 @@ from dataclasses import dataclass, field
 from . import __version__
 
 __all__ = ["CheckRecord", "ReportDoc", "emit_report", "read_report",
-           "STATUS_PASS", "STATUS_FAIL", "STATUS_ADJUDICATED"]
+           "STATUS_PASS", "STATUS_FAIL", "STATUS_ADJUDICATED",
+           "STATUS_SKIPPED"]
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_ADJUDICATED = "mismatch-adjudicated"
+# a check that does not apply to the spec; its detail names why, and it
+# counts as a pass
+STATUS_SKIPPED = "skipped"
 
 
 @dataclass

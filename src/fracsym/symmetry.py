@@ -260,12 +260,6 @@ class DeterminingSystem:
     unknowns: tuple[Sym, ...] = (_A0, _A1, _E, _C)
     truncation: int = DEFAULT_TRUNCATION
 
-    @property
-    def g_form(self) -> CoeffTag:
-        """The coefficient form the system was built under; scalings beyond
-        the translation exist only for the weight-homogeneous tags."""
-        return self.spec.g.tag
-
     def is_solution(self, a0, a1, e, c) -> bool:
         binding = {_A0.name: as_expr(a0), _A1.name: as_expr(a1),
                    _E.name: as_expr(e), _C.name: as_expr(c)}

@@ -1,13 +1,30 @@
-"""Shared test helpers: seeded random expressions and rational sampling."""
+"""Shared test helpers: seeded random expressions, rational sampling and
+the paper's printed scaling reductions."""
 
+import pathlib
 import random
 from fractions import Fraction as Q
 
 import pytest
 
+from fracsym.cases import parse_printed_form
 from fracsym.expr import add, children, mul, num, pow_, sym
 
 SYMBOL_POOL = ("x", "t", "u", "alpha", "b", "k")
+
+# the paper's six scaling prints, verbatim; at run time every one of them
+# is the scaling form case_2_1 specialized to its case
+PAPER_PRINTS = pathlib.Path(__file__).with_name("paper_prints")
+
+# paper section of each scaling print -> the classification case it reduces
+PAPER_SECTIONS = {"2.1": "1.2", "2.2": "1.3", "3.1": "2.2", "3.2": "2.3",
+                  "4.1": "3.2", "4.2": "3.3"}
+
+
+def paper_print(section: str):
+    """The reduced ODE the paper prints in a scaling section."""
+    name = f"case_{section.replace('.', '_')}.txt"
+    return parse_printed_form((PAPER_PRINTS / name).read_text())
 
 
 def random_rational(rng: random.Random, lo: int = -9, hi: int = 9,

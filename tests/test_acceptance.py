@@ -12,9 +12,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import random_expr, random_point, random_rational
+from conftest import paper_print, random_expr, random_point, random_rational
 from fracsym import fracnum as fn
-from fracsym.cases import load_printed_form, spec_for_case
+from fracsym.cases import spec_for_case
 from fracsym.expr import (
     ZERO, ONE, MINUS_ONE, EvalError,
     add, eval_numeric, fderiv, func, mul, num, pow_, simplify,
@@ -152,7 +152,7 @@ class TestCriterion4:
         red = similarity_substitute(
             spec, characteristic_invariants(classified("1.3")[1]))
         report = compare_reduced_forms(red.reduced_ode,
-                                       load_printed_form("2.2"))
+                                       paper_print("2.2"))
         assert report.all_equal, [m.as_record() for m in report.mismatches()]
         printed = {to_text(e.monomial): e.printed for e in report.entries}
         assert printed["h(r)^3"] == mul(120, K, pow_(ALPHA, 3))
@@ -163,7 +163,7 @@ class TestCriterion4:
         red = similarity_substitute(
             spec, characteristic_invariants(classified("3.3")[1]))
         report = compare_reduced_forms(red.reduced_ode,
-                                       load_printed_form("4.2"))
+                                       paper_print("4.2"))
         assert report.all_equal, [m.as_record() for m in report.mismatches()]
         third = num(Q(1, 3))
         expected_42 = {
@@ -203,7 +203,7 @@ class TestCriterion5:
                 spec_sym,
                 characteristic_invariants(classify(spec_sym)[1]))
             report = compare_reduced_forms(red_sym.reduced_ode,
-                                           load_printed_form(red_key))
+                                           paper_print(red_key))
             listed = [m.as_record() for m in report.mismatches()]
 
             # numeric specialization for the grid oracle

@@ -5,16 +5,39 @@ from fractions import Fraction as Q
 
 import pytest
 
+from fracsym import cases
 from fracsym.cli import (
     SessionConfig, main, run_classify, run_fracderiv, run_reduce, run_verify,
 )
 from fracsym.report import (
-    STATUS_FAIL, STATUS_PASS, ReportDoc, emit_report, read_report,
+    STATUS_ADJUDICATED, STATUS_FAIL, STATUS_PASS, STATUS_SKIPPED, ReportDoc,
+    emit_report, read_report,
 )
+
+# (alpha, g) of every classification case with a scaling
+SCALING_CONFIGS = {
+    "1.2": ("generic", "k*t^b"), "1.3": ("generic", "k"),
+    "2.2": ("1/2", "k*t^b"), "2.3": ("1/2", "k"),
+    "3.2": ("1/3", "k*t^b"), "3.3": ("1/3", "k"),
+}
 
 
 def statuses(doc):
     return {c.name: c.status for c in doc.checks}
+
+
+def perturb_printed_forms(monkeypatch, old, new):
+    """Replace ``old`` by ``new`` in every runtime form read from now on;
+    returns, per form read, whether ``old`` occurred in it."""
+    parse = cases.parse_printed_form
+    hits = []
+
+    def perturbed(text):
+        hits.append(old in text)
+        return parse(text.replace(old, new))
+
+    monkeypatch.setattr(cases, "parse_printed_form", perturbed)
+    return hits
 
 
 class TestSessionConfig:
@@ -88,14 +111,68 @@ class TestRunReduce:
         assert statuses(doc)["grid_identity"] == STATUS_PASS
 
     def test_case_42_reduction(self):
+        # printed at the scaling form's FD coefficient (b - alpha)^3 = -1/27:
+        # the paper's 120*k*h^3 at FD coefficient 1 becomes -40/9*k*h^3
         doc = run_reduce(SessionConfig(alpha="1/3", g="k"), 1)
         assert doc.invariants == {"r": "t*x^3", "z": "u*x^(-2)"}
-        assert "120*k*h(r)^3" in doc.reduced_ode
-        assert statuses(doc)["printed_form[4.2]"] == STATUS_PASS
+        assert "- 40/9*k*h(r)^3" in doc.reduced_ode
+        assert doc.reduced_ode.endswith(" - 1/27*fdiff(h(r), r, 1/3)")
+        assert statuses(doc)["printed_form[2.1]"] == STATUS_PASS
+
+    def test_scaling_print_skipped_outside_k23(self):
+        doc = run_reduce(SessionConfig(alpha="generic", g="k", m=5, n=1), 1)
+        rec = [c for c in doc.checks if c.name == "printed_form[2.1]"][0]
+        assert rec.status == STATUS_SKIPPED
+        assert "(m, n) = (5, 1)" in rec.detail
+        assert statuses(doc)["grid_identity"] == STATUS_PASS
+        assert doc.worst_status == STATUS_PASS
+
+    @pytest.mark.parametrize("m, n, zeta", [(5, 1, 1), (1, 6, -1)])
+    def test_translation_print_never_skipped(self, m, n, zeta):
+        doc = run_reduce(SessionConfig(alpha="1/2", g="k", m=m, n=n,
+                                       zeta=zeta), 0)
+        assert statuses(doc)["printed_form[1]"] == STATUS_PASS
+
+    @pytest.mark.parametrize("argv", [
+        ["--case", "1.1", "--generator-index", "0"],
+        ["--alpha", "1/4", "--g", "k", "--generator-index", "0"],
+        ["--alpha", "1/4", "--g", "k"],
+        ["--case", "3.3", "--zeta", "-1"],
+        ["--alpha", "generic", "--g", "2*t^3"],
+        ["--m", "5", "--n", "1", "--g", "k"],
+    ])
+    def test_reduce_exits_0(self, argv, capsys):
+        assert main(["reduce", *argv]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_bad_index(self):
         doc = run_reduce(SessionConfig(alpha="generic", g="k"), 5)
         assert doc.worst_status == STATUS_FAIL
+
+
+class TestPrintedFormMutation:
+    """A perturbed runtime form turns its check into a mismatch."""
+
+    @pytest.mark.parametrize("case", sorted(SCALING_CONFIGS))
+    def test_scaling_coefficient(self, case, monkeypatch):
+        hits = perturb_printed_forms(monkeypatch, "- 6*k*r^(3+b)",
+                                     "- 7*k*r^(3+b)")
+        alpha, g = SCALING_CONFIGS[case]
+        doc = run_reduce(SessionConfig(alpha=alpha, g=g), 1)
+        assert hits == [True]
+        rec = [c for c in doc.checks if c.name == "printed_form[2.1]"][0]
+        assert rec.status == STATUS_ADJUDICATED
+        assert "'monomial': 'r^" in rec.detail
+        assert "diff(h(r), r, 1)^3" in rec.detail
+
+    @pytest.mark.parametrize("alpha, g", [("generic", "arbitrary"),
+                                          ("1/3", "k")])
+    def test_translation_form(self, alpha, g, monkeypatch):
+        hits = perturb_printed_forms(monkeypatch, "fdiff(h(r), r, alpha)",
+                                     "fdiff(h(r), r, alpha) + h(r)")
+        doc = run_reduce(SessionConfig(alpha=alpha, g=g), 0)
+        assert hits == [True]
+        assert statuses(doc)["printed_form[1]"] == STATUS_ADJUDICATED
 
 
 class TestRunVerify:
@@ -211,6 +288,15 @@ class TestEmitAndRead:
                                      stream=io.StringIO()))
         assert blobs[0] == blobs[1]
         assert (tmp_path / "r.json").read_bytes() == blobs[1].encode()
+
+    def test_skipped_counts_as_pass(self):
+        doc = ReportDoc(case="x")
+        doc.add_check("a", STATUS_PASS)
+        doc.add_check("b", STATUS_SKIPPED, detail="does not apply")
+        assert doc.worst_status == STATUS_PASS
+        out = io.StringIO()
+        emit_report(doc, stream=out)
+        assert "skipped] b -- does not apply" in out.getvalue()
 
     def test_unwritable_path(self):
         doc = ReportDoc(case="x")

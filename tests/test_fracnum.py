@@ -8,7 +8,7 @@ import pytest
 
 from fracsym import fracnum as fn
 from fracsym.expr import (
-    ZERO, MINUS_ONE, add, func, gammaf, mul, num, pow_, sym,
+    ZERO, MINUS_ONE, EvalError, add, func, gammaf, mul, num, pow_, sym,
 )
 from fracsym.pde import CoeffForm, CoeffTag, PdeSpec
 from fracsym.special import GammaPoleError, gamma_fn
@@ -212,6 +212,14 @@ class TestGridResiduals:
         res = fn.pde_residual_on_grid(self.SPEC, x, [(1.0, 1.0)])
         assert res[0] == pytest.approx(1 / math.sqrt(math.pi) + 2 + 6,
                                        rel=1e-12)
+
+    def test_opaque_g_only_where_it_multiplies_a_nonzero_term(self):
+        spec = PdeSpec(alpha=num(Q(1, 2)), g=CoeffForm(CoeffTag.ARBITRARY))
+        # u = t^2: the dispersion term vanishes, so g(t) needs no value
+        res = fn.pde_residual_on_grid(spec, pow_(t, 2), [(1.0, 1.5)])
+        assert res == [fn.rl_power_rule(2, 0.5, 1.5)]
+        with pytest.raises(EvalError, match="'g'"):
+            fn.pde_residual_on_grid(spec, mul(x, t), [(1.0, 1.5)])
 
     def test_unsupported_profile_suggests_gl(self):
         with pytest.raises(fn.UnsupportedProfileError):

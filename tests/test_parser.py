@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction as Q
+from importlib import resources
 
 import pytest
 
-from conftest import random_expr
+from conftest import PAPER_PRINTS, random_expr
+from fracsym.cases import parse_printed_form
 from fracsym.expr import (
     fderiv, func, gammaf, mul, num, pow_, sym, to_text, MINUS_ONE,
 )
@@ -114,7 +116,11 @@ class TestRoundTrip:
             count += 1
 
     def test_stored_reduced_forms_round_trip(self):
-        from fracsym.cases import REDUCTION_FORM_FILES, load_printed_form
-        for key in REDUCTION_FORM_FILES:
-            e = load_printed_form(key)
-            assert parse(to_text(e)) == e, key
+        runtime = sorted(p for p in resources.files(
+            "fracsym.data.reduced_forms").iterdir() if p.name.endswith(".txt"))
+        assert [p.name for p in runtime] == ["case_1.txt", "case_2_1.txt"]
+        prints = sorted(PAPER_PRINTS.glob("*.txt"))
+        assert len(prints) == 6
+        for path in runtime + prints:
+            e = parse_printed_form(path.read_text())
+            assert parse(to_text(e)) == e, path.name

@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from conftest import PAPER_SECTIONS, paper_print
 from fracsym.calculus import collect_terms
 from fracsym.cases import (
     classification_case, load_printed_form, spec_for_case,
@@ -170,14 +171,14 @@ class TestCompareReducedForms:
         red = similarity_substitute(
             spec, characteristic_invariants(scaling_of(cls_key)))
         report = compare_reduced_forms(red.reduced_ode,
-                                       load_printed_form(red_key))
+                                       paper_print(red_key))
         assert report.all_equal, [m.as_record() for m in report.mismatches()]
 
     def test_injected_fault_detected_on_h3(self):
         spec = spec_for_case("1.3")
         red = similarity_substitute(
             spec, characteristic_invariants(scaling_of("1.3")))
-        printed = load_printed_form("2.2")
+        printed = paper_print("2.2")
         fault = add(printed, mul(K, pow_(ALPHA, 3), pow_(h, 3)))  # 120 -> 121
         report = compare_reduced_forms(red.reduced_ode, fault)
         assert not report.all_equal
@@ -185,11 +186,48 @@ class TestCompareReducedForms:
             == ["h(r)^3"]
 
     def test_f_and_h_are_the_same_unknown(self):
-        stored = load_printed_form("3.2")  # written with f(r)
+        stored = paper_print("3.2")  # written with f(r)
         assert "f(r)" in to_text(stored)
         normalized = compare_reduced_forms(stored, stored).normalized_derived()
         assert "f(r)" not in to_text(normalized)
         assert "h(r)" in to_text(normalized)
+
+
+class TestSpecializedPrintedForms:
+    """The two runtime forms, specialized to a spec, against the paper's
+    prints and against the derivation."""
+
+    @pytest.mark.parametrize("section", sorted(PAPER_SECTIONS))
+    def test_paper_print_is_the_specialized_scaling_form(self, section):
+        spec = spec_for_case(PAPER_SECTIONS[section])
+        report = compare_reduced_forms(load_printed_form("2.1", spec),
+                                       paper_print(section))
+        assert report.all_equal, [m.as_record() for m in report.mismatches()]
+
+    @pytest.mark.parametrize("case", sorted(ACCEPTANCE_INVARIANTS))
+    def test_zeta_form_matches_the_derivation(self, case):
+        spec = classification_case(case).spec(zeta=-1)
+        red = similarity_substitute(
+            spec, characteristic_invariants(classify(spec)[1]))
+        report = compare_reduced_forms(red.reduced_ode,
+                                       load_printed_form("2.1", spec))
+        assert report.all_equal, [m.as_record() for m in report.mismatches()]
+        # against the zeta = +1 form exactly the convection monomials differ
+        plus = load_printed_form("2.1", spec_for_case(case))
+        flipped = compare_reduced_forms(red.reduced_ode, plus).mismatches()
+        assert sorted(to_text(m.monomial) for m in flipped) \
+            == sorted([to_text(pow_(h, 2)), to_text(mul(r, h, hp))])
+
+    @pytest.mark.parametrize("m, n, zeta", [(2, 3, 1), (2, 3, -1),
+                                            (5, 1, 1), (1, 6, -1)])
+    def test_translation_form_holds_for_every_m_n_zeta(self, m, n, zeta):
+        spec = PdeSpec(alpha=num(Q(1, 3)), m=m, n=n, zeta=zeta,
+                       g=CoeffForm(CoeffTag.ARBITRARY))
+        red = similarity_substitute(
+            spec, characteristic_invariants(Generator(0, 1, 0)))
+        printed = load_printed_form("1", spec)
+        assert printed == fderiv(h, r, num(Q(1, 3)))
+        assert compare_reduced_forms(red.reduced_ode, printed).all_equal
 
 
 class TestIdentityCheck:
@@ -207,7 +245,7 @@ class TestIdentityCheck:
         from fracsym.special import gamma_fn
         assert lhs == pytest.approx(gamma_fn(3) / gamma_fn(2.5) * 1.1 ** 1.5)
 
-    def test_case_22_quarter_alpha(self):
+    def test_quarter_alpha_constant_g(self):
         rng = random.Random(4321)
         pts = [(rng.uniform(0.5, 2), rng.uniform(0.5, 2)) for _ in range(20)]
         spec = PdeSpec(alpha=num(Q(1, 4)),

@@ -1,11 +1,11 @@
 """Golden report digests: the sha256 of the JSON report of fixed argv.
 
-Changes to the expression kernel must leave every report byte-identical.
-The catalog and verify digests were taken before the kernel's hashing and
-expansion were reworked, the frac-deriv digests before ``num`` and the
-rewriting walks were; a mismatch names the argv whose report changed.  To pin a
-deliberate report change, regenerate with ``python tests/test_report_digests.py``
-and say in CHANGES.md why the reports moved.
+Changes to the expression kernel must leave every report byte-identical;
+a mismatch names the argv whose report changed.  To pin a deliberate report
+change, run ``python tests/test_report_digests.py``: it prints
+``argv: old → new`` for each pin whose report moved, and nothing for the
+others.  Copy the new digests in and say in CHANGES.md why the reports
+moved.
 """
 
 import contextlib
@@ -63,53 +63,53 @@ FRAC_DERIV_ARGV = [
 
 DIGESTS = {
     'classify --case 1.1':
-        '26a81689652bd4f7c63e2a9ca4075af6437b265650f6fea1d99d64192b7d2bc5',
+        '19834e547e52039bf222ec6ee27783c7da4c382844d7746542d77c64b19c86bd',
     'classify --case 1.2':
-        'fd3ba09722d4d6a7578a47b137107f9d5f58ba91b8de8f4180c0300315d6172a',
+        'be6af36ab2c9ade5e3f013390912a328c9840ab01a0f5d9590a6adc279189b37',
     'classify --case 1.3':
-        'bfd6b0e33aef46ac5aacdcfc70e2efca8e13218357803163f3239d48c7d9b494',
+        '1e4de74f38dffb3ff1f9dc7270b993c75a7409158f1a584bd2f73bfab8dc48fb',
     'classify --case 2.1':
-        '82888960c5b25e3728e1b28e43b19fe700d934964211ccfc6d1333967ce1e430',
+        '7b20438acc8f3dc076197b183929e147d8cb09859d93da72db53663760211176',
     'classify --case 2.2':
-        '61aa4ca889dac20a7289474e2117cb035f276473f92fc52631d3d2d7f398017e',
+        '0d03ba882780c6f0dd8184f22ca6f8ee4671f573e83053400f1b3fc6704460d2',
     'classify --case 2.3':
-        '9866a56d7644e84d5b4c3950f59db5419669bd75b3a93503934e93d5fc5c0a40',
+        '0bd0525797ae6aa1b4c50cd6c7ca9d0a0e6d0985addb451e047eb209fd7012bf',
     'classify --case 3.1':
-        'dad7d861c83eba7e3ce3a0a8f1b31929d7d090bd5ebff41825f678c8ef9e08c6',
+        '102f597c2af41599d42ef6a0d3b7f188c6c09317e84b50802370befdcf1f9630',
     'classify --case 3.2':
-        '3d81e161a83d9174b8436d02f0faf8acbb489c17bdffc534396110962ae23051',
+        'd37f3497a7202a7d205292f8a97dc204f0be7d5e8633a4b6817695795aa68897',
     'classify --case 3.3':
-        'a1a6af5010021a158153d76fa3c985691718921244c5b6c3408a900b9aff5069',
+        '7af20b6b4049745708c7347e6a1f6d7321e8f426e4553a7d92b1a497cdeb96a8',
     'reduce --case 1.1 --generator-index 0':
-        'eda1d9e7507c555487d79bc15c7a21698bc43d4bfa5b813676797ea280948fc9',
+        '6dec322764f5b666f4ed4bf1a4aca9717e1e15a691d4816e2099e4c14c19fcaa',
     'reduce --case 1.2 --generator-index 0':
         'e313f2cc0bb0f116da5459721e2441560fd32ae95c6d9f85301ae1c5271c7b20',
     'reduce --case 1.3 --generator-index 0':
         '895b310044247f3816f00a46c0714eba713d62436ba3179875229da5f218d7ab',
     'reduce --case 2.1 --generator-index 0':
-        '25340d08b74792c323347dbaf433e462362126a8a69ee300fe98c0310a202ca7',
+        '0d844548e3ef4ad0167f194921a6b68a842b79a98550f8a9142387b8ba291d32',
     'reduce --case 2.2 --generator-index 0':
-        '72f9bc8964afea2df744dd77bab77d97bce978dcdc385a36a6493d22bd19a97f',
+        '835af9a0f1a12e4c0dc7ff15d5e81e1d852de619ef748e4ef751a222c3f60c4f',
     'reduce --case 2.3 --generator-index 0':
-        '667799e48b99360a4376b65ae6a9f20270f1bcc8b6e372310c99b60df5b350e4',
+        '8be3c03e8a31882ce7c6218059f46b615b3e737cae6ff9a1dc06617d99547625',
     'reduce --case 3.1 --generator-index 0':
-        '60fae4db22aa9d7b7c408cbeae24f6f774337b3d4a33f901466a2d01d18476ef',
+        '2d1a373124df1bc5f5017fd7736f36ad7619a7d6fd78cad045bda4d0e6cd21dc',
     'reduce --case 3.2 --generator-index 0':
-        '24a071f092d0a7ba3b170a93da89bf4de3a09aebd015f68316da386c757d6caf',
+        '5b2e76ebee58c2339ff04a170cb5509196f2a502cc58117a51c36b572ca833d7',
     'reduce --case 3.3 --generator-index 0':
-        '7b172b794ee5002bd2e57f78d662fcd575cbb6259ebd2d51477bf47699d49545',
+        '6199dd563245db7ed32e8d89bd6865c1605b37ea48653c0c6a6736010dcddd6d',
     'reduce --case 1.2':
         'aa65d2fa1fecc81b57f2fa4d7b6e94c9433ddfd918abf88f00253822118a5815',
     'reduce --case 1.3':
-        'f15d374f5faa3a991e7f3d1d67117132c7305ebabb71743c59424499d70c45ce',
+        '5de3529b6c59b38052b8f82a5d0f52dffced8c50cdd308d355ab8d31967111f8',
     'reduce --case 2.2':
-        'dc4772a15262f137eb3a84378c7c3c743c34a2b1ef7d2102e00770a4fac07246',
+        '9f911caddf9294d6b62c22e1a9fa92d6586c37f54903fecc560b94a58ffb575f',
     'reduce --case 2.3':
-        '536f913310e3e60e3701ef73db65d36a4eb7d5ebee4e28a8d5e12e8a84016cb9',
+        'e6c28b88750cabae1ee1404d5cd795e3e5e5b901f15d5c6a59ee15893806d0b0',
     'reduce --case 3.2':
-        '26fd57cda6eb8e23f0c6c82129d70bbd29ccc8c25afe14b4b93ed3cf3d46290d',
+        '75095a59ed15ecd99661c96692fd596299b9772a20daf78eb484eb44a3ecd6b2',
     'reduce --case 3.3':
-        '60b78ed33e02fdd35b7fad51c3b1eb2b89001d17103ff6bf4aefcc2cc8e1663c',
+        'c3c3338a6c52ac4c58c1d49dfaff01268cdadbb44ba353349e54348db6dfc2e5',
     'verify --m 2 --n 3 --alpha generic --g k*t^b --xi-t -t --xi-x ((1)*(2*alpha - b)/(1) - alpha)*x --eta ((2*alpha - b)/(1))*u':
         '0843abda2995ac8bc3f68ffb573689b5e3beacc0fa95dccaa9c037e2201fa812',
     'verify --m 5 --n 1 --alpha generic --g k*t^b --xi-t -t --xi-x ((4)*(2*alpha - b)/(12) - alpha)*x --eta ((2*alpha - b)/(12) + (3))*u':
@@ -141,8 +141,7 @@ FRAC_DERIV_DIGESTS = {
 
 
 def report_digest(argv, tmp_dir) -> str:
-    """sha256 of the report, or of the error line when no report is written
-    (``reduce --case 1.1 --generator-index 0`` fails before it writes one).
+    """sha256 of the report, or of the error line when no report is written.
 
     The report records its ``--out`` path, so every run writes to the same
     relative name inside ``tmp_dir``."""
@@ -184,7 +183,9 @@ if __name__ == "__main__":
     import pathlib
     import tempfile
 
+    pins = {**DIGESTS, **FRAC_DERIV_DIGESTS}
     with tempfile.TemporaryDirectory() as tmp:
         for argv in CATALOG_ARGV + VERIFY_ARGV + FRAC_DERIV_ARGV:
             digest = report_digest(argv, pathlib.Path(tmp))
-            print(f"    {_label(argv)!r}:\n        {digest!r},")
+            if digest != pins[_label(argv)]:
+                print(f"{_label(argv)}: {pins[_label(argv)]} → {digest}")
