@@ -6,13 +6,26 @@ Every public constructor returns a canonicalized tree:
 
 * sums and products are flattened and sorted under a fixed total ordering
   (numbers < symbols < powers < products < sums < function-like nodes);
-* numeric constants fold exactly (``Fraction`` arithmetic) and sit first in
-  a product;
+* numeric constants fold exactly and sit first in a product;
 * like terms in a sum and like bases in a product are merged;
 * integer powers of sums and products expand, so polynomial expressions are
   held in expanded normal form;
 * ``Gamma`` arguments are shifted into ``[0, 1)`` + polynomial prefactors via
   the recurrence, so ratios of Gammas at integer offsets cancel exactly.
+
+A ``Num`` holds its value twice.  ``value`` is the public
+``fractions.Fraction``; ``c`` is what the kernel computes with: an ``int``
+when the denominator is 1, otherwise the same ``Fraction``.  Integer
+arithmetic stays in ``int``, and every division and negative power goes
+through ``Fraction``, so no coefficient is ever a float.
+
+A product of sums expands through one term table (sparse polynomial
+multiplication, S. C. Johnson, ACM SIGSAM Bull. 8(3), 1974).  Each term is
+a coefficient plus a map from base to exponent; two terms multiply by
+merging their maps, adding the exponents of a shared atom base (``Sym``,
+``Func``, ``GammaF``, ``FDeriv``) when both are numbers.  Like terms meet
+under their maps, and nodes are built only for the terms that survive.  A
+pair that shares any other base goes through :func:`mul`.
 
 Structural equality of canonical trees therefore decides equality for
 polynomial expressions over the atoms.  Rational-function identities are
@@ -134,11 +147,16 @@ class Expr:
 
 
 class Num(Expr):
-    __slots__ = ("value",)
+    """``value`` is the ``Fraction``; ``c`` is the same number as the kernel
+    computes with it: an ``int`` when the denominator is 1, else ``value``."""
+
+    __slots__ = ("value", "c")
 
     def __init__(self, value: Q):
+        c = value.numerator if value.denominator == 1 else value
         object.__setattr__(self, "value", value)
-        self._set_key((0, value), hash((0, value.numerator, value.denominator)))
+        object.__setattr__(self, "c", c)
+        self._set_key((0, c), hash((0, value.numerator, value.denominator)))
 
 
 class Sym(Expr):
@@ -160,7 +178,10 @@ class Pow(Expr):
 
 
 class Prod(Expr):
-    __slots__ = ("factors",)
+    """``_split`` caches the (coefficient, monomial) split of
+    :func:`_coeff_mono` when the first factor is a ``Num``."""
+
+    __slots__ = ("factors", "_split")
 
     def __init__(self, factors: tuple):
         object.__setattr__(self, "factors", factors)
@@ -217,21 +238,28 @@ class FDeriv(Expr):
 # constructors
 
 
-# Num nodes are keyed by (numerator, denominator): hashing two ints is
-# cheaper than hashing the Fraction, whose hash takes a modular inverse
-_NUM_CACHE: dict[tuple, Num] = {}
+# Num nodes are keyed by their int, or by (numerator, denominator): hashing
+# ints is cheaper than hashing the Fraction, whose hash takes a modular
+# inverse
+_NUM_CACHE: dict[object, Num] = {}
 _SYM_CACHE: dict[str, Sym] = {}
 
-_Q0 = Q(0)
-_Q1 = Q(1)
+_KEY = operator.attrgetter("_key")
+_FIRST = operator.itemgetter(0)
+_ATOMS = (Sym, Func, GammaF, FDeriv)
+_NO_FACTORS: frozenset = frozenset()
 
 
 def num(value) -> Num:
-    v = value if isinstance(value, Q) else Q(value)
-    key = (v.numerator, v.denominator)
+    if type(value) is int:
+        key = value
+    else:
+        value = value if isinstance(value, Q) else Q(value)
+        key = (value.numerator if value.denominator == 1
+               else (value.numerator, value.denominator))
     node = _NUM_CACHE.get(key)
     if node is None:
-        node = _NUM_CACHE.setdefault(key, Num(v))
+        node = _NUM_CACHE.setdefault(key, Num(Q(value)))
     return node
 
 
@@ -257,18 +285,29 @@ def as_expr(x) -> Expr:
     raise TypeError(f"cannot interpret {x!r} as an expression")
 
 
+def _ipow(c, k: int):
+    """c ** k for a coefficient c and an int k; a negative k goes through
+    Fraction, so an int base never yields a float."""
+    return c ** k if k >= 0 else Q(c) ** k
+
+
 def _coeff_mono(term: Expr):
-    """Split a canonical term into (rational coefficient, monomial-or-None)."""
+    """Split a canonical term into (coefficient ``c``, monomial-or-None)."""
     if isinstance(term, Num):
-        return term.value, None
+        return term.c, None
     if isinstance(term, Prod) and isinstance(term.factors[0], Num):
+        try:
+            return term._split
+        except AttributeError:
+            pass
         rest = term.factors[1:]
-        mono = rest[0] if len(rest) == 1 else Prod(rest)
-        return term.factors[0].value, mono
-    return _Q1, term
+        split = (term.factors[0].c, rest[0] if len(rest) == 1 else Prod(rest))
+        object.__setattr__(term, "_split", split)
+        return split
+    return 1, term
 
 
-def _term_from(coeff: Q, mono: Expr) -> Expr:
+def _term_from(coeff, mono: Expr) -> Expr:
     if coeff == 1:
         return mono
     c = num(coeff)
@@ -277,28 +316,11 @@ def _term_from(coeff: Q, mono: Expr) -> Expr:
     return Prod((c, mono))
 
 
-def add(*terms) -> Expr:
-    flat: list[Expr] = []
-    stack = [as_expr(t) for t in terms]
-    for t in stack:
-        if isinstance(t, Sum):
-            flat.extend(t.terms)
-        else:
-            flat.append(t)
-    const = _Q0
-    table: dict[Expr, list] = {}
-    for t in flat:
-        coeff, mono = _coeff_mono(t)
-        if mono is None:
-            const += coeff
-            continue
-        entry = table.get(mono)
-        if entry is None:
-            table[mono] = [coeff, mono]
-        else:
-            entry[0] += coeff
-    out = [_term_from(c, m) for c, m in
-           sorted(table.values(), key=lambda e: e[1]._key) if c != 0]
+def _sum_of(const, keyed: list) -> Expr:
+    """The canonical sum of a constant and (monomial sort key, term) pairs
+    whose monomials are distinct."""
+    keyed.sort(key=_FIRST)
+    out = [term for _, term in keyed]
     if const != 0:
         out.insert(0, num(const))
     if not out:
@@ -306,6 +328,33 @@ def add(*terms) -> Expr:
     if len(out) == 1:
         return out[0]
     return Sum(tuple(out))
+
+
+def add(*terms) -> Expr:
+    flat: list[Expr] = []
+    for t in terms:
+        t = as_expr(t)
+        if isinstance(t, Sum):
+            flat.extend(t.terms)
+        else:
+            flat.append(t)
+    const = 0
+    # monomial -> [coefficient, monomial, the term itself while unmerged]
+    table: dict[Expr, list] = {}
+    for t in flat:
+        if isinstance(t, Num):
+            const += t.c
+            continue
+        coeff, mono = _coeff_mono(t)
+        entry = table.get(mono)
+        if entry is None:
+            table[mono] = [coeff, mono, t]
+        else:
+            entry[0] += coeff
+            entry[2] = None
+    return _sum_of(const, [
+        (m._key, _term_from(c, m) if t is None else t)
+        for c, m, t in table.values() if c != 0])
 
 
 def _base_exp(f: Expr):
@@ -324,11 +373,11 @@ def mul(*factors) -> Expr:
             flat.append(f)
 
     for _ in range(32):
-        coeff = _Q1
+        coeff = 1
         powers: dict[Expr, list] = {}
         for f in flat:
             if isinstance(f, Num):
-                coeff *= f.value
+                coeff *= f.c
                 continue
             base, exp = _base_exp(f)
             # f, the factor node itself, is reused when its base occurs once
@@ -336,15 +385,15 @@ def mul(*factors) -> Expr:
             # clear_denominators are not canonical: Pow(s, k) must expand
             # and Pow(b, 1) collapse, so they go through pow_.
             if (isinstance(base, Sum)
-                    and isinstance(exp, Num) and exp.value.denominator == 1):
+                    and isinstance(exp, Num) and type(exp.c) is int):
                 # key sum bases by their monic form (integer exponents only)
                 # so e.g. (b-a) and (a-b)^-1 cancel structurally
                 lead, monic = _monic_sum(base)
                 if lead != 1:
-                    coeff *= lead ** int(exp.value)
+                    coeff *= _ipow(lead, exp.c)
                     base = monic
                     f = None
-                elif f is not base and exp.value > 0:
+                elif f is not base and exp.c > 0:
                     f = None
             elif f is not base and exp == ONE:
                 f = None
@@ -365,7 +414,7 @@ def mul(*factors) -> Expr:
             else:
                 resolved = pow_(base, exps[0])
             if isinstance(resolved, Num):
-                coeff *= resolved.value
+                coeff *= resolved.c
                 if coeff == 0:
                     return ZERO
             elif isinstance(resolved, Prod):
@@ -381,17 +430,19 @@ def mul(*factors) -> Expr:
 
     sums = [p for p in pieces if isinstance(p, Sum)]
     if sums:
-        # expand the sum factors pairwise into one accumulator, then apply
-        # the coefficient and the other factors to each of its terms once
-        acc: Expr = sums[0]
+        # expand the sum factors into one term table, then apply the
+        # coefficient and the other factors to each term once
+        nodes: dict = {}
+        acc = _entries(sums[0], nodes)
         for s in sums[1:]:
-            acc = _distribute(acc, s)
+            acc = _table_product(acc, _entries(s, nodes), nodes)
         rest = [p for p in pieces if not isinstance(p, Sum)]
-        c = num(coeff)
-        acc_terms = acc.terms if isinstance(acc, Sum) else (acc,)
-        return add(*(mul(c, t, *rest) for t in acc_terms))
+        entry = _entry(coeff, rest, nodes)
+        tail = ([entry] if entry is not None
+                else _entries(mul(coeff, *rest), nodes))
+        return _sum_from_table(_table_product(acc, tail, nodes), nodes)
 
-    pieces.sort(key=lambda p: p._key)
+    pieces.sort(key=_KEY)
     if coeff != 1:
         pieces.insert(0, num(coeff))
     if not pieces:
@@ -401,32 +452,164 @@ def mul(*factors) -> Expr:
     return Prod(tuple(pieces))
 
 
+# ---------------------------------------------------------------------------
+# the term table: products of sums
+#
+# An entry is [c, emap, key] for the term c * prod(base^e for base, e in
+# emap): emap maps each base of the term to its exponent (the exponent's
+# ``c`` when it is a Num, else the exponent node) and key is the frozenset
+# of emap's items, under which like terms meet.  ``nodes`` maps each
+# (base, exponent) met in the inputs to its factor node, so a factor is
+# built only for a merged exponent of a term that survives.
+
+
+def _entry(c, factors, nodes: dict) -> list | None:
+    """The entry of c times canonical factors, or None when a factor is an
+    integer power of a sum that is not monic (``mul`` would rescale it)."""
+    emap = {}
+    for f in factors:
+        if isinstance(f, Pow):
+            base = f.base
+            e = f.exp.c if isinstance(f.exp, Num) else f.exp
+            if (isinstance(base, Sum) and type(e) is int
+                    and _monic_sum(base)[0] != 1):
+                return None
+        else:
+            base, e = f, 1
+        emap[base] = e
+        nodes[base, e] = f
+    return [c, emap, frozenset(emap.items())]
+
+
+def _entries(e: Expr, nodes: dict) -> list:
+    """The entries of the terms of a canonical expression."""
+    out = []
+    for t in (e.terms if isinstance(e, Sum) else (e,)):
+        if isinstance(t, Num):
+            if t.c != 0:
+                out.append([t.c, {}, _NO_FACTORS])
+            continue
+        factors = t.factors if isinstance(t, Prod) else (t,)
+        if isinstance(factors[0], Num):
+            entry = _entry(factors[0].c, factors[1:], nodes)
+        else:
+            entry = _entry(1, factors, nodes)
+        if entry is None:
+            out.extend(_entries(mul(t), nodes))
+        else:
+            out.append(entry)
+    return out
+
+
+def _merge_exponents(ea: dict, eb: dict) -> dict | None:
+    """The exponent map of the product of two terms, or None when they
+    share a base that is not an atom or has a symbolic exponent."""
+    out = dict(ea)
+    for base, e in eb.items():
+        d = out.get(base)
+        if d is None:
+            out[base] = e
+            continue
+        if (isinstance(d, Expr) or isinstance(e, Expr)
+                or not isinstance(base, _ATOMS)):
+            return None
+        e += d
+        if e == 0:
+            del out[base]
+        else:
+            out[base] = e
+    return out
+
+
+def _keyed_term(c, emap: dict, nodes: dict):
+    """(monomial sort key, term node) of a nonzero entry with factors."""
+    factors = []
+    for base, e in emap.items():
+        f = nodes.get((base, e))
+        if f is None:   # a merged numeric exponent on an atom
+            f = base if e == 1 else Pow(base, num(e))
+        factors.append(f)
+    factors.sort(key=_KEY)
+    if len(factors) == 1:
+        mono = factors[0]
+        return mono._key, mono if c == 1 else Prod((num(c), mono))
+    factors = tuple(factors)
+    key = (3, tuple([f._key for f in factors]))
+    return key, Prod(factors) if c == 1 else Prod((num(c),) + factors)
+
+
+def _table_product(xs: list, ys: list, nodes: dict) -> list:
+    """The entries of (sum of xs) * (sum of ys), like terms merged and zero
+    terms dropped."""
+    table: dict[frozenset, list] = {}
+    for ca, ea, ka in xs:
+        for cb, eb, kb in ys:
+            if not ea:
+                found = [[ca * cb, eb, kb]]
+            elif not eb:
+                found = [[ca * cb, ea, ka]]
+            elif ea.keys().isdisjoint(eb):
+                found = [[ca * cb, ea | eb, ka | kb]]
+            else:
+                emap = _merge_exponents(ea, eb)
+                if emap is None:
+                    found = _entries(mul(_keyed_term(ca, ea, nodes)[1],
+                                         _keyed_term(cb, eb, nodes)[1]),
+                                     nodes)
+                else:
+                    found = [[ca * cb, emap, frozenset(emap.items())]]
+            for c, emap, key in found:
+                entry = table.get(key)
+                if entry is None:
+                    table[key] = [c, emap, key]
+                else:
+                    entry[0] += c
+    return [entry for entry in table.values() if entry[0] != 0]
+
+
+def _sum_from_table(entries: list, nodes: dict) -> Expr:
+    const = 0
+    keyed = []
+    for c, emap, _ in entries:
+        if emap:
+            keyed.append(_keyed_term(c, emap, nodes))
+        else:
+            const = c
+    return _sum_of(const, keyed)
+
+
 def _nth_root_exact(n: int, d: int):
     """Integer d-th root of n >= 0, or None if inexact."""
     if n in (0, 1):
         return n
-    r = round(n ** (1.0 / d))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** d == n:
-            return cand
-    return None
+    if d == 2:
+        r = math.isqrt(n)
+    else:
+        # integer Newton from 2^ceil(bits/d), which is above the root
+        r = 1 << -(-n.bit_length() // d)
+        while True:
+            s = ((d - 1) * r + n // r ** (d - 1)) // d
+            if s >= r:
+                break
+            r = s
+    return r if r ** d == n else None
 
 
-def _fold_num_power(b: Q, e: Q):
-    """Exact value of b**e, or None if it is not rational."""
-    if e.denominator == 1:
-        k = int(e)
+def _fold_num_power(b, e):
+    """Exact value of b**e for coefficients b, e, or None if it is not
+    rational."""
+    if type(e) is int:
         if b == 0:
-            if k < 0:
+            if e < 0:
                 raise SimplifyError("division by zero in constant folding")
-            return _Q1 if k == 0 else _Q0
-        return b ** k
+            return 1 if e == 0 else 0
+        return _ipow(b, e)
     if b == 0:
         if e > 0:
-            return _Q0
+            return 0
         raise SimplifyError("division by zero in constant folding")
     if b == 1:
-        return _Q1
+        return 1
     if b < 0:
         return None
     root_n = _nth_root_exact(b.numerator, e.denominator)
@@ -437,7 +620,7 @@ def _fold_num_power(b: Q, e: Q):
 
 
 def _monic_sum(s: Sum):
-    """(lead, s / lead) where lead is the first term's rational coefficient.
+    """(lead, s / lead) where lead is the first term's coefficient ``c``.
 
     Dividing out the leading coefficient gives sums a canonical scale, so
     e.g. (1/2 - b)^-1 and 2*(1 - 2b)^-1 meet in one representation.  Only
@@ -453,29 +636,21 @@ def _monic_sum(s: Sum):
     out = []
     for term in s.terms:
         coeff, mono = _coeff_mono(term)
-        scaled = coeff / lead
+        scaled = Q(coeff, lead)
         out.append(num(scaled) if mono is None else _term_from(scaled, mono))
     monic = add(*out)
     object.__setattr__(s, "_monic", monic)
     return lead, monic
 
 
-def _distribute(acc: Expr, s: Sum) -> Expr:
-    """acc * s expanded term by term (acc is a Sum or a single term).
-
-    Multiplies term-by-term so the product canonicalizer never sees two
-    Sum factors at once (identical ones it would merge back into a power).
-    """
-    acc_terms = acc.terms if isinstance(acc, Sum) else (acc,)
-    return add(*(mul(a, b) for a in acc_terms for b in s.terms))
-
-
 def _expand_sum_power(s: Sum, k: int) -> Expr:
-    """(t1 + ... + tn)^k by direct distribution over the terms."""
-    out: Expr = s
+    """(t1 + ... + tn)^k through the term table."""
+    nodes: dict = {}
+    terms = _entries(s, nodes)
+    acc = terms
     for _ in range(k - 1):
-        out = _distribute(out, s)
-    return out
+        acc = _table_product(acc, terms, nodes)
+    return _sum_from_table(acc, nodes)
 
 
 def pow_(base, exp) -> Expr:
@@ -487,30 +662,30 @@ def pow_(base, exp) -> Expr:
         return base
     if isinstance(base, Num):
         if isinstance(exp, Num):
-            folded = _fold_num_power(base.value, exp.value)
+            folded = _fold_num_power(base.c, exp.c)
             if folded is not None:
                 return num(folded)
-        if base.value == 1:
+        if base.c == 1:
             return ONE
         return Pow(base, exp)
     if isinstance(base, Pow):
         return pow_(base.base, mul(base.exp, exp))
     if isinstance(base, Prod):
-        if isinstance(exp, Num) and exp.value.denominator == 1:
+        if isinstance(exp, Num) and type(exp.c) is int:
             return mul(*(pow_(f, exp) for f in base.factors))
         # fractional/symbolic exponent: distribute only when the numeric
         # coefficient is positive (bases are positive in-domain)
         coeff, _ = _coeff_mono(base)
         if coeff > 0:
             return mul(*(pow_(f, exp) for f in base.factors))
-    if isinstance(base, Sum) and isinstance(exp, Num) and exp.value.denominator == 1:
-        k = int(exp.value)
+    if isinstance(base, Sum) and isinstance(exp, Num) and type(exp.c) is int:
+        k = exp.c
         if 2 <= k <= _MAX_SUM_POWER_EXPANSION:
             return _expand_sum_power(base, k)
         if k < 0:
             lead, monic = _monic_sum(base)
             if lead != 1:
-                return mul(num(lead ** k), Pow(monic, exp))
+                return mul(num(_ipow(lead, k)), Pow(monic, exp))
     return Pow(base, exp)
 
 
@@ -527,9 +702,9 @@ def gammaf(arg) -> Expr:
     """
     arg = as_expr(arg)
     if isinstance(arg, Num):
-        v = arg.value
-        if v.denominator == 1:
-            n = int(v)
+        v = arg.c
+        if type(v) is int:
+            n = v
             if n <= 0:
                 raise SimplifyError(f"gamma pole at {n}")
             if n <= _GAMMA_FOLD_LIMIT:
@@ -537,11 +712,11 @@ def gammaf(arg) -> Expr:
             return GammaF(arg)
         shift = math.floor(v)
         if shift >= 1:
-            small = arg.value - shift
+            small = v - shift
             prefactor = mul(*(num(small + j) for j in range(shift)))
             return mul(prefactor, GammaF(num(small)))
         return GammaF(arg)
-    const = _Q0
+    const = 0
     if isinstance(arg, Sum):
         first, rest = _coeff_mono(arg.terms[0])
         if rest is None:
@@ -742,12 +917,12 @@ def _negative_power_clearers(e: Expr) -> dict:
     found: dict[Expr, list] = {}
 
     def scan_factor(f: Expr):
-        if isinstance(f, Pow) and isinstance(f.exp, Num) and f.exp.value < 0:
+        if isinstance(f, Pow) and isinstance(f.exp, Num) and f.exp.c < 0:
             entry = found.get(f.base)
             if entry is None:
-                found[f.base] = [f.base, f.exp.value]
+                found[f.base] = [f.base, f.exp.c]
             else:
-                entry[1] = min(entry[1], f.exp.value)
+                entry[1] = min(entry[1], f.exp.c)
 
     terms = e.terms if isinstance(e, Sum) else (e,)
     for t in terms:
@@ -819,7 +994,10 @@ def eval_numeric(e: Expr, point: Mapping | None = None, *,
 
     def ev(node: Expr) -> float:
         if isinstance(node, Num):
-            return float(node.value)
+            try:
+                return float(node.c)
+            except OverflowError as exc:
+                raise EvalError("constant out of float range") from exc
         if isinstance(node, Sym):
             try:
                 return float(point[node.name])
@@ -916,7 +1094,7 @@ def to_text(e: Expr) -> str:
     """Render in the CLI expression grammar; parse(to_text(e)) == e."""
     e = as_expr(e)
     if isinstance(e, Num):
-        return _print_num(e.value)
+        return _print_num(e.c)
     if isinstance(e, Sym):
         return e.name
     if isinstance(e, Pow):

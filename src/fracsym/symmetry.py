@@ -63,20 +63,20 @@ class OutsideCatalogError(SymmetryError):
     """(alpha, g) combination not covered by the classification catalog."""
 
 
-def _binomials(alpha: Expr, top: int) -> list[Expr]:
-    """[C(alpha, 0), ..., C(alpha, top)] by
-    C(alpha, m+1) = C(alpha, m) * (alpha - m) / (m + 1)."""
-    out = [ONE]
-    for m in range(top):
-        out.append(mul(out[-1], add(alpha, num(-m)), num(Q(1, m + 1))))
-    return out
+def _binomial(binom: list, alpha: Expr, m: int) -> Expr:
+    """C(alpha, m) from ``binom = [C(alpha, 0), ...]``, which is extended
+    only as far as m by C(alpha, k+1) = C(alpha, k) * (alpha - k) / (k + 1)."""
+    while len(binom) <= m:
+        k = len(binom) - 1
+        binom.append(mul(binom[k], add(alpha, num(-k)), num(Q(1, k + 1))))
+    return binom[m]
 
 
 def generalized_binomial(alpha, m: int) -> Expr:
     """C(alpha, m) = prod_{j<m} (alpha - j) / m!  with exact arithmetic."""
     if m < 0:
         raise ValueError("binomial order must be >= 0")
-    return _binomials(as_expr(alpha), m)[m]
+    return _binomial([ONE], as_expr(alpha), m)
 
 
 def _gamma_ratio(a: Expr, b: Expr) -> Expr:
@@ -168,7 +168,9 @@ def eta_alpha(gen: Generator, alpha, M: int = DEFAULT_TRUNCATION,
     ctx = ctx or JetContext()
     _check_polynomial_gen(gen)
     alpha = as_expr(alpha)
-    binom = _binomials(alpha, M + 1)
+    # C(alpha, m) is built only for an m whose derivative is nonzero; the
+    # affine ansatz needs none
+    binom = [ONE]
 
     eta_u = diff(gen.eta, "u")
     dt_xi_t = total_derivative_t(gen.xi_t, ctx)
@@ -187,15 +189,21 @@ def eta_alpha(gen: Generator, alpha, M: int = DEFAULT_TRUNCATION,
     for m in range(1, M + 1):
         dtk_xi_t = total_derivative_t(dtk_xi_t, ctx)  # D_t^{m+1} xi_t
         dtk_xi_x = total_derivative_t(dtk_xi_x, ctx)  # D_t^m xi_x
+        dtk_eta_u = diff(eta_u, "t", m)
+        if dtk_eta_u == ZERO and dtk_xi_t == ZERO and dtk_xi_x == ZERO:
+            break  # every higher derivative is zero too
         coeff_u = add(
-            mul(binom[m], diff(eta_u, "t", m)),
-            mul(MINUS_ONE, binom[m + 1], dtk_xi_t),
+            mul(_binomial(binom, alpha, m), dtk_eta_u)
+            if dtk_eta_u != ZERO else ZERO,
+            mul(MINUS_ONE, _binomial(binom, alpha, m + 1), dtk_xi_t)
+            if dtk_xi_t != ZERO else ZERO,
         )
         if coeff_u != ZERO:
             series.append(SeriesTerm(m, "u", coeff_u))
             tail.append(mul(coeff_u,
                             fderiv(U, T, add(alpha, num(-m)))))
-        coeff_ux = mul(MINUS_ONE, binom[m], dtk_xi_x)
+        coeff_ux = (mul(MINUS_ONE, _binomial(binom, alpha, m), dtk_xi_x)
+                    if dtk_xi_x != ZERO else ZERO)
         if coeff_ux != ZERO:
             series.append(SeriesTerm(m, "u_x", coeff_ux))
             tail.append(mul(coeff_ux,

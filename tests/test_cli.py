@@ -305,6 +305,23 @@ class TestEmitAndRead:
                         stream=io.StringIO())
 
 
+class TestHugeConstants:
+    """Constants beyond the float range end in a report, not a traceback."""
+
+    @pytest.mark.parametrize("argv, code, check", [
+        (["frac-deriv", "--expr", "(10^400)^(1/2)*t", "--alpha", "1/2",
+          "--at", "1"], 0, "power_rule_vs_gl"),
+        (["frac-deriv", "--expr", "10^400*t", "--alpha", "1/2", "--at", "1"],
+         1, "profile"),
+        (["verify", "--xi-t", "t", "--xi-x", "(10^400)^(1/3)*x",
+          "--eta", "u"], 1, "invariance_residual"),
+    ], ids=["root-folds", "constant", "verify-root"])
+    def test_ends_in_a_report(self, argv, code, check, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == code
+        assert check in statuses(read_report(str(out)))
+
+
 class TestMainEntry:
     @pytest.mark.parametrize("case", ["1.1", "1.2", "1.3", "2.1", "2.2",
                                       "2.3", "3.1", "3.2", "3.3"])

@@ -40,6 +40,15 @@ class TestExpansion:
             folded = mul(folded, s)
         assert got == folded
 
+    def test_merged_power_past_the_expansion_limit_times_a_sum(self):
+        # (2+x)^(1/2) * (2+x)^(33/2) merges to a bare, unscaled (2+x)^17,
+        # which each term of the sum must rescale as mul does
+        s = add(2, x)
+        got = mul(pow_(s, Q(1, 2)), pow_(s, Q(33, 2)), add(t, 1))
+        want = add(mul(2 ** 17, pow_(add(1, mul(Q(1, 2), x)), 17)),
+                   mul(2 ** 17, t, pow_(add(1, mul(Q(1, 2), x)), 17)))
+        assert got == want
+
     def test_monic_sum_keeps_unit_lead(self):
         s = add(x, t, 1)
         assert pow_(s, -2) == pow_(mul(2, s), -2) * 4
@@ -66,6 +75,52 @@ class TestExpansion:
         # computed without the cache: every term divided by the lead
         want = (lead, add(*(mul(num(1 / lead), term) for term in s.terms)))
         assert first == second == want
+
+
+class TestExactCoefficients:
+    """Kernel arithmetic runs on ``Num.c`` (an int when the denominator is
+    1); no division or negative power may turn it into a float."""
+
+    def test_negative_power_of_a_scaled_sum(self):
+        got = pow_(mul(2, add(x, t)), -3)
+        assert got == mul(Q(1, 8), pow_(add(x, t), -3))
+        coeff = got.factors[0]
+        assert type(coeff.value) is Q and coeff.value == Q(1, 8)
+        assert type(coeff.c) is Q
+        # a lead of 3 has no exact binary float: 3 ** -2 must not be floated
+        got = pow_(mul(3, add(x, t)), -2)
+        assert got.factors[0].value == Q(1, 9)
+
+    def test_monic_sum_divides_exactly(self):
+        lead, monic = _monic_sum(add(mul(2, x), mul(3, t)))
+        assert type(lead) is int and lead == 3
+        assert monic == add(t, mul(Q(2, 3), x))
+        assert monic.terms[1].factors[0].value == Q(2, 3)
+
+    def test_every_num_on_the_corpus_is_exact(self, rng):
+        seen = 0
+        for _ in range(300):
+            for node in subtrees(random_expr(rng, depth=6)):
+                if isinstance(node, Num):
+                    seen += 1
+                    assert type(node.value) is Q
+                    assert (type(node.c) is int) == (node.value.denominator == 1)
+                    assert node.c == node.value
+        assert seen > 1000
+
+    def test_huge_rational_roots_are_exact(self):
+        assert pow_(num(10 ** 400), Q(1, 2)) == num(10 ** 200)
+        assert pow_(num(Q(10 ** 600, 7 ** 3)), Q(1, 3)) \
+            == num(Q(10 ** 200, 7))
+        assert pow_(num(3 ** 500), Q(2, 5)) == num(3 ** 200)
+        inexact = pow_(num(10 ** 400 + 1), Q(1, 2))
+        assert isinstance(inexact, Pow) and inexact.base == num(10 ** 400 + 1)
+
+    @pytest.mark.parametrize("value", [10 ** 400, Q(10 ** 400, 3)],
+                             ids=["int", "fraction"])
+    def test_constant_beyond_float_range_is_an_eval_error(self, value):
+        with pytest.raises(EvalError, match="float range"):
+            eval_numeric(mul(value, t), {"t": 1.0})
 
 
 class TestSimplify:

@@ -5,13 +5,13 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import subtrees
 from fracsym.expr import (
     EvalError, ONE, ZERO, Pow, Prod, SimplifyError, Sum, add, eval_numeric,
-    fderiv, func, mul, num, pow_, rebuild, replace_node, simplify,
-    substitute, sym, to_text,
+    _monic_sum, fderiv, func, gammaf, mul, num, pow_, rebuild, replace_node,
+    simplify, substitute, sym, to_text,
 )
 from fracsym.fracnum import gl_weights
 from fracsym.parser import parse_expression
@@ -186,6 +186,89 @@ class TestRewritingWalks:
         assert simplify(Pow(e, ONE)) == e
         if isinstance(e, Sum):
             assert simplify(Sum(tuple(reversed(e.terms)))) == e
+
+
+def per_pair_product(a, b):
+    """a * b the way sum expansion used to build it: one general mul per
+    pair of terms, summed by add."""
+    terms_a = a.terms if isinstance(a, Sum) else (a,)
+    terms_b = b.terms if isinstance(b, Sum) else (b,)
+    return add(*(mul(p, q) for p in terms_a for q in terms_b))
+
+
+_ALPHA, _B = sym("alpha"), sym("b")
+# atoms of every kind whose numeric exponents the term table adds
+_ATOMS = (sym("x"), sym("t"), func("h", (sym("r"),)), gammaf(_ALPHA),
+          fderiv(sym("u"), "t", _ALPHA))
+# numeric exponents chosen so that sums of two cancel to 0 or reach 1
+_EXPONENTS = tuple(map(num, (-2, -1, Q(-1, 2), Q(1, 2), 1, 2, Q(3, 2))))
+_SYMBOLIC_EXPONENTS = (_ALPHA, _B, add(_ALPHA, -1))
+# sum bases: monic (1 + x), and sign or scale that the kernel divides out
+_SUM_BASES = (add(1, sym("x")), add(_B, mul(-1, _ALPHA)),
+              add(1, mul(-2, _B)), add(mul(2, sym("x")), mul(3, sym("t"))))
+
+
+def _factors():
+    atom_powers = st.tuples(
+        st.sampled_from(_ATOMS),
+        st.sampled_from(_EXPONENTS + _SYMBOLIC_EXPONENTS),
+    ).map(lambda p: pow_(*p))
+    sum_powers = st.tuples(
+        st.sampled_from(_SUM_BASES),
+        # 17 is past the expansion limit, so a bare power keeps its scale
+        st.sampled_from((num(-1), num(-2), num(-3), num(Q(1, 2)), num(17))),
+    ).map(lambda p: pow_(*p))
+    num_powers = st.sampled_from(_SYMBOLIC_EXPONENTS).map(
+        lambda e: pow_(num(2), e))
+    return st.one_of(atom_powers, atom_powers, sum_powers, num_powers)
+
+
+# int and Fraction coefficients, nonzero
+_COEFFS = st.one_of(st.integers(-6, 6), rationals).filter(lambda q: q != 0)
+_TERMS = st.tuples(_COEFFS, st.lists(_factors(), max_size=3)).map(
+    lambda p: mul(p[0], *p[1]))
+# sums only: a single term would merge with the other operand's bases
+# before any expansion, which the per-pair reference does not do
+_SUMS = st.lists(_TERMS, min_size=2, max_size=4).map(
+    lambda ts: add(*ts)).filter(lambda e: isinstance(e, Sum))
+
+
+class TestTermTable:
+    """Products of sums expand through the term table exactly as the
+    per-pair mul loop it replaced."""
+
+    @given(_SUMS, _SUMS)
+    @example(add(pow_(_SUM_BASES[3], 17), sym("u")), add(1, sym("x")))
+    @example(add(pow_(_SUM_BASES[0], Q(1, 2)), sym("u")),
+             add(pow_(_SUM_BASES[0], Q(1, 2)), sym("t")))
+    @example(add(pow_(sym("x"), 2), sym("u")), add(pow_(sym("x"), -1), 1))
+    @example(add(pow_(sym("x"), _ALPHA), sym("u")),
+             add(pow_(sym("x"), _B), 1))
+    @settings(max_examples=200, deadline=None)
+    def test_product_of_two_sums(self, a, b):
+        assert mul(a, b) == per_pair_product(a, b)
+
+    @given(_SUMS, _SUMS, _SUMS, _TERMS)
+    @settings(max_examples=60, deadline=None)
+    def test_product_of_three_sums_and_a_term(self, a, b, c, term):
+        # mul first merges operands on one base (b * b is b^2, which
+        # expands as b * b); the per-pair reference starts from distinct
+        # bases, so that case is left to the power test below
+        bases = [_monic_sum(s)[1] for s in (a, b, c)]
+        factors = term.factors if isinstance(term, Prod) else (term,)
+        bases += [f.base if isinstance(f, Pow) else f for f in factors]
+        assume(len(set(bases)) == len(bases))
+        want = per_pair_product(per_pair_product(per_pair_product(a, b), c),
+                                term)
+        assert mul(a, b, c, term) == want
+
+    @given(_SUMS, st.integers(2, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_power_of_a_sum(self, s, k):
+        want = s
+        for _ in range(k - 1):
+            want = per_pair_product(want, s)
+        assert pow_(s, num(k)) == want
 
 
 class TestWeightProperties:

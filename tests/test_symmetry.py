@@ -8,7 +8,7 @@ from fractions import Fraction as Q
 import pytest
 
 from conftest import random_rational
-from fracsym.calculus import JetContext, diff
+from fracsym.calculus import JetContext, diff, total_derivative_t
 from fracsym.expr import (
     ZERO, ONE, MINUS_ONE, add, contains_node, contains_symbol, eval_numeric,
     fderiv, func, gammaf, mul, num, pow_, sym,
@@ -18,7 +18,7 @@ from fracsym.pde import (
     CoeffForm, CoeffTag, Generator, PdeSpec, ScalingWeights, term_weights,
 )
 from fracsym.symmetry import (
-    OutsideCatalogError, UnsupportedAnsatzError,
+    OutsideCatalogError, SeriesTerm, UnsupportedAnsatzError,
     classify, determining_system, eta_alpha, generalized_binomial,
     integer_prolongations, invariance_residual, rl_partial_t,
 )
@@ -116,6 +116,30 @@ class TestEtaAlpha:
         assert (1, "u_x") in targets
         assert contains_node(pr.eta_alpha,
                              fderiv(CTX.jet(1, 0), T, add(ALPHA, num(-1))))
+
+    def test_lazy_binomials_match_the_eager_series(self):
+        # the series as built before the binomials were made lazy: every
+        # C(alpha, 0..M+1) up front, both coefficients at every order
+        gen = Generator(pow_(T, 2), mul(pow_(T, 2), X), mul(pow_(T, 2), U))
+        M = 4
+        eta_u = diff(gen.eta, "u")
+        want = []
+        dk_xi_t = total_derivative_t(gen.xi_t, CTX)
+        dk_xi_x = gen.xi_x
+        for m in range(1, M + 1):
+            dk_xi_t = total_derivative_t(dk_xi_t, CTX)
+            dk_xi_x = total_derivative_t(dk_xi_x, CTX)
+            coeff_u = add(
+                mul(generalized_binomial(ALPHA, m), diff(eta_u, "t", m)),
+                mul(MINUS_ONE, generalized_binomial(ALPHA, m + 1), dk_xi_t))
+            if coeff_u != ZERO:
+                want.append(SeriesTerm(m, "u", coeff_u))
+            coeff_ux = mul(MINUS_ONE, generalized_binomial(ALPHA, m), dk_xi_x)
+            if coeff_ux != ZERO:
+                want.append(SeriesTerm(m, "u_x", coeff_ux))
+        got = eta_alpha(gen, ALPHA, M=M, ctx=CTX).residual_series_terms
+        assert got == tuple(want)
+        assert {s.order for s in got} == {1, 2}
 
     def test_non_polynomial_rejected(self):
         gen = Generator(0, pow_(T, num(Q(1, 2))), U)
