@@ -3,8 +3,8 @@
 Classification keys follow the symmetry table (1.1 .. 3.3).  The printed
 reduced forms are named by their paper section: 1 for the translation and
 2.1 for the scaling, whose print at generic alpha and g = k*t^b covers every
-scaling case of K(2,3) once alpha, b, k and zeta are substituted.  They live
-in ``data/reduced_forms`` in the CLI expression grammar, one expression per
+scaling case of K(2,3) once alpha, b, k and zeta are bound.  They live in
+``data/reduced_forms`` in the CLI expression grammar, one expression per
 file with '#' comment lines.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from importlib import resources
 
-from .expr import Expr, Num, Sym, as_expr, num, substitute, sym
+from .expr import Expr, Num, Sym, as_expr, num, sym, to_text
 from .parser import parse_expression
 from .pde import CoeffForm, CoeffTag, PdeSpec
 
@@ -119,10 +119,19 @@ def resolve_case_key(spec: PdeSpec) -> str | None:
 
 
 def parse_printed_form(text: str) -> Expr:
-    """Parse a reduced-form file: one expression, '#' comment lines."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    exprs = [parse_expression(ln) for ln in lines
-             if ln and not ln.startswith("#")]
+    """Parse a reduced-form file: '#' comment lines, ``name = value``
+    definition lines, then one expression, in which each defined name
+    parses as its value."""
+    bindings: dict[str, Expr] = {}
+    exprs = []
+    for line in (ln.strip() for ln in text.splitlines()):
+        if not line or line.startswith("#"):
+            continue
+        name, is_definition, value = (p.strip() for p in line.partition("="))
+        if is_definition and not exprs and name.isidentifier():
+            bindings[name] = parse_expression(value)
+        else:
+            exprs.append(parse_expression(line, bindings))
     if len(exprs) != 1:
         raise ValueError("a reduced-form file holds exactly one expression")
     return exprs[0]
@@ -137,4 +146,8 @@ def load_printed_form(section: str, spec: PdeSpec) -> Expr:
     binding = {"alpha": spec.alpha, "zeta": num(spec.zeta)}
     if spec.g.weight_homogeneous:
         binding.update(k=spec.g.k, b=spec.g.power_exponent())
-    return substitute(parse_printed_form(text), binding)
+    # the spec enters as definition lines, so its values are bound while the
+    # form is parsed and parse_printed_form stays the one text-to-form step
+    definitions = "".join(f"{name} = {to_text(value)}\n"
+                          for name, value in binding.items())
+    return parse_printed_form(definitions + text)

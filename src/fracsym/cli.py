@@ -12,6 +12,7 @@ bare decimals are accepted only for numeric-only flags (``--at``, ``--dt``,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import random
 import sys
@@ -449,7 +450,10 @@ def _config_from_args(args) -> SessionConfig:
     return cfg
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first ``main`` call and shared by
+    every later one; ``parse_args`` returns a fresh namespace each call."""
     parser = argparse.ArgumentParser(
         prog="fracsym",
         description="Lie symmetry classification and similarity reduction "

@@ -682,10 +682,11 @@ def pow_(base, exp) -> Expr:
         k = exp.c
         if 2 <= k <= _MAX_SUM_POWER_EXPANSION:
             return _expand_sum_power(base, k)
-        if k < 0:
-            lead, monic = _monic_sum(base)
-            if lead != 1:
-                return mul(num(_ipow(lead, k)), Pow(monic, exp))
+        # an unexpanded integer power is kept at the monic scale, as ``mul``
+        # keys it, so that one value has one form
+        lead, monic = _monic_sum(base)
+        if lead != 1:
+            return mul(num(_ipow(lead, k)), Pow(monic, exp))
     return Pow(base, exp)
 
 

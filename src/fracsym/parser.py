@@ -23,6 +23,7 @@ Unknown names followed by ``(`` are rejected with a position.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .calculus import diff
@@ -89,9 +90,10 @@ def _tokenize(src: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[_Token], bindings: Mapping[str, Expr]):
         self.tokens = tokens
         self.pos = 0
+        self.bindings = bindings
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -168,7 +170,8 @@ class _Parser:
             nxt = self.peek()
             if nxt.kind == "op" and nxt.text == "(":
                 return self.call(tok)
-            return sym(tok.text)
+            bound = self.bindings.get(tok.text)
+            return sym(tok.text) if bound is None else bound
         raise ParseError(
             f"unexpected {tok.text or 'end of input'!r}", tok.column)
 
@@ -180,7 +183,13 @@ class _Parser:
         args = [self.expr()]
         while self.peek().kind == "op" and self.peek().text == ",":
             self.advance()
-            args.append(self.expr())
+            if name in ("diff", "fdiff") and len(args) == 1:
+                # a derivative's variable is never bound
+                bindings, self.bindings = self.bindings, {}
+                args.append(self.expr())
+                self.bindings = bindings
+            else:
+                args.append(self.expr())
         self.expect_op(")")
 
         if name == "Gamma":
@@ -210,6 +219,11 @@ class _Parser:
         return func(name, args)
 
 
-def parse_expression(src: str) -> Expr:
-    """Parse a source string into a canonical expression."""
-    return _Parser(_tokenize(src)).parse()
+def parse_expression(src: str,
+                     bindings: Mapping[str, Expr] | None = None) -> Expr:
+    """Parse a source string into a canonical expression.
+
+    An identifier named in ``bindings`` parses as its bound value, except as
+    a function head or the variable of ``diff``/``fdiff``; the values enter
+    while the expression is built instead of by a substitution after it."""
+    return _Parser(_tokenize(src), bindings or {}).parse()

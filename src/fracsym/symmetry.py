@@ -260,37 +260,43 @@ def invariance_residual(spec: PdeSpec, gen: Generator,
 @dataclass
 class DeterminingSystem:
     """Linear homogeneous system on the ansatz coefficients (a0, a1, e, c)
-    of xi_x = a0 + a1*x, xi_t = e*t, eta = c*u, built at Leibniz
-    truncation ``truncation``."""
+    of xi_x = a0 + a1*x, xi_t = e*t, eta = c*u, collected from
+    ``residual``, the invariance residual of the generic ansatz generator
+    at the Leibniz truncation it was built with."""
 
-    spec: PdeSpec
     equations: list[Expr]
+    residual: Expr
     unknowns: tuple[Sym, ...] = (_A0, _A1, _E, _C)
-    truncation: int = DEFAULT_TRUNCATION
 
     def is_solution(self, a0, a1, e, c) -> bool:
-        binding = {_A0.name: as_expr(a0), _A1.name: as_expr(a1),
-                   _E.name: as_expr(e), _C.name: as_expr(c)}
+        binding = _ansatz_binding(e, a0, a1, c)
         return all(is_zero_exact(substitute(eq, binding))
                    for eq in self.equations)
 
     def solve(self) -> list[Generator]:
-        """Basis of the solution space within the ansatz, every candidate
-        re-verified against the full invariance residual."""
-        gens: list[Generator] = []
+        """Basis of the solution space within the ansatz.
+
+        Each candidate ``(e, a0, a1, c)`` is verified by substituting it
+        into the stored residual and requiring zero.  The coefficients do
+        not depend on (t, x, u), and the prolonged generator is linear in
+        the infinitesimals, so every step that builds the residual (total,
+        integer and RL derivatives, the restriction to solutions) commutes
+        with giving them values: the substituted residual is the
+        candidate's own invariance residual at the same truncation.  The
+        check is the one ``invariance_residual`` makes; the prolongation
+        is built once."""
+        candidates = []
         if self.is_solution(ONE, ZERO, ZERO, ZERO):
-            gens.append(Generator(ZERO, ONE, ZERO))
+            candidates.append((ZERO, ONE, ZERO, ZERO))
         scaling = self._solve_scaling()
         if scaling is not None:
-            gens.append(scaling)
-        verified = []
-        for gen in gens:
-            if invariance_residual(self.spec, gen, self.truncation) == ZERO:
-                verified.append(gen)
-        return verified
+            candidates.append(scaling)
+        return [Generator.from_coeffs(*coeffs) for coeffs in candidates
+                if substitute(self.residual, _ansatz_binding(*coeffs)) == ZERO]
 
     def _solve_scaling(self):
-        """Solve with e = -1 for (a1, c); None if inconsistent."""
+        """(e, a0, a1, c) = (-1, 0, a1, c) solving the system; None if
+        inconsistent."""
         eqs = [substitute(eq, {_A0.name: ZERO, _E.name: MINUS_ONE})
                for eq in self.equations]
         eqs = [eq for eq in eqs if eq != ZERO]
@@ -301,7 +307,12 @@ class DeterminingSystem:
                  for eq in eqs]
         if not all(is_zero_exact(r) for r in check):
             return None
-        return Generator.from_coeffs(MINUS_ONE, ZERO, a1_val, c_val)
+        return (MINUS_ONE, ZERO, a1_val, c_val)
+
+
+def _ansatz_binding(e, a0, a1, c) -> dict:
+    return {_E.name: as_expr(e), _A0.name: as_expr(a0),
+            _A1.name: as_expr(a1), _C.name: as_expr(c)}
 
 
 def _solve_linear_2(eqs: list[Expr], xsym: Sym, ysym: Sym):
@@ -397,7 +408,7 @@ def determining_system(spec: PdeSpec,
             if eq not in seen:
                 seen.add(eq)
                 equations.append(eq)
-    return DeterminingSystem(spec=spec, equations=equations, truncation=M)
+    return DeterminingSystem(equations=equations, residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Case-key resolution: every table entry and every fallback, pinned."""
 
 from fractions import Fraction as Q
+from importlib import resources
 
 import pytest
 
-from fracsym.cases import alpha_kind, resolve_case_key
-from fracsym.expr import mul, num
+from fracsym.cases import (
+    CLASSIFICATION_CASES, alpha_kind, load_printed_form, parse_printed_form,
+    resolve_case_key,
+)
+from fracsym.expr import mul, num, substitute, to_text
 from fracsym.pde import ALPHA, CoeffForm, CoeffTag, PdeSpec
 
 HALF, THIRD, OTHER = Q(1, 2), Q(1, 3), Q(3, 4)
@@ -47,3 +51,18 @@ def test_resolve_case_key(alpha, tag, key):
 ])
 def test_alpha_kind(alpha, kind):
     assert alpha_kind(alpha) == kind
+
+
+@pytest.mark.parametrize("zeta", [1, -1])
+@pytest.mark.parametrize("case", sorted(CLASSIFICATION_CASES))
+def test_bound_parse_equals_parse_then_substitute(case, zeta):
+    spec = CLASSIFICATION_CASES[case].spec(zeta=zeta)
+    binding = {"alpha": spec.alpha, "zeta": num(zeta)}
+    if spec.g.weight_homogeneous:
+        binding.update(k=spec.g.k, b=spec.g.power_exponent())
+    for section in ("1", "2.1"):
+        text = (resources.files("fracsym.data.reduced_forms")
+                / f"case_{section.replace('.', '_')}.txt").read_text()
+        want = substitute(parse_printed_form(text), binding)
+        got = load_printed_form(section, spec)
+        assert got == want and to_text(got) == to_text(want), section

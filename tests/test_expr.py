@@ -49,6 +49,14 @@ class TestExpansion:
                    mul(2 ** 17, t, pow_(add(1, mul(Q(1, 2), x)), 17)))
         assert got == want
 
+    @pytest.mark.parametrize("k", [17, 20, -1, -3])
+    def test_unexpanded_sum_power_has_one_form(self, k):
+        # a power left unexpanded is kept at the monic scale, as mul keys it
+        s = add(2, x)
+        e = pow_(s, k)
+        assert mul(e, ONE) == e
+        assert mul(e, t) == mul(pow_(s, Q(1, 2)), pow_(s, k - Q(1, 2)), t)
+
     def test_monic_sum_keeps_unit_lead(self):
         s = add(x, t, 1)
         assert pow_(s, -2) == pow_(mul(2, s), -2) * 4

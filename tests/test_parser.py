@@ -124,3 +124,22 @@ class TestRoundTrip:
         for path in runtime + prints:
             e = parse_printed_form(path.read_text())
             assert parse(to_text(e)) == e, path.name
+
+
+class TestBindings:
+    def test_bound_identifier_parses_as_its_value(self):
+        half = num(Q(1, 2))
+        got = parse("k*t^alpha + alpha", {"alpha": half, "k": num(3)})
+        assert got == parse("3*t^(1/2) + 1/2")
+
+    def test_heads_and_derivative_variables_stay_unbound(self):
+        half = num(Q(1, 2))
+        got = parse("fdiff(h(r), r, alpha) + diff(h(r), r, 1)",
+                    {"h": x, "r": x, "alpha": half})
+        assert got == parse("fdiff(h(x), r, 1/2) + diff(h(x), r, 1)")
+
+    def test_definition_lines_bind_the_form(self):
+        form = parse_printed_form("# c\nalpha = 1/3\nfdiff(h(r), r, alpha)\n")
+        assert form == fderiv(func("h", (r,)), r, num(Q(1, 3)))
+        with pytest.raises(ParseError):
+            parse_printed_form("fdiff(h(r), r, alpha)\nalpha = 1/3\n")

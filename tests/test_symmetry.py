@@ -9,9 +9,10 @@ import pytest
 
 from conftest import random_rational
 from fracsym.calculus import JetContext, diff, total_derivative_t
+from fracsym.cases import CLASSIFICATION_CASES
 from fracsym.expr import (
     ZERO, ONE, MINUS_ONE, add, contains_node, contains_symbol, eval_numeric,
-    fderiv, func, gammaf, mul, num, pow_, sym,
+    fderiv, func, gammaf, mul, num, pow_, substitute, sym,
 )
 from fracsym.pde import (
     ALPHA, B, T, U, X,
@@ -224,10 +225,14 @@ class TestDeterminingSystem:
             return real(spec, gen, M)
 
         monkeypatch.setattr(symmetry, "invariance_residual", spy)
-        gens = classify(PdeSpec(g=CoeffForm(CoeffTag.POWER)), M=2)
+        spec = PdeSpec(g=CoeffForm(CoeffTag.POWER))
+        gens = classify(spec, M=2)
         assert len(gens) == 2
-        # one call builds the system, one re-verifies each candidate
-        assert seen == [2, 2, 2]
+        # one call builds the system; candidates are verified on its residual
+        assert seen == [2]
+        ds = determining_system(spec, M=2)
+        a0, a1, e, c = ds.unknowns
+        assert ds.residual == real(spec, Generator.from_coeffs(e, a0, a1, c), 2)
 
     def test_arbitrary_g_only_translation(self):
         spec = PdeSpec(g=CoeffForm(CoeffTag.ARBITRARY))
@@ -251,6 +256,43 @@ class TestDeterminingSystem:
             assert substitute(eq, {"_a0": ZERO, "_a1": ZERO,
                                    "_e": ZERO, "_c": ZERO}) == ZERO
 
+
+class TestStoredResidual:
+    """Verification substitutes candidates into the residual of the
+    generic ansatz instead of rebuilding the prolongation."""
+
+    SHAPES = [(2, 3, 1), (2, 3, -1), (3, 1, 1), (1, 4, 1), (4, 2, -1)]
+
+    @pytest.mark.parametrize("case", sorted(CLASSIFICATION_CASES))
+    def test_substitution_equals_rebuilt_residual(self, case):
+        rng = random.Random(case)
+        for m, n, zeta in self.SHAPES:
+            spec = CLASSIFICATION_CASES[case].spec(m=m, n=n, zeta=zeta)
+            ds = determining_system(spec)
+            candidates = [gen.normal_form() for gen in classify(spec)]
+            candidates.append(tuple(num(random_rational(rng))
+                                    for _ in range(4)))
+            candidates.append((ALPHA, num(2), add(B, 1), mul(3, sym("k"))))
+            for e, a0, a1, c in candidates:
+                binding = {"_e": e, "_a0": a0, "_a1": a1, "_c": c}
+                rebuilt = invariance_residual(
+                    spec, Generator.from_coeffs(e, a0, a1, c))
+                assert substitute(ds.residual, binding) == rebuilt, \
+                    (case, m, n, zeta, binding)
+
+    def test_perturbed_scaling_is_dropped(self, monkeypatch):
+        import fracsym.symmetry as symmetry
+        spec, expected = EXPECTED_BASES["1.2"]
+        real = symmetry.DeterminingSystem._solve_scaling
+
+        def perturbed(self):
+            e, a0, a1, c = real(self)
+            return e, a0, add(a1, ONE), c
+
+        monkeypatch.setattr(symmetry.DeterminingSystem, "_solve_scaling",
+                            perturbed)
+        got = classify(spec)
+        assert len(got) == 1 and got[0].proportional_to(X_TRANSLATION)
 
 EXPECTED_BASES = {
     "1.1": (PdeSpec(g=CoeffForm(CoeffTag.ARBITRARY)),
