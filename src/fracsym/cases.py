@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from importlib import resources
 
-from .expr import Expr, Num, Sym, as_expr, num, sym, to_text
+from .expr import Expr, Num, Sym, as_expr, num, sym
 from .parser import parse_expression
 from .pde import CoeffForm, CoeffTag, PdeSpec
 
@@ -118,20 +118,13 @@ def resolve_case_key(spec: PdeSpec) -> str | None:
     return None
 
 
-def parse_printed_form(text: str) -> Expr:
-    """Parse a reduced-form file: '#' comment lines, ``name = value``
-    definition lines, then one expression, in which each defined name
-    parses as its value."""
-    bindings: dict[str, Expr] = {}
-    exprs = []
-    for line in (ln.strip() for ln in text.splitlines()):
-        if not line or line.startswith("#"):
-            continue
-        name, is_definition, value = (p.strip() for p in line.partition("="))
-        if is_definition and not exprs and name.isidentifier():
-            bindings[name] = parse_expression(value)
-        else:
-            exprs.append(parse_expression(line, bindings))
+def parse_printed_form(text: str,
+                       bindings: dict[str, Expr] | None = None) -> Expr:
+    """Parse a reduced-form file: one expression, '#' comment lines; each
+    name in ``bindings`` parses as its value."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    exprs = [parse_expression(ln, bindings) for ln in lines
+             if ln and not ln.startswith("#")]
     if len(exprs) != 1:
         raise ValueError("a reduced-form file holds exactly one expression")
     return exprs[0]
@@ -146,8 +139,4 @@ def load_printed_form(section: str, spec: PdeSpec) -> Expr:
     binding = {"alpha": spec.alpha, "zeta": num(spec.zeta)}
     if spec.g.weight_homogeneous:
         binding.update(k=spec.g.k, b=spec.g.power_exponent())
-    # the spec enters as definition lines, so its values are bound while the
-    # form is parsed and parse_printed_form stays the one text-to-form step
-    definitions = "".join(f"{name} = {to_text(value)}\n"
-                          for name, value in binding.items())
-    return parse_printed_form(definitions + text)
+    return parse_printed_form(text, binding)

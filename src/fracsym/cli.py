@@ -12,7 +12,6 @@ bare decimals are accepted only for numeric-only flags (``--at``, ``--dt``,
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import random
 import sys
@@ -398,7 +397,10 @@ def run_fracderiv(cfg: SessionConfig, expr_text: str, at: float) -> ReportDoc:
 # argument handling
 
 
-def _add_common_flags(p: argparse.ArgumentParser):
+def _common_flags() -> argparse.ArgumentParser:
+    """The flags of every solving subcommand, as an argparse parent: the
+    subparsers share its actions instead of each building its own."""
+    p = argparse.ArgumentParser(prog="fracsym", add_help=False)
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--case", choices=sorted(CLASSIFICATION_CASES),
                    help="preset (alpha, g) from the classification table")
@@ -415,6 +417,7 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--oracle-b", dest="oracle_b")
     p.add_argument("--oracle-k", dest="oracle_k")
     p.add_argument("--dt", type=float)
+    return p
 
 
 _CASE_G_TEXT = {
@@ -450,10 +453,7 @@ def _config_from_args(args) -> SessionConfig:
     return cfg
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built on the first ``main`` call and shared by
-    every later one; ``parse_args`` returns a fresh namespace each call."""
     parser = argparse.ArgumentParser(
         prog="fracsym",
         description="Lie symmetry classification and similarity reduction "
@@ -462,26 +462,27 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
+    common = [_common_flags()]
 
-    p_classify = subs.add_parser("classify", help="symmetry classification")
-    _add_common_flags(p_classify)
+    subs.add_parser("classify", help="symmetry classification",
+                    parents=common)
 
-    p_reduce = subs.add_parser("reduce", help="similarity reduction")
-    _add_common_flags(p_reduce)
+    p_reduce = subs.add_parser("reduce", help="similarity reduction",
+                               parents=common)
     p_reduce.add_argument("--generator-index", type=int, default=1,
                           dest="generator_index",
                           help="index into the classified basis (0 = "
                                "translation; default 1, the scaling)")
 
-    p_verify = subs.add_parser("verify", help="check explicit infinitesimals")
-    _add_common_flags(p_verify)
+    p_verify = subs.add_parser("verify", help="check explicit infinitesimals",
+                               parents=common)
     p_verify.add_argument("--xi-t", required=True, dest="xi_t")
     p_verify.add_argument("--xi-x", required=True, dest="xi_x")
     p_verify.add_argument("--eta", required=True)
 
     p_fd = subs.add_parser("frac-deriv",
-                           help="numeric RL derivative of an expression")
-    _add_common_flags(p_fd)
+                           help="numeric RL derivative of an expression",
+                           parents=common)
     p_fd.add_argument("--expr", required=True)
     p_fd.add_argument("--at", type=float, required=True)
 

@@ -437,9 +437,7 @@ def mul(*factors) -> Expr:
         for s in sums[1:]:
             acc = _table_product(acc, _entries(s, nodes), nodes)
         rest = [p for p in pieces if not isinstance(p, Sum)]
-        entry = _entry(coeff, rest, nodes)
-        tail = ([entry] if entry is not None
-                else _entries(mul(coeff, *rest), nodes))
+        tail = [_entry(coeff, rest, nodes)]
         return _sum_from_table(_table_product(acc, tail, nodes), nodes)
 
     pieces.sort(key=_KEY)
@@ -463,17 +461,13 @@ def mul(*factors) -> Expr:
 # built only for a merged exponent of a term that survives.
 
 
-def _entry(c, factors, nodes: dict) -> list | None:
-    """The entry of c times canonical factors, or None when a factor is an
-    integer power of a sum that is not monic (``mul`` would rescale it)."""
+def _entry(c, factors, nodes: dict) -> list:
+    """The entry of c times canonical factors."""
     emap = {}
     for f in factors:
         if isinstance(f, Pow):
             base = f.base
             e = f.exp.c if isinstance(f.exp, Num) else f.exp
-            if (isinstance(base, Sum) and type(e) is int
-                    and _monic_sum(base)[0] != 1):
-                return None
         else:
             base, e = f, 1
         emap[base] = e
@@ -491,13 +485,9 @@ def _entries(e: Expr, nodes: dict) -> list:
             continue
         factors = t.factors if isinstance(t, Prod) else (t,)
         if isinstance(factors[0], Num):
-            entry = _entry(factors[0].c, factors[1:], nodes)
+            out.append(_entry(factors[0].c, factors[1:], nodes))
         else:
-            entry = _entry(1, factors, nodes)
-        if entry is None:
-            out.extend(_entries(mul(t), nodes))
-        else:
-            out.append(entry)
+            out.append(_entry(1, factors, nodes))
     return out
 
 

@@ -283,8 +283,10 @@ class DeterminingSystem:
         integer and RL derivatives, the restriction to solutions) commutes
         with giving them values: the substituted residual is the
         candidate's own invariance residual at the same truncation.  The
-        check is the one ``invariance_residual`` makes; the prolongation
-        is built once."""
+        equations were collected from that residual, so this check guards
+        the solver's result against them; the build of the residual
+        itself is checked against a fresh ``invariance_residual`` by the
+        test suite, not at run time.  The prolongation is built once."""
         candidates = []
         if self.is_solution(ONE, ZERO, ZERO, ZERO):
             candidates.append((ZERO, ONE, ZERO, ZERO))

@@ -5,9 +5,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from fracsym import cases, cli
+from fracsym import cases
 from fracsym.cli import (
-    SessionConfig, main, run_classify, run_fracderiv, run_reduce, run_verify,
+    SessionConfig, _build_parser, main, run_classify, run_fracderiv,
+    run_reduce, run_verify,
 )
 from fracsym.report import (
     STATUS_ADJUDICATED, STATUS_FAIL, STATUS_PASS, STATUS_SKIPPED, ReportDoc,
@@ -32,9 +33,9 @@ def perturb_printed_forms(monkeypatch, old, new):
     parse = cases.parse_printed_form
     hits = []
 
-    def perturbed(text):
+    def perturbed(text, *args):
         hits.append(old in text)
-        return parse(text.replace(old, new))
+        return parse(text.replace(old, new), *args)
 
     monkeypatch.setattr(cases, "parse_printed_form", perturbed)
     return hits
@@ -363,58 +364,20 @@ class TestMainEntry:
         assert "t*x^3" in out
 
 
-class TestParserReuse:
-    """One argparse tree serves every main() call; no call leaks state."""
-
-    @pytest.fixture
-    def seen(self, monkeypatch):
-        calls = []
-
-        def record(name):
-            def run(cfg, *args):
-                calls.append((name, cfg, *args))
-                return ReportDoc(case="-")
-            return run
-
-        for name in ("run_classify", "run_reduce", "run_verify"):
-            monkeypatch.setattr(cli, name, record(name))
-        return calls
-
-    def test_generator_index_resets_to_its_default(self, seen, capsys):
-        assert main(["reduce", "--generator-index", "0"]) == 0
-        assert main(["reduce"]) == 0
-        assert [call[2] for call in seen] == [0, 1]
-
-    def test_zeta_resets_to_its_default(self, seen, capsys):
-        assert main(["classify", "--zeta", "-1"]) == 0
-        assert main(["classify"]) == 0
-        assert [call[1].zeta for call in seen] == [-1, 1]
-
-    def test_bad_flag_leaves_the_parser_usable(self, seen, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["classify", "--bogus"])
-        assert exc.value.code == 2
-        assert main(["classify", "--case", "1.1"]) == 0
-        assert seen[0][1].alpha == "generic"
-
-    def test_required_flags_are_required_again(self, seen, capsys):
-        assert main(["verify", "--xi-t", "0", "--xi-x", "1",
-                     "--eta", "0"]) == 0
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--xi-t", "0", "--xi-x", "1"])
-        assert exc.value.code == 2
-        assert len(seen) == 1
+def test_solving_subcommands_share_the_common_flags():
+    parser = _build_parser()
+    common = ["--case", "1.2", "--zeta", "-1", "--m", "3", "--dt", "0.5"]
+    own = {"classify": [], "reduce": [],
+           "verify": ["--xi-t", "0", "--xi-x", "1", "--eta", "0"],
+           "frac-deriv": ["--expr", "t", "--at", "1"]}
+    for command, flags in own.items():
+        args = parser.parse_args([command, *common, *flags])
+        assert (args.case, args.zeta, args.m, args.dt) == ("1.2", -1, 3, 0.5)
+        assert args.alpha is None and args.seed is None
 
 
 class TestPerCallWork:
     """Work each CLI call does once: guards against its silent return."""
-
-    def test_three_calls_build_the_parser_once(self, capsys):
-        cli._build_parser.cache_clear()
-        for case in ("1.1", "2.1", "3.1"):
-            assert main(["classify", "--case", case]) == 0
-        info = cli._build_parser.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
 
     @pytest.mark.parametrize("case", sorted(cases.CLASSIFICATION_CASES))
     def test_classify_builds_one_residual(self, case, monkeypatch):

@@ -137,9 +137,3 @@ class TestBindings:
         got = parse("fdiff(h(r), r, alpha) + diff(h(r), r, 1)",
                     {"h": x, "r": x, "alpha": half})
         assert got == parse("fdiff(h(x), r, 1/2) + diff(h(x), r, 1)")
-
-    def test_definition_lines_bind_the_form(self):
-        form = parse_printed_form("# c\nalpha = 1/3\nfdiff(h(r), r, alpha)\n")
-        assert form == fderiv(func("h", (r,)), r, num(Q(1, 3)))
-        with pytest.raises(ParseError):
-            parse_printed_form("fdiff(h(r), r, alpha)\nalpha = 1/3\n")
