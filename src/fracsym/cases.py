@@ -30,8 +30,9 @@ ALPHA = sym("alpha")
 @dataclass(frozen=True)
 class ClassificationCase:
     key: str
-    alpha: object            # "generic" | Fraction
+    alpha: str               # "generic" | "1/2" | "1/3", as alpha_kind names it
     tag: CoeffTag
+    g: str                   # the g-form in the CLI expression grammar
 
     def spec(self, m: int = 2, n: int = 3, zeta: int = 1,
              k=None, b=None) -> PdeSpec:
@@ -41,21 +42,31 @@ class ClassificationCase:
         if b is not None:
             kwargs["b"] = as_expr(b)
         g = CoeffForm(self.tag, **kwargs)
-        alpha = ALPHA if self.alpha == "generic" else as_expr(self.alpha)
+        alpha = ALPHA if self.alpha == "generic" else num(Q(self.alpha))
         return PdeSpec(alpha=alpha, m=m, n=n, zeta=zeta, g=g)
 
 
 CLASSIFICATION_CASES: dict[str, ClassificationCase] = {
-    "1.1": ClassificationCase("1.1", "generic", CoeffTag.ARBITRARY),
-    "1.2": ClassificationCase("1.2", "generic", CoeffTag.POWER),
-    "1.3": ClassificationCase("1.3", "generic", CoeffTag.CONSTANT),
-    "2.1": ClassificationCase("2.1", Q(1, 2), CoeffTag.EXPONENTIAL),
-    "2.2": ClassificationCase("2.2", Q(1, 2), CoeffTag.POWER),
-    "2.3": ClassificationCase("2.3", Q(1, 2), CoeffTag.CONSTANT),
-    "3.1": ClassificationCase("3.1", Q(1, 3), CoeffTag.SHIFTED_POWER_23),
-    "3.2": ClassificationCase("3.2", Q(1, 3), CoeffTag.POWER),
-    "3.3": ClassificationCase("3.3", Q(1, 3), CoeffTag.CONSTANT),
+    case.key: case for case in (
+        ClassificationCase("1.1", "generic", CoeffTag.ARBITRARY, "arbitrary"),
+        ClassificationCase("1.2", "generic", CoeffTag.POWER, "k*t^b"),
+        ClassificationCase("1.3", "generic", CoeffTag.CONSTANT, "k"),
+        ClassificationCase("2.1", "1/2", CoeffTag.EXPONENTIAL, "k*exp(b*t)"),
+        ClassificationCase("2.2", "1/2", CoeffTag.POWER, "k*t^b"),
+        ClassificationCase("2.3", "1/2", CoeffTag.CONSTANT, "k"),
+        ClassificationCase("3.1", "1/3", CoeffTag.SHIFTED_POWER_23,
+                           "k*(t-b)^(2/3)"),
+        ClassificationCase("3.2", "1/3", CoeffTag.POWER, "k*t^b"),
+        ClassificationCase("3.3", "1/3", CoeffTag.CONSTANT, "k"),
+    )
 }
+
+# (alpha kind, g-form) -> case key: the table, plus the two further
+# g-forms that case 3.1 covers at alpha = 1/3
+_CASE_KEYS = {(case.alpha, case.tag): case.key
+              for case in CLASSIFICATION_CASES.values()}
+_CASE_KEYS.update({("1/3", CoeffTag.QUAD_POWER_13): "3.1",
+                   ("1/3", CoeffTag.EXPONENTIAL): "3.1"})
 
 
 def classification_case(key: str) -> ClassificationCase:
@@ -89,33 +100,17 @@ def alpha_kind(alpha: Expr) -> str:
 def resolve_case_key(spec: PdeSpec) -> str | None:
     """Classification key matching a spec's (alpha, g-form), if any.
 
-    Forms that do not appear verbatim in the table (e.g. an exponential g at
-    generic alpha) fall back to the arbitrary-coefficient case key when the
-    classification degenerates to the translation alone.
+    A form not in the table at the spec's alpha falls back to its
+    generic-alpha case; an exponential g, which has none, to the
+    arbitrary-coefficient case 1.1, as the classification degenerates to
+    the translation alone.
     """
-    table = {
-        ("generic", CoeffTag.ARBITRARY): "1.1",
-        ("generic", CoeffTag.POWER): "1.2",
-        ("generic", CoeffTag.CONSTANT): "1.3",
-        ("1/2", CoeffTag.EXPONENTIAL): "2.1",
-        ("1/2", CoeffTag.POWER): "2.2",
-        ("1/2", CoeffTag.CONSTANT): "2.3",
-        ("1/3", CoeffTag.SHIFTED_POWER_23): "3.1",
-        ("1/3", CoeffTag.QUAD_POWER_13): "3.1",
-        ("1/3", CoeffTag.EXPONENTIAL): "3.1",
-        ("1/3", CoeffTag.POWER): "3.2",
-        ("1/3", CoeffTag.CONSTANT): "3.3",
-    }
-    hit = table.get((alpha_kind(spec.alpha), spec.g.tag))
-    if hit:
-        return hit
-    if spec.g.tag in (CoeffTag.ARBITRARY, CoeffTag.EXPONENTIAL):
+    tag = spec.g.tag
+    hit = (_CASE_KEYS.get((alpha_kind(spec.alpha), tag))
+           or _CASE_KEYS.get(("generic", tag)))
+    if hit is None and tag is CoeffTag.EXPONENTIAL:
         return "1.1"
-    if spec.g.tag is CoeffTag.POWER:
-        return "1.2"
-    if spec.g.tag is CoeffTag.CONSTANT:
-        return "1.3"
-    return None
+    return hit
 
 
 def parse_printed_form(text: str,

@@ -34,7 +34,7 @@ from .fracnum import (
 )
 from .parser import ParseError, parse_expression
 from .pde import (
-    CoeffForm, CoeffTag, Generator, PdeSpec, PdeModelError,
+    CoeffForm, Generator, PdeSpec, PdeModelError,
     ScalingWeights, coeff_form_from_text, scaling_invariance_check,
     term_weights,
 )
@@ -420,16 +420,6 @@ def _common_flags() -> argparse.ArgumentParser:
     return p
 
 
-_CASE_G_TEXT = {
-    CoeffTag.ARBITRARY: "arbitrary",
-    CoeffTag.CONSTANT: "k",
-    CoeffTag.POWER: "k*t^b",
-    CoeffTag.EXPONENTIAL: "k*exp(b*t)",
-    CoeffTag.SHIFTED_POWER_23: "k*(t-b)^(2/3)",
-    CoeffTag.QUAD_POWER_13: "k*(t^2-b)^(1/3)",
-}
-
-
 def _config_from_args(args) -> SessionConfig:
     cfg = SessionConfig()
     if args.config:
@@ -440,10 +430,7 @@ def _config_from_args(args) -> SessionConfig:
             raise CliError(f"cannot read config: {exc}") from exc
     if args.case:
         case = classification_case(args.case)
-        cfg = replace(cfg,
-                      alpha="generic" if case.alpha == "generic"
-                      else str(case.alpha),
-                      g=_CASE_G_TEXT[case.tag])
+        cfg = replace(cfg, alpha=case.alpha, g=case.g)
     for key in ("alpha", "g", "m", "n", "zeta", "truncation", "seed",
                 "tol_rel", "out", "oracle_alpha", "oracle_b", "oracle_k",
                 "dt"):

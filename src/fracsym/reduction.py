@@ -62,7 +62,7 @@ class SimilarityReduction:
 
     @property
     def translation_case(self) -> bool:
-        return self.q == ZERO
+        return self.p == ZERO and self.q == ZERO
 
     @property
     def r_expr(self) -> Expr:

@@ -1,5 +1,5 @@
 """Fractional prolongation, invariance residuals, determining equations, and
-the per-g-form symmetry classification.
+the symmetry classification as the exact nullspace of the determining system.
 
 The prolongation coefficient on the fractional-derivative coordinate is
 built from the Leibniz-expanded form
@@ -45,10 +45,15 @@ __all__ = [
 
 DEFAULT_TRUNCATION = 5
 
-_E = sym("_e")
 _A0 = sym("_a0")
 _A1 = sym("_a1")
+_E = sym("_e")
 _C = sym("_c")
+_UNKNOWNS = (_A0, _A1, _E, _C)
+# column indices into _UNKNOWNS: the elimination pivots on a1, c, e, a0;
+# the basis is read off the free columns as a0, e, c, a1
+_PIVOT_ORDER = tuple(map(_UNKNOWNS.index, (_A1, _C, _E, _A0)))
+_BASIS_ORDER = tuple(map(_UNKNOWNS.index, (_A0, _E, _C, _A1)))
 
 
 class SymmetryError(ExprError):
@@ -262,114 +267,73 @@ class DeterminingSystem:
     """Linear homogeneous system on the ansatz coefficients (a0, a1, e, c)
     of xi_x = a0 + a1*x, xi_t = e*t, eta = c*u, collected from
     ``residual``, the invariance residual of the generic ansatz generator
-    at the Leibniz truncation it was built with."""
+    at the Leibniz truncation it was built with.  ``rows`` is the
+    coefficient matrix of ``equations`` in the order of ``unknowns``."""
 
     equations: list[Expr]
+    rows: list[tuple[Expr, ...]]
     residual: Expr
-    unknowns: tuple[Sym, ...] = (_A0, _A1, _E, _C)
+    unknowns: tuple[Sym, ...] = _UNKNOWNS
 
     def is_solution(self, a0, a1, e, c) -> bool:
-        binding = _ansatz_binding(e, a0, a1, c)
+        binding = _ansatz_binding(a0, a1, e, c)
         return all(is_zero_exact(substitute(eq, binding))
                    for eq in self.equations)
 
+    def nullspace(self) -> list[tuple[Expr, ...]]:
+        """Basis (a0, a1, e, c) of the solutions of ``rows``.
+
+        One Gauss-Jordan elimination over Q(alpha, b, k), the parameters
+        generic, pivoting on a1, c, e, a0 in turn.  Each free column gives
+        one basis vector: a0 first (the translation), then e set to -1
+        (the scaling), then c and a1 set to 1."""
+        pending = [list(row) for row in self.rows]
+        pivots: dict[int, list[Expr]] = {}
+        for col in _PIVOT_ORDER:
+            hit = next((i for i, row in enumerate(pending)
+                        if not is_zero_exact(row[col])), None)
+            if hit is None:
+                continue
+            row = pending.pop(hit)
+            inv = pow_(row[col], MINUS_ONE)
+            row = [mul(x, inv) for x in row]
+            for other in (*pending, *pivots.values()):
+                if other[col] != ZERO:
+                    factor = mul(MINUS_ONE, other[col])
+                    other[:] = [add(x, mul(factor, y))
+                                for x, y in zip(other, row)]
+            pivots[col] = row
+        basis = []
+        for free in _BASIS_ORDER:
+            if free in pivots:
+                continue
+            value = MINUS_ONE if _UNKNOWNS[free] is _E else ONE
+            coeffs = [ZERO] * len(_UNKNOWNS)
+            coeffs[free] = value
+            for col, row in pivots.items():
+                coeffs[col] = mul(MINUS_ONE, row[free], value)
+            basis.append(tuple(coeffs))
+        return basis
+
     def solve(self) -> list[Generator]:
-        """Basis of the solution space within the ansatz.
+        """Generators of the ``nullspace`` vectors, each verified by
+        substituting it into the stored residual and requiring zero.
 
-        Each candidate ``(e, a0, a1, c)`` is verified by substituting it
-        into the stored residual and requiring zero.  The coefficients do
-        not depend on (t, x, u), and the prolonged generator is linear in
-        the infinitesimals, so every step that builds the residual (total,
-        integer and RL derivatives, the restriction to solutions) commutes
-        with giving them values: the substituted residual is the
-        candidate's own invariance residual at the same truncation.  The
-        equations were collected from that residual, so this check guards
-        the solver's result against them; the build of the residual
-        itself is checked against a fresh ``invariance_residual`` by the
-        test suite, not at run time.  The prolongation is built once."""
-        candidates = []
-        if self.is_solution(ONE, ZERO, ZERO, ZERO):
-            candidates.append((ZERO, ONE, ZERO, ZERO))
-        scaling = self._solve_scaling()
-        if scaling is not None:
-            candidates.append(scaling)
-        return [Generator.from_coeffs(*coeffs) for coeffs in candidates
-                if substitute(self.residual, _ansatz_binding(*coeffs)) == ZERO]
-
-    def _solve_scaling(self):
-        """(e, a0, a1, c) = (-1, 0, a1, c) solving the system; None if
-        inconsistent."""
-        eqs = [substitute(eq, {_A0.name: ZERO, _E.name: MINUS_ONE})
-               for eq in self.equations]
-        eqs = [eq for eq in eqs if eq != ZERO]
-        a1_val, c_val = _solve_linear_2(eqs, _A1, _C)
-        if a1_val is None:
-            return None
-        check = [substitute(eq, {_A1.name: a1_val, _C.name: c_val})
-                 for eq in eqs]
-        if not all(is_zero_exact(r) for r in check):
-            return None
-        return (MINUS_ONE, ZERO, a1_val, c_val)
+        The coefficients do not depend on (t, x, u), and the prolonged
+        generator is linear in the infinitesimals, so the substituted
+        residual is the vector's own invariance residual at the same
+        truncation.  The equations were collected from that residual, so
+        this check guards the elimination against them; the build of the
+        residual itself is checked against a fresh ``invariance_residual``
+        by the test suite, not at run time."""
+        return [Generator.from_coeffs(e, a0, a1, c)
+                for a0, a1, e, c in self.nullspace()
+                if substitute(self.residual, _ansatz_binding(a0, a1, e, c))
+                == ZERO]
 
 
-def _ansatz_binding(e, a0, a1, c) -> dict:
-    return {_E.name: as_expr(e), _A0.name: as_expr(a0),
-            _A1.name: as_expr(a1), _C.name: as_expr(c)}
-
-
-def _solve_linear_2(eqs: list[Expr], xsym: Sym, ysym: Sym):
-    """Solve a consistent linear system in two unknowns; (None, None) if no
-    solution can be isolated or the system is inconsistent."""
-    # eliminate y first from some equation with invertible y-coefficient
-    for first, second in ((ysym, xsym), (xsym, ysym)):
-        sol = _try_elimination(eqs, first, second)
-        if sol is not None:
-            fv, sv = sol
-            if first is ysym:
-                return sv, fv
-            return fv, sv
-    return None, None
-
-
-def _try_elimination(eqs: list[Expr], v1: Sym, v2: Sym):
-    """Express v1 from an equation, substitute, solve the rest for v2."""
-    for i, eq in enumerate(eqs):
-        c1 = diff(eq, v1)
-        if c1 == ZERO or contains_symbol(c1, (v1.name, v2.name)):
-            continue
-        rest = substitute(eq, {v1.name: ZERO})
-        v1_expr_in_v2 = mul(MINUS_ONE, rest, pow_(c1, MINUS_ONE))
-        others = [substitute(e2, {v1.name: v1_expr_in_v2})
-                  for j, e2 in enumerate(eqs) if j != i]
-        others = [e2 for e2 in others if not is_zero_exact(e2)]
-        if not others:
-            return None  # one-parameter family: not a determined scaling
-        v2_val = _solve_single(others, v2)
-        if v2_val is None:
-            continue
-        v1_val = substitute(v1_expr_in_v2, {v2.name: v2_val})
-        return v1_val, v2_val
-    return None
-
-
-def _solve_single(eqs: list[Expr], v: Sym):
-    """Solve linear equations in one unknown; None if inconsistent or free."""
-    candidate = None
-    for eq in eqs:
-        cv = diff(eq, v)
-        if contains_symbol(cv, v.name):
-            return None
-        if cv == ZERO:
-            if not is_zero_exact(eq):
-                return None  # inconsistent constant equation
-            continue
-        rest = substitute(eq, {v.name: ZERO})
-        val = mul(MINUS_ONE, rest, pow_(cv, MINUS_ONE))
-        if candidate is None:
-            candidate = val
-        elif not is_zero_exact(add(candidate, mul(MINUS_ONE, val))):
-            return None
-    return candidate
+def _ansatz_binding(a0, a1, e, c) -> dict:
+    return {u.name: as_expr(v) for u, v in zip(_UNKNOWNS, (a0, a1, e, c))}
 
 
 def determining_system(spec: PdeSpec,
@@ -394,51 +358,43 @@ def determining_system(spec: PdeSpec,
             return False
         return False
 
+    names = tuple(u.name for u in _UNKNOWNS)
     equations: list[Expr] = []
-    seen = set()
+    rows: list[tuple[Expr, ...]] = []
     for _, coeff in split_by(residual, is_state_factor).items():
         t_groups = split_by(coeff, lambda f: contains_symbol(f, "t"))
         for _, eq in t_groups.items():
-            if eq == ZERO:
+            if eq == ZERO or eq in equations:
                 continue
-            for u_ in (_A0, _A1, _E, _C):
-                cu = diff(eq, u_)
-                if contains_symbol(cu, ("_a0", "_a1", "_e", "_c")):
-                    raise SymmetryError(
-                        "determining equation is not linear in the ansatz "
-                        f"coefficients: {to_text(eq)}")
-            if eq not in seen:
-                seen.add(eq)
-                equations.append(eq)
-    return DeterminingSystem(equations=equations, residual=residual)
+            row = tuple(diff(eq, u) for u in _UNKNOWNS)
+            if any(contains_symbol(entry, names) for entry in row):
+                raise SymmetryError(
+                    "determining equation is not linear in the ansatz "
+                    f"coefficients: {to_text(eq)}")
+            equations.append(eq)
+            rows.append(row)
+    return DeterminingSystem(equations=equations, rows=rows,
+                             residual=residual)
 
 
 # ---------------------------------------------------------------------------
 # classification
 
 
-_X_TRANSLATION = Generator(ZERO, ONE, ZERO)
-
-
 def classify(spec: PdeSpec, M: int = DEFAULT_TRUNCATION) -> list[Generator]:
-    """Symmetry-algebra basis for a catalog (alpha, g) combination.
+    """Symmetry-algebra basis for a catalog (alpha, g) combination, solved
+    from its determining system.
 
     The basis lists the x-translation first; a t-scaling, when present, is
-    normalized to coefficient -1 on t*d/dt.  The two special g-forms at
-    alpha = 1/3 are certified by direct verification of the translation
-    (the catalog attaches no further generators to them).
+    normalized to coefficient -1 on t*d/dt.  The two special g-forms are
+    accepted only at alpha = 1/3.
     """
     kind = alpha_kind(spec.alpha)
     if kind == "unsupported":
         raise OutsideCatalogError(
             f"alpha = {to_text(spec.alpha)} is outside the catalog")
-    if spec.g.tag in (CoeffTag.SHIFTED_POWER_23, CoeffTag.QUAD_POWER_13):
-        if kind != "1/3":
-            raise OutsideCatalogError(
-                f"g-form {spec.g.tag.value} is cataloged only at alpha = 1/3")
-        if invariance_residual(spec, _X_TRANSLATION, M) != ZERO:
-            raise SymmetryError(
-                "translation verification failed for a catalog form")
-        return [_X_TRANSLATION]
-    system = determining_system(spec, M)
-    return system.solve()
+    if (spec.g.tag in (CoeffTag.SHIFTED_POWER_23, CoeffTag.QUAD_POWER_13)
+            and kind != "1/3"):
+        raise OutsideCatalogError(
+            f"g-form {spec.g.tag.value} is cataloged only at alpha = 1/3")
+    return determining_system(spec, M).solve()

@@ -128,6 +128,21 @@ class TestRunReduce:
         assert statuses(doc)["grid_identity"] == STATUS_PASS
         assert doc.worst_status == STATUS_PASS
 
+    def test_x_and_u_scaling_uses_the_scaling_print(self, tmp_path, capsys):
+        # at (m, n) = (2, 4) generator 1 is x*d/dx + u*d/du: not the
+        # translation, so neither its print nor the kernel solution applies
+        out = tmp_path / "r.json"
+        assert main(["reduce", "--m", "2", "--n", "4", "--g", "k*t^b",
+                     "--out", str(out)]) == 0
+        doc = read_report(str(out))
+        assert doc.generators == [{"xi_t": "0", "xi_x": "x", "eta": "u"}]
+        assert doc.invariants == {"r": "t", "z": "u*x^(-1)"}
+        rec = [c for c in doc.checks if c.name == "printed_form[2.1]"][0]
+        assert rec.status == STATUS_SKIPPED
+        assert "(m, n) = (2, 4)" in rec.detail
+        assert statuses(doc) == {"printed_form[2.1]": STATUS_SKIPPED,
+                                 "grid_identity": STATUS_PASS}
+
     @pytest.mark.parametrize("m, n, zeta", [(5, 1, 1), (1, 6, -1)])
     def test_translation_print_never_skipped(self, m, n, zeta):
         doc = run_reduce(SessionConfig(alpha="1/2", g="k", m=m, n=n,

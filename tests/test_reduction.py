@@ -60,6 +60,12 @@ class TestCharacteristicInvariants:
         assert red.translation_case
         assert red.r_expr == T and red.z_expr == U
 
+    def test_x_and_u_scaling_is_not_the_translation(self):
+        # q = 0 as for the translation, but p = 1: z = u/x
+        red = characteristic_invariants(Generator(0, X, U))
+        assert (red.p, red.q) == (num(1), ZERO)
+        assert not red.translation_case
+
     def test_case_21_printed_invariants(self):
         gen = Generator.from_coeffs(-1, 0, add(ALPHA, mul(-1, B)),
                                     add(mul(2, ALPHA), mul(-1, B)))

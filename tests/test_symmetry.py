@@ -12,7 +12,7 @@ from fracsym.calculus import JetContext, diff, total_derivative_t
 from fracsym.cases import CLASSIFICATION_CASES
 from fracsym.expr import (
     ZERO, ONE, MINUS_ONE, add, contains_node, contains_symbol, eval_numeric,
-    fderiv, func, gammaf, mul, num, pow_, substitute, sym,
+    fderiv, func, gammaf, mul, num, pow_, substitute, sym, to_text,
 )
 from fracsym.pde import (
     ALPHA, B, T, U, X,
@@ -283,16 +283,85 @@ class TestStoredResidual:
     def test_perturbed_scaling_is_dropped(self, monkeypatch):
         import fracsym.symmetry as symmetry
         spec, expected = EXPECTED_BASES["1.2"]
-        real = symmetry.DeterminingSystem._solve_scaling
+        real = symmetry.DeterminingSystem.nullspace
 
         def perturbed(self):
-            e, a0, a1, c = real(self)
-            return e, a0, add(a1, ONE), c
+            return [(a0, add(a1, ONE), e, c) if e == MINUS_ONE
+                    else (a0, a1, e, c)
+                    for a0, a1, e, c in real(self)]
 
-        monkeypatch.setattr(symmetry.DeterminingSystem, "_solve_scaling",
+        monkeypatch.setattr(symmetry.DeterminingSystem, "nullspace",
                             perturbed)
         got = classify(spec)
         assert len(got) == 1 and got[0].proportional_to(X_TRANSLATION)
+
+
+class TestSympyNullspace:
+    """The basis size and every basis vector against SymPy's rank and
+    matrix product on the same coefficient matrix."""
+
+    SHAPES = TestStoredResidual.SHAPES + [(1, 1, 1), (2, 4, 1)]
+
+    @pytest.mark.parametrize("case", sorted(CLASSIFICATION_CASES))
+    def test_rank_and_kernel(self, case):
+        sympy = pytest.importorskip("sympy")
+        names = {name: sympy.Symbol(name) for name in ("alpha", "b", "k")}
+
+        def parse(e):
+            return sympy.parse_expr(to_text(e).replace("^", "**"),
+                                    local_dict=names)
+
+        for m, n, zeta in self.SHAPES:
+            spec = CLASSIFICATION_CASES[case].spec(m=m, n=n, zeta=zeta)
+            matrix = sympy.Matrix([[parse(x) for x in row]
+                                   for row in determining_system(spec).rows])
+            gens = classify(spec)
+            assert len(gens) == 4 - matrix.rank(), (case, m, n, zeta)
+            for gen in gens:
+                e, a0, a1, c = gen.normal_form()
+                vector = sympy.Matrix([parse(x) for x in (a0, a1, e, c)])
+                assert sympy.simplify(matrix * vector) \
+                    == sympy.zeros(matrix.rows, 1), (case, m, n, zeta)
+
+
+class TestDegenerateSpecs:
+    """On 3m - n - 2 = 0 the scaling x -> lam^(m-1)*x, u -> lam*u keeps all
+    three terms at one weight, so it joins the translation in every case
+    and replaces the t-scaling unless b = 2*alpha.  Each generator has a
+    zero invariance residual."""
+
+    @pytest.mark.parametrize("case", sorted(CLASSIFICATION_CASES))
+    @pytest.mark.parametrize("m, n, extra", [
+        (1, 1, Generator(0, 0, U)),
+        (2, 4, Generator(0, X, U)),
+    ])
+    def test_t_free_scaling(self, case, m, n, extra):
+        spec = CLASSIFICATION_CASES[case].spec(m=m, n=n)
+        got = classify(spec)
+        assert got == [X_TRANSLATION, extra]
+        for gen in got:
+            assert invariance_residual(spec, gen) == ZERO
+
+    def test_power_at_b_equal_two_alpha_has_three(self):
+        spec = PdeSpec(m=2, n=4, g=CoeffForm(CoeffTag.POWER, b=mul(2, ALPHA)))
+        got = classify(spec)
+        assert got == [X_TRANSLATION,
+                       Generator(mul(-1, T), mul(-1, ALPHA, X), 0),
+                       Generator(0, X, U)]
+        for gen in got:
+            assert invariance_residual(spec, gen) == ZERO
+
+    @pytest.mark.parametrize("tag", [CoeffTag.SHIFTED_POWER_23,
+                                     CoeffTag.QUAD_POWER_13])
+    def test_special_form_at_b_zero_is_a_power(self, tag):
+        # b = 0 makes g = k*t^(2/3): the power form at b = 2*alpha
+        spec = PdeSpec(alpha=Q(1, 3), g=CoeffForm(tag, b=0))
+        got = classify(spec)
+        assert got == [X_TRANSLATION,
+                       Generator(mul(-1, T), mul(Q(-1, 3), X), 0)]
+        for gen in got:
+            assert invariance_residual(spec, gen) == ZERO
+
 
 EXPECTED_BASES = {
     "1.1": (PdeSpec(g=CoeffForm(CoeffTag.ARBITRARY)),
