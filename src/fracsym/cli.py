@@ -177,7 +177,8 @@ def _numeric_spec(cfg: SessionConfig, spec: PdeSpec) -> PdeSpec:
 
 
 def run_classify(cfg: SessionConfig) -> ReportDoc:
-    """Classify, then check the scaling weights of every scaling generator.
+    """Classify, then check the scaling weights of every generator with a
+    scaling part (e, a1 or c nonzero), a t-free one included.
 
     ``classify`` keeps only generators whose invariance residual is zero,
     so the residual is not recomputed here."""
@@ -194,8 +195,10 @@ def run_classify(cfg: SessionConfig) -> ReportDoc:
         doc.generators.append(dict(zip(("xi_t", "xi_x", "eta"),
                                        gen.as_text_triple())))
         nf = gen.normal_form()
-        if nf is not None and spec.g.weight_homogeneous and nf[0] != ZERO:
-            e, _, a1, c = nf
+        if nf is None or not spec.g.weight_homogeneous:
+            continue
+        e, _, a1, c = nf
+        if e != ZERO or a1 != ZERO or c != ZERO:
             ok = scaling_invariance_check(spec, ScalingWeights(e, a1, c))
             weights = term_weights(spec, ScalingWeights(e, a1, c))
             doc.add_check(

@@ -56,7 +56,8 @@ __all__ = [
     "num", "sym", "add", "mul", "pow_", "func", "gammaf", "fderiv",
     "as_expr", "children", "rebuild", "rewrite", "simplify", "substitute",
     "replace_node", "free_symbols", "contains_symbol", "contains_node",
-    "eval_numeric", "is_zero_exact", "clear_denominators", "to_text",
+    "compile_numeric", "eval_numeric", "is_zero_exact", "clear_denominators",
+    "to_text",
     "ZERO", "ONE", "MINUS_ONE",
 ]
 
@@ -973,62 +974,103 @@ def _eval_known_func(name: str, order: int, x: float) -> float:
     raise EvalError(f"unknown function {name!r}")  # pragma: no cover
 
 
-def eval_numeric(e: Expr, point: Mapping | None = None, *,
-                 funcs: Mapping | None = None, fd_handler=None) -> float:
-    """IEEE-double evaluation at a point binding every free symbol.
+def _raising(message: str):
+    """A compiled node that fails, when evaluated, with ``message``."""
+    def fail(point):
+        raise EvalError(message)
+    return fail
+
+
+def compile_numeric(e: Expr, *, funcs: Mapping | None = None,
+                    fd_handler=None):
+    """Compile e once into ``f(point) -> float``, IEEE-double evaluation at a
+    point binding every free symbol.
+
+    Each node becomes one closure and each ``Num`` one float, converted
+    here; a failure is raised when the failing node is evaluated, so a
+    compiled tree that is never called never fails.  Sums go through
+    ``math.fsum`` and products multiply left to right from 1.0.
 
     ``funcs`` may supply callables ``f(x, order) -> float`` for opaque named
-    functions; ``fd_handler(node) -> float`` resolves fractional-derivative
-    nodes (otherwise they are an error: grid numerics own that).
+    functions; ``fd_handler(node, point) -> float`` resolves
+    fractional-derivative nodes (otherwise they are an error: grid numerics
+    own that).
     """
-    point = point or {}
-
-    def ev(node: Expr) -> float:
+    def build(node: Expr):
         if isinstance(node, Num):
             try:
-                return float(node.c)
-            except OverflowError as exc:
-                raise EvalError("constant out of float range") from exc
+                value = float(node.c)
+            except OverflowError:
+                return _raising("constant out of float range")
+            return lambda point: value
         if isinstance(node, Sym):
-            try:
-                return float(point[node.name])
-            except KeyError:
-                raise EvalError(f"unbound symbol {node.name!r}") from None
+            name = node.name
+
+            def symbol(point):
+                try:
+                    return float(point[name])
+                except KeyError:
+                    raise EvalError(f"unbound symbol {name!r}") from None
+            return symbol
         if isinstance(node, Sum):
-            return math.fsum(ev(t) for t in node.terms)
+            terms = [build(t) for t in node.terms]
+            return lambda point: math.fsum([t(point) for t in terms])
         if isinstance(node, Prod):
-            out = 1.0
-            for f in node.factors:
-                out *= ev(f)
-            return out
+            factors = [build(f) for f in node.factors]
+
+            def product(point):
+                out = 1.0
+                for f in factors:
+                    out *= f(point)
+                return out
+            return product
         if isinstance(node, Pow):
-            b = ev(node.base)
-            x = ev(node.exp)
-            try:
-                return b ** x
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise EvalError(f"power evaluation failed: {b}**{x}") from exc
+            base, exp = build(node.base), build(node.exp)
+
+            def power(point):
+                b = base(point)
+                x = exp(point)
+                try:
+                    return b ** x
+                except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                    raise EvalError(
+                        f"power evaluation failed: {b}**{x}") from exc
+            return power
         if isinstance(node, GammaF):
-            try:
-                return gamma_fn(ev(node.arg))
-            except GammaPoleError as exc:
-                raise EvalError(str(exc)) from exc
+            arg = build(node.arg)
+
+            def gamma(point):
+                try:
+                    return gamma_fn(arg(point))
+                except GammaPoleError as exc:
+                    raise EvalError(str(exc)) from exc
+            return gamma
         if isinstance(node, Func):
-            if funcs and node.name in funcs:
+            name, order = node.name, node.order
+            if funcs and name in funcs:
                 if len(node.args) != 1:
-                    raise EvalError("only unary opaque functions are supported")
-                return funcs[node.name](ev(node.args[0]), node.order)
-            if node.name in _KNOWN_FUNCS and len(node.args) == 1:
-                return _eval_known_func(node.name, node.order, ev(node.args[0]))
-            raise EvalError(f"cannot evaluate function {node.name!r}")
+                    return _raising(
+                        "only unary opaque functions are supported")
+                fn, arg = funcs[name], build(node.args[0])
+                return lambda point: fn(arg(point), order)
+            if name in _KNOWN_FUNCS and len(node.args) == 1:
+                arg = build(node.args[0])
+                return lambda point: _eval_known_func(name, order, arg(point))
+            return _raising(f"cannot evaluate function {name!r}")
         if isinstance(node, FDeriv):
             if fd_handler is not None:
-                return fd_handler(node)
-            raise EvalError(
+                return lambda point: fd_handler(node, point)
+            return _raising(
                 "unresolved fractional-derivative node; use the grid numerics")
         raise TypeError(type(node))  # pragma: no cover
 
-    return ev(as_expr(e))
+    return build(as_expr(e))
+
+
+def eval_numeric(e: Expr, point: Mapping | None = None, *,
+                 funcs: Mapping | None = None, fd_handler=None) -> float:
+    """:func:`compile_numeric` of e, evaluated once at ``point``."""
+    return compile_numeric(e, funcs=funcs, fd_handler=fd_handler)(point or {})
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ import numpy as np
 from .calculus import diff
 from .expr import (
     Expr, Num, Sym, Pow, Prod, Sum, Func, EvalError, ExprError,
-    mul, pow_, as_expr, eval_numeric, free_symbols, ZERO, ONE,
+    mul, pow_, as_expr, compile_numeric, eval_numeric, free_symbols,
+    ZERO, ONE,
 )
 from .pde import PdeSpec
 from .special import gamma_fn
@@ -237,9 +238,10 @@ def pde_residual_on_grid(spec: PdeSpec, u_closed_form: Expr,
     """Residual of the PDE at (x, t) points for an explicit power-sum u.
 
     The fractional term is evaluated term-by-term with the RL power rule;
-    the spatial terms are differentiated symbolically and evaluated.  g(t)
-    is evaluated only where the dispersion term it multiplies is nonzero,
-    so an x-free u needs no values for an opaque g.
+    the spatial terms are differentiated symbolically, compiled once and
+    evaluated at every point.  g(t) is evaluated only where the dispersion
+    term it multiplies is nonzero, so an x-free u needs no values for an
+    opaque g.
     """
     alpha = _numeric_alpha(spec)
     u_expr = as_expr(u_closed_form)
@@ -250,18 +252,18 @@ def pde_residual_on_grid(spec: PdeSpec, u_closed_form: Expr,
                 "time exponents must exceed -1 for the power rule; "
                 "use the GL path for other profiles")
 
-    convect = diff(pow_(u_expr, spec.m), "x", 1)
-    disperse = diff(pow_(u_expr, spec.n), "x", 3)
-    g_expr = spec.g.expr()
+    convect = compile_numeric(diff(pow_(u_expr, spec.m), "x", 1))
+    disperse_expr = diff(pow_(u_expr, spec.n), "x", 3)
+    disperse = compile_numeric(disperse_expr)
+    g = compile_numeric(spec.g.expr())
 
     out = []
     for xv, tv in points:
         point = {"x": float(xv), "t": float(tv)}
         frac = _rl_time_derivative_value(profile, alpha, xv, tv)
-        value = frac + spec.zeta * eval_numeric(convect, point)
-        if disperse != ZERO:
-            value += (eval_numeric(g_expr, point)
-                      * eval_numeric(disperse, point))
+        value = frac + spec.zeta * convect(point)
+        if disperse_expr != ZERO:
+            value += g(point) * disperse(point)
         out.append(value)
     return out
 
@@ -271,49 +273,37 @@ def fode_residual_on_grid(reduced_ode: Expr, h_closed_form: Expr,
     """Evaluate a reduced fractional ODE at r-points for an explicit h(r).
 
     The single FD(h, r, alpha) node is resolved by the RL power rule applied
-    term-by-term to h; integer derivatives of h are symbolic.
+    term-by-term to h; integer derivatives of h are symbolic.  The ODE and
+    each derivative of h it uses are compiled once.
     """
-    reduced = as_expr(reduced_ode)
     h_expr = as_expr(h_closed_form)
     h_profile = power_profile(h_expr, ("r",)) if h_expr != ZERO else []
+    h_derivatives: dict = {}
 
-    derivative_cache: dict[int, Expr] = {0: h_expr}
+    def h_eval(rv: float, order: int) -> float:
+        fn = h_derivatives.get(order)
+        if fn is None:
+            fn = h_derivatives[order] = compile_numeric(
+                diff(h_expr, "r", order) if order else h_expr)
+        return fn({"r": rv})
 
-    def h_derivative(order: int) -> Expr:
-        if order not in derivative_cache:
-            derivative_cache[order] = diff(h_expr, "r", order)
-        return derivative_cache[order]
+    def fd_handler(node, point):
+        if not isinstance(node.alpha, Num):
+            raise EvalError("fractional order must be numeric here")
+        a = float(node.alpha.value)
+        inner = node.expr
+        if isinstance(inner, Func) and inner.name in ("h", "f") \
+                and inner.order == 0:
+            total = 0.0
+            for coeff, exps in h_profile:
+                total += coeff * rl_power_rule(exps.get("r", Q(0)), a,
+                                               point["r"])
+            return total
+        raise EvalError(f"cannot resolve FD of {inner}")
 
-    def handler_for(rv: float):
-        def fd_handler(node):
-            if not isinstance(node.alpha, Num):
-                raise EvalError("fractional order must be numeric here")
-            a = float(node.alpha.value)
-            inner = node.expr
-            if isinstance(inner, Func) and inner.name in ("h", "f") \
-                    and inner.order == 0:
-                total = 0.0
-                for coeff, exps in h_profile:
-                    p = exps.get("r", Q(0))
-                    total += coeff * rl_power_rule(p, a, rv)
-                return total
-            raise EvalError(f"cannot resolve FD of {inner}")
-
-        def h_eval(xval: float, order: int) -> float:
-            return eval_numeric(h_derivative(order), {"r": xval})
-
-        return fd_handler, h_eval
-
-    out = []
-    for rv in r_points:
-        rv = float(rv)
-        fd_handler, h_eval = handler_for(rv)
-        value = eval_numeric(
-            reduced, {"r": rv},
-            funcs={"h": h_eval, "f": h_eval},
-            fd_handler=fd_handler)
-        out.append(value)
-    return out
+    reduced = compile_numeric(reduced_ode, funcs={"h": h_eval, "f": h_eval},
+                              fd_handler=fd_handler)
+    return [reduced({"r": float(rv)}) for rv in r_points]
 
 
 def relative_deviation(a: float, b: float) -> float:

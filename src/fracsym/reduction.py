@@ -5,9 +5,11 @@ of stored reduced forms against the derivation and the grid oracle.
 For a scaling generator e*t d/dt + a1*x d/dx + c*u d/du the invariants are
 r = t*x^(-e/a1) and z = u*x^(-c/a1); substituting u = x^p h(r) with
 p = c/a1, q = -e/a1 turns the PDE into x^s * R(r, h, h', h'', h''', D^a h).
-The time-fractional term crosses over via the RL scaling identity
-D^a_t[h(lam*t)] = lam^a (D^a h)(lam*t), applied only when the inner argument
-is t times an x-only factor.
+The derivation never builds h(t*x^q): each term is carried as a pair
+(a, F(r)) standing for x^a * F(r), and d/dx acts on the pair by
+D_x(x^a F) = x^(a-1) * (a*F + q*r*F').  The time-fractional term crosses
+over by the RL scaling identity D^a_t[h(t*x^q)] = x^(q*a) (D^a h)(r), so it
+is x^(p + q*alpha) * D^a h(r); only g(t) is rewritten, at t = r*x^-q.
 
 Adjudication policy: the derived reduced ODE is authoritative; stored
 (printed) forms are comparison targets whose per-term status is reported,
@@ -23,8 +25,8 @@ from .calculus import diff, split_by
 from .expr import (
     Expr, Sym, Prod, Pow, Func, FDeriv, ExprError,
     add, mul, pow_, num, sym, func, gammaf, fderiv, as_expr,
-    contains_symbol, eval_numeric, free_symbols, is_zero_exact, rewrite,
-    substitute, to_text,
+    contains_symbol, eval_numeric, is_zero_exact, rewrite, substitute,
+    to_text,
     ZERO, ONE, MINUS_ONE,
 )
 from .fracnum import (
@@ -72,11 +74,6 @@ class SimilarityReduction:
     def z_expr(self) -> Expr:
         return mul(U, pow_(X, mul(MINUS_ONE, self.p)))
 
-    @property
-    def u_ansatz(self) -> Expr:
-        """u = x^p * h(t * x^q)."""
-        return mul(pow_(X, self.p), func("h", (self.r_expr,)))
-
 
 def characteristic_invariants(gen: Generator) -> SimilarityReduction:
     """Invariants of dt/xi_t = dx/xi_x = du/eta for the normal-form classes.
@@ -106,31 +103,6 @@ def characteristic_invariants(gen: Generator) -> SimilarityReduction:
         p=mul(c, inv_a1),
         q=mul(MINUS_ONE, e, inv_a1),
     )
-
-
-def _rescale_fd_nodes(e: Expr) -> Expr:
-    """Rewrite FD(h(t*lam(x)), t, a) -> lam^a * FD(h(r), r, a) recursively.
-
-    Applies only when the inner argument is t times an x-only factor; other
-    shapes are left untouched.
-    """
-    def walk(node: Expr) -> Expr:
-        if isinstance(node, FDeriv):
-            inner = node.expr
-            if (isinstance(inner, Func) and len(inner.args) == 1
-                    and node.var == T):
-                arg = inner.args[0]
-                lam = substitute(arg, {"t": ONE})
-                if ("t" not in free_symbols(lam)
-                        and is_zero_exact(add(arg, mul(MINUS_ONE, lam, T)))):
-                    new_fd = fderiv(
-                        Func(inner.name, (R_SYM,), inner.order),
-                        R_SYM, node.alpha)
-                    return mul(pow_(lam, node.alpha), new_fd)
-            return node
-        return rewrite(node, walk)
-
-    return walk(e)
 
 
 def _group_x_power(e: Expr):
@@ -163,43 +135,36 @@ def _group_x_power(e: Expr):
     return s, add(*parts)
 
 
+def _d_x(a: Expr, F: Expr, q: Expr):
+    """d/dx of x^a * F(r) at r = t*x^q, as the pair (a - 1, a*F + q*r*F')."""
+    return add(a, MINUS_ONE), add(mul(a, F), mul(q, R_SYM, diff(F, "r")))
+
+
 def similarity_substitute(spec: PdeSpec,
                           red: SimilarityReduction) -> SimilarityReduction:
-    """Substitute the group-invariant ansatz into the PDE.
+    """Substitute the group-invariant ansatz u = x^p h(t*x^q) into the PDE.
 
     Returns a copy of ``red`` carrying the derived reduced ODE (with the
     fractional term's coefficient equal to 1) and the stripped x-power s.
     """
-    u_sub = red.u_ansatz
-    frac = fderiv(u_sub, T, spec.alpha)
-    # the ansatz splits as x^p * h(...): RL linearity over the x-only factor
-    frac = _pull_x_factor(frac)
-    frac = _rescale_fd_nodes(frac)
+    p, q = red.p, red.q
+    h = func("h", (R_SYM,))
+    frac = mul(pow_(X, add(p, mul(q, spec.alpha))),
+               fderiv(h, R_SYM, spec.alpha))
 
-    convect = mul(num(spec.zeta), diff(pow_(u_sub, spec.m), "x", 1))
-    disperse = mul(spec.g.expr(), diff(pow_(u_sub, spec.n), "x", 3))
+    a, F = _d_x(mul(num(spec.m), p), pow_(h, spec.m), q)
+    convect = mul(num(spec.zeta), pow_(X, a), F)
 
-    total = add(frac, convect, disperse)
-    # express the leftover explicit t through r = t*x^q
-    total = substitute(total, {"t": mul(R_SYM, pow_(X, mul(MINUS_ONE, red.q)))})
-    s, reduced = _group_x_power(total)
+    a, F = mul(num(spec.n), p), pow_(h, spec.n)
+    for _ in range(3):
+        a, F = _d_x(a, F, q)
+    # g carries the one explicit t: express it through r = t*x^q
+    g = substitute(spec.g.expr(),
+                   {"t": mul(R_SYM, pow_(X, mul(MINUS_ONE, q)))})
+    disperse = mul(g, pow_(X, a), F)
+
+    s, reduced = _group_x_power(add(frac, convect, disperse))
     return replace(red, normalization_power=s, reduced_ode=reduced)
-
-
-def _pull_x_factor(e: Expr) -> Expr:
-    """FD(x^p * F, t, a) -> x^p * FD(F, t, a): x is constant along t."""
-    def walk(node: Expr) -> Expr:
-        if isinstance(node, FDeriv):
-            inner = node.expr
-            factors = inner.factors if isinstance(inner, Prod) else (inner,)
-            x_free = [f for f in factors if "t" not in free_symbols(f)]
-            rest = [f for f in factors if "t" in free_symbols(f)]
-            if x_free and rest:
-                return mul(*x_free, fderiv(mul(*rest), node.var, node.alpha))
-            return node
-        return rewrite(node, walk)
-
-    return walk(e)
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +260,9 @@ def compare_reduced_forms(derived: Expr, printed: Expr) -> ComparisonReport:
     for m in monos:
         d_coeff = d_groups.get(m, ZERO)
         p_coeff = p_groups.get(m, ZERO)
-        # d/d0 == p/p0  <=>  d*p0 - p*d0 == 0
-        cross = add(mul(d_coeff, p0), mul(MINUS_ONE, p_coeff, d0))
-        equal = is_zero_exact(cross)
+        # d/d0 == p/p0  <=>  d*p0/d0 - p == 0 (d0 != 0)
         normalized = mul(d_coeff, p0, inv_d0)
+        equal = is_zero_exact(add(normalized, mul(MINUS_ONE, p_coeff)))
         entries.append(CoefficientComparison(
             monomial=m, derived=normalized, printed=p_coeff, equal=equal))
     return ComparisonReport(entries=tuple(entries),

@@ -1,6 +1,7 @@
-"""Shared test helpers: seeded random expressions, rational sampling and
-the paper's printed scaling reductions."""
+"""Shared test helpers: seeded random expressions, rational sampling, the
+paper's printed scaling reductions and the tree-walk numeric evaluator."""
 
+import math
 import pathlib
 import random
 from fractions import Fraction as Q
@@ -8,7 +9,11 @@ from fractions import Fraction as Q
 import pytest
 
 from fracsym.cases import parse_printed_form
-from fracsym.expr import add, children, mul, num, pow_, sym
+from fracsym.expr import (
+    EvalError, FDeriv, Func, GammaF, Num, Pow, Prod, Sum, Sym, _KNOWN_FUNCS,
+    _eval_known_func, add, as_expr, children, mul, num, pow_, sym,
+)
+from fracsym.special import GammaPoleError, gamma_fn
 
 SYMBOL_POOL = ("x", "t", "u", "alpha", "b", "k")
 
@@ -67,3 +72,57 @@ def random_point(rng: random.Random, names=SYMBOL_POOL) -> dict:
 @pytest.fixture
 def rng():
     return random.Random(20240809)
+
+
+def tree_walk_eval(e, point=None, *, funcs=None, fd_handler=None) -> float:
+    """eval_numeric as it was before it compiled: one walk of the tree per
+    evaluation.  The reference for the compiled evaluator; ``fd_handler``
+    takes (node, point) as the compiled one does."""
+    point = point or {}
+
+    def ev(node):
+        if isinstance(node, Num):
+            try:
+                return float(node.c)
+            except OverflowError as exc:
+                raise EvalError("constant out of float range") from exc
+        if isinstance(node, Sym):
+            try:
+                return float(point[node.name])
+            except KeyError:
+                raise EvalError(f"unbound symbol {node.name!r}") from None
+        if isinstance(node, Sum):
+            return math.fsum(ev(t) for t in node.terms)
+        if isinstance(node, Prod):
+            out = 1.0
+            for f in node.factors:
+                out *= ev(f)
+            return out
+        if isinstance(node, Pow):
+            b = ev(node.base)
+            x = ev(node.exp)
+            try:
+                return b ** x
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise EvalError(f"power evaluation failed: {b}**{x}") from exc
+        if isinstance(node, GammaF):
+            try:
+                return gamma_fn(ev(node.arg))
+            except GammaPoleError as exc:
+                raise EvalError(str(exc)) from exc
+        if isinstance(node, Func):
+            if funcs and node.name in funcs:
+                if len(node.args) != 1:
+                    raise EvalError("only unary opaque functions are supported")
+                return funcs[node.name](ev(node.args[0]), node.order)
+            if node.name in _KNOWN_FUNCS and len(node.args) == 1:
+                return _eval_known_func(node.name, node.order, ev(node.args[0]))
+            raise EvalError(f"cannot evaluate function {node.name!r}")
+        if isinstance(node, FDeriv):
+            if fd_handler is not None:
+                return fd_handler(node, point)
+            raise EvalError(
+                "unresolved fractional-derivative node; use the grid numerics")
+        raise TypeError(type(node))
+
+    return ev(as_expr(e))

@@ -5,11 +5,13 @@ from fractions import Fraction as Q
 
 import pytest
 
-from fracsym import cases
+from fracsym import cases, cli
 from fracsym.cli import (
     SessionConfig, _build_parser, main, run_classify, run_fracderiv,
     run_reduce, run_verify,
 )
+from fracsym.expr import mul
+from fracsym.pde import Generator, U, X
 from fracsym.report import (
     STATUS_ADJUDICATED, STATUS_FAIL, STATUS_PASS, STATUS_SKIPPED, ReportDoc,
     emit_report, read_report,
@@ -92,6 +94,24 @@ class TestRunClassify:
         assert doc.case == "3.1"
         assert len(doc.generators) == 1
         assert doc.worst_status == STATUS_PASS
+
+    @pytest.mark.parametrize("m, n, triple", [
+        (2, 4, {"xi_t": "0", "xi_x": "x", "eta": "u"}),
+        (1, 1, {"xi_t": "0", "xi_x": "0", "eta": "u"}),
+    ])
+    def test_t_free_scaling_gets_a_weight_check(self, m, n, triple):
+        doc = run_classify(SessionConfig(g="k", m=m, n=n))
+        assert doc.generators[1] == triple
+        assert statuses(doc) == {"scaling_weights[X2]": STATUS_PASS}
+        assert doc.checks[0].detail == "term weights: 1, 1, 1"
+
+    def test_t_free_weight_check_can_fail(self, monkeypatch):
+        # x d/dx + 2u d/du is no symmetry at (2, 4): its term weights differ
+        monkeypatch.setattr(cli, "classify", lambda spec, M: [
+            Generator(0, 1, 0), Generator(0, X, mul(2, U))])
+        doc = run_classify(SessionConfig(g="k", m=2, n=4))
+        assert statuses(doc) == {"scaling_weights[X2]": STATUS_FAIL}
+        assert doc.checks[0].detail == "term weights: 2, 3, 5"
 
     def test_outside_catalog_reported_not_crashed(self):
         doc = run_classify(SessionConfig(alpha="1/2", g="k*(t-b)^(2/3)"))

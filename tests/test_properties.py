@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import subtrees
+from conftest import subtrees, tree_walk_eval
 from fracsym.expr import (
-    EvalError, ONE, ZERO, Pow, Prod, SimplifyError, Sum, add, eval_numeric,
-    _monic_sum, fderiv, func, gammaf, mul, num, pow_, rebuild, replace_node,
-    simplify, substitute, sym, to_text,
+    EvalError, ONE, ZERO, Pow, Prod, SimplifyError, Sum, add, compile_numeric,
+    eval_numeric, _monic_sum, fderiv, func, gammaf, mul, num, pow_, rebuild,
+    replace_node, simplify, substitute, sym, to_text,
 )
 from fracsym.fracnum import gl_weights
 from fracsym.parser import parse_expression
@@ -186,6 +186,66 @@ class TestRewritingWalks:
         assert simplify(Pow(e, ONE)) == e
         if isinstance(e, Sum):
             assert simplify(Sum(tuple(reversed(e.terms)))) == e
+
+
+def _opaque_h(x, order):
+    return math.exp(-x) * (order + 1)
+
+
+def _fd_value(node, point):
+    # depends on the node and the point, so a misrouted node shows
+    return len(to_text(node)) * 0.125 + point["t"]
+
+
+def _outcome(evaluate):
+    """The value's exact bits, or the exception's type and message."""
+    try:
+        value = evaluate()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return value.hex() if isinstance(value, float) else repr(value)
+
+
+class TestCompiledEvaluation:
+    """compile_numeric is bitwise the tree walk it replaced, failures
+    included."""
+
+    @given(rich_exprs(), st.floats(0.2, 1.8), st.floats(0.2, 1.8),
+           st.booleans())
+    # multiplied in the reverse order, this product differs in its last bit
+    @example(mul(Q(1, 3), sym("x"), sym("t"), sym("u"), sym("alpha")),
+             0.22, 1.1, False)
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_the_tree_walk(self, e, xv, tv, bind_all):
+        point = {"x": xv, "t": tv, "u": 1.3, "alpha": 0.4}
+        if bind_all:
+            point.update(b=0.7, k=1.1)
+        kwargs = {"funcs": {"h": _opaque_h}, "fd_handler": _fd_value}
+        want = _outcome(lambda: tree_walk_eval(e, point, **kwargs))
+        fn = compile_numeric(e, **kwargs)
+        assert _outcome(lambda: fn(point)) == want
+        # and again at a second point through the same compiled tree
+        point["x"] += 0.25
+        want = _outcome(lambda: tree_walk_eval(e, point, **kwargs))
+        assert _outcome(lambda: fn(point)) == want
+        assert _outcome(lambda: eval_numeric(e, point, **kwargs)) == want
+
+    @pytest.mark.parametrize("e, point, message", [
+        (mul(sym("x"), sym("w")), {"x": 1.0}, "unbound symbol 'w'"),
+        (gammaf(sym("b")), {"b": 0.0}, "gamma pole at 0.0"),
+        (add(sym("x"), num(10 ** 400)), {"x": 1.0},
+         "constant out of float range"),
+        (pow_(sym("x"), -1), {"x": 0.0}, "power evaluation failed"),
+        (func("g", (sym("t"),)), {"t": 1.0}, "cannot evaluate function 'g'"),
+        (fderiv(func("h", (sym("t"),)), "t", num(Q(1, 2))), {"t": 1.0},
+         "unresolved fractional-derivative node"),
+    ], ids=["unbound", "pole", "overflow", "zero-power", "opaque", "fd"])
+    def test_same_failure(self, e, point, message):
+        want = _outcome(lambda: tree_walk_eval(e, point))
+        assert want[0] == "EvalError" and message in want[1]
+        fn = compile_numeric(e)          # compiling never fails
+        assert _outcome(lambda: fn(point)) == want
+        assert _outcome(lambda: eval_numeric(e, point)) == want
 
 
 def per_pair_product(a, b):

@@ -1,29 +1,37 @@
 """Reduction-engine tests: invariants, substitution, adjudication, kernel."""
 
+import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import PAPER_SECTIONS, paper_print
-from fracsym.calculus import collect_terms
+import test_symmetry
+from conftest import PAPER_SECTIONS, paper_print, tree_walk_eval
+from fracsym.calculus import collect_terms, diff
 from fracsym.cases import (
-    classification_case, load_printed_form, spec_for_case,
+    CLASSIFICATION_CASES, classification_case, load_printed_form,
+    spec_for_case,
 )
 from fracsym.expr import (
-    ZERO, MINUS_ONE, add, eval_numeric, fderiv, func, gammaf,
-    is_zero_exact, mul, num, pow_, substitute, sym, to_text,
+    ZERO, MINUS_ONE, EvalError, FDeriv, Func, Pow, Prod, add, eval_numeric,
+    fderiv, free_symbols, func, gammaf, is_zero_exact, mul, num, pow_,
+    rewrite, substitute, sym, to_text,
 )
 from fracsym.fracnum import (
-    fode_residual_on_grid, pde_residual_on_grid, relative_deviation,
-    rl_power_rule,
+    _rl_time_derivative_value, fode_residual_on_grid, pde_residual_on_grid,
+    power_profile, relative_deviation, rl_power_rule,
 )
 from fracsym.pde import (
-    ALPHA, B, K, T, U, X, CoeffForm, CoeffTag, Generator, PdeSpec,
+    ALPHA, B, K, T, U, X, CoeffForm, CoeffTag, Generator, PdeModelError,
+    PdeSpec,
 )
 from fracsym.reduction import (
-    ReductionError, characteristic_invariants, compare_reduced_forms,
-    kernel_solution, reduced_residual_identity_check, similarity_substitute,
+    ReductionError, _group_x_power, _reduced_monomials,
+    characteristic_invariants, compare_reduced_forms, kernel_solution,
+    reduced_residual_identity_check, similarity_substitute,
 )
 from fracsym.symmetry import classify, rl_partial_t
 
@@ -190,6 +198,29 @@ class TestCompareReducedForms:
         assert not report.all_equal
         assert [to_text(m.monomial) for m in report.mismatches()] \
             == ["h(r)^3"]
+
+    @pytest.mark.parametrize("cls_key", sorted(ACCEPTANCE_INVARIANTS))
+    def test_equal_is_the_cross_multiplied_identity(self, cls_key):
+        # each entry decides d/d0 == p/p0 as d*p0 - p*d0 == 0 would
+        spec = spec_for_case(cls_key)
+        red = similarity_substitute(
+            spec, characteristic_invariants(scaling_of(cls_key)))
+        printed = load_printed_form("2.1", spec)
+        derived = _reduced_monomials(red.reduced_ode)
+        fd = fderiv(h, r, spec.alpha)
+        d0 = derived[fd]
+        for fault in (ZERO, mul(K, pow_(h, 3)), mul(B, r, h, hp),
+                      pow_(r, 5)):
+            stored = _reduced_monomials(add(printed, fault))
+            p0 = stored[fd]
+            report = compare_reduced_forms(red.reduced_ode,
+                                           add(printed, fault))
+            for entry in report.entries:
+                cross = add(mul(derived.get(entry.monomial, ZERO), p0),
+                            mul(MINUS_ONE, stored.get(entry.monomial, ZERO),
+                                d0))
+                assert entry.equal == is_zero_exact(cross)
+            assert report.all_equal == (fault == ZERO)
 
     def test_f_and_h_are_the_same_unknown(self):
         stored = paper_print("3.2")  # written with f(r)
@@ -370,3 +401,214 @@ class TestKernelSolution:
         # independent numeric check of the annihilation
         for a in (Q(1, 4), Q(1, 3), Q(1, 2), Q(3, 4)):
             assert rl_power_rule(a - 1, a, 1.7) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the chain-rule derivation the pair derivation replaced
+
+
+def _chain_rule_pull_x_factor(e):
+    """FD(x^p * F, t, a) -> x^p * FD(F, t, a): x is constant along t."""
+    def walk(node):
+        if isinstance(node, FDeriv):
+            inner = node.expr
+            factors = inner.factors if isinstance(inner, Prod) else (inner,)
+            x_free = [f for f in factors if "t" not in free_symbols(f)]
+            rest = [f for f in factors if "t" in free_symbols(f)]
+            if x_free and rest:
+                return mul(*x_free, fderiv(mul(*rest), node.var, node.alpha))
+            return node
+        return rewrite(node, walk)
+
+    return walk(e)
+
+
+def _chain_rule_rescale_fd_nodes(e):
+    """FD(h(t*lam(x)), t, a) -> lam^a * FD(h(r), r, a)."""
+    def walk(node):
+        if isinstance(node, FDeriv):
+            inner = node.expr
+            if (isinstance(inner, Func) and len(inner.args) == 1
+                    and node.var == T):
+                arg = inner.args[0]
+                lam = substitute(arg, {"t": 1})
+                if ("t" not in free_symbols(lam)
+                        and is_zero_exact(add(arg, mul(MINUS_ONE, lam, T)))):
+                    new_fd = fderiv(Func(inner.name, (r,), inner.order),
+                                    r, node.alpha)
+                    return mul(pow_(lam, node.alpha), new_fd)
+            return node
+        return rewrite(node, walk)
+
+    return walk(e)
+
+
+def chain_rule_substitute(spec, red):
+    """similarity_substitute as it was: build u = x^p h(t*x^q), take the
+    t-derivative and the x-derivatives through the chain rule, then rewrite
+    every t as r*x^-q."""
+    u_sub = mul(pow_(X, red.p), func("h", (red.r_expr,)))
+    frac = _chain_rule_rescale_fd_nodes(
+        _chain_rule_pull_x_factor(fderiv(u_sub, T, spec.alpha)))
+    convect = mul(num(spec.zeta), diff(pow_(u_sub, spec.m), "x", 1))
+    disperse = mul(spec.g.expr(), diff(pow_(u_sub, spec.n), "x", 3))
+    total = substitute(add(frac, convect, disperse),
+                       {"t": mul(r, pow_(X, mul(MINUS_ONE, red.q)))})
+    s, reduced = _group_x_power(total)
+    return replace(red, normalization_power=s, reduced_ode=reduced)
+
+
+def _derive(derivation, spec, gen):
+    """(s, reduced ODE) of one derivation, or the error it raised."""
+    try:
+        red = derivation(spec, characteristic_invariants(gen))
+    except (ReductionError, PdeModelError) as exc:
+        return type(exc).__name__, str(exc)
+    return red.normalization_power, red.reduced_ode
+
+
+class TestPairDerivation:
+    """The pair derivation in r gives exactly what the chain rule in (x, t)
+    gave, for every generator of every case."""
+
+    SHAPES = sorted({(m, n) for m, n, _ in
+                     test_symmetry.TestStoredResidual.SHAPES}
+                    | {(1, 1), (2, 4)})
+
+    @pytest.mark.parametrize("case", sorted(CLASSIFICATION_CASES))
+    def test_equals_the_chain_rule(self, case):
+        compared = 0
+        for (m, n), zeta in itertools.product(self.SHAPES, (1, -1)):
+            spec = CLASSIFICATION_CASES[case].spec(m=m, n=n, zeta=zeta)
+            for gen in classify(spec):
+                want = _derive(chain_rule_substitute, spec, gen)
+                assert _derive(similarity_substitute, spec, gen) == want, \
+                    (case, m, n, zeta, gen.as_text_triple())
+                compared += 1
+        assert compared >= 2 * len(self.SHAPES)
+
+
+def _h_degree(mono) -> int:
+    factors = mono.factors if isinstance(mono, Prod) else (mono,)
+    degree = 0
+    for f in factors:
+        base, exp = (f.base, f.exp) if isinstance(f, Pow) else (f, num(1))
+        if isinstance(base, Func) and base.name == "h":
+            degree += int(exp.value)
+    return degree
+
+
+class TestZetaFlip:
+    """Flipping zeta negates the convection monomials of the reduced ODE
+    and nothing else, for (m, n) off the 3m - n - 2 = 0 locus.  The
+    convection monomials are those of h-degree m; at m = n the dispersion
+    term shares them, so m = n is left out."""
+
+    @given(st.integers(1, 5), st.integers(1, 6),
+           st.sampled_from(["generic", "1/2", "1/3"]),
+           st.sampled_from(["k", "k*t^b"]))
+    @settings(max_examples=25, deadline=None)
+    def test_only_convection_changes_sign(self, m, n, alpha, g):
+        assume(3 * m - n - 2 != 0 and m != n)
+        case = {"k": "1.3", "k*t^b": "1.2"}[g]
+        reduced = {}
+        for zeta in (1, -1):
+            spec = classification_case(case).spec(m=m, n=n, zeta=zeta)
+            if alpha != "generic":
+                spec = replace(spec, alpha=num(Q(alpha)))
+            gens = classify(spec)
+            assert len(gens) == 2
+            reduced[zeta] = _derive(similarity_substitute, spec, gens[1])
+        plus, minus = reduced[1], reduced[-1]
+        assert minus[0] == plus[0]
+        groups_plus = _reduced_monomials(plus[1])
+        groups_minus = _reduced_monomials(minus[1])
+        assert groups_plus.keys() == groups_minus.keys()
+        flipped = 0
+        for mono, coeff in groups_plus.items():
+            # the FD monomial has h-degree 0, a dispersion one n != m
+            convection = _h_degree(mono) == m
+            want = mul(MINUS_ONE, coeff) if convection else coeff
+            assert groups_minus[mono] == want, to_text(mono)
+            flipped += convection
+        assert flipped >= 1
+
+
+# ---------------------------------------------------------------------------
+# the grid oracle against the tree-walk evaluator
+
+
+def tree_walk_pde_residual(spec, u_expr, points):
+    """pde_residual_on_grid as it was: every term walked at every point."""
+    alpha = float(spec.alpha.value)
+    profile = power_profile(u_expr, ("x", "t"))
+    convect = diff(pow_(u_expr, spec.m), "x", 1)
+    disperse = diff(pow_(u_expr, spec.n), "x", 3)
+    out = []
+    for xv, tv in points:
+        point = {"x": float(xv), "t": float(tv)}
+        value = (_rl_time_derivative_value(profile, alpha, xv, tv)
+                 + spec.zeta * tree_walk_eval(convect, point))
+        if disperse != ZERO:
+            value += (tree_walk_eval(spec.g.expr(), point)
+                      * tree_walk_eval(disperse, point))
+        out.append(value)
+    return out
+
+
+def tree_walk_fode_residual(reduced_ode, h_expr, r_points):
+    """fode_residual_on_grid as it was: the ODE walked at every point, a
+    derivative of h walked at every use."""
+    profile = power_profile(h_expr, ("r",))
+
+    def h_eval(rv, order):
+        return tree_walk_eval(diff(h_expr, "r", order) if order else h_expr,
+                              {"r": rv})
+
+    def fd_handler(node, point):
+        total = 0.0
+        for coeff, exps in profile:
+            total += coeff * rl_power_rule(exps.get("r", Q(0)),
+                                           float(node.alpha.value),
+                                           point["r"])
+        return total
+
+    return [tree_walk_eval(reduced_ode, {"r": float(rv)},
+                           funcs={"h": h_eval}, fd_handler=fd_handler)
+            for rv in r_points]
+
+
+class TestCompiledGridResiduals:
+    """The compiled grid residuals are bitwise those of the tree walk."""
+
+    PTS = seeded_points(1234, 20)
+
+    @pytest.mark.parametrize("case", ["1.3", "2.2", "3.2", "3.3"])
+    def test_bitwise_equal_to_the_tree_walk(self, case):
+        spec = classification_case(case).spec(k=1, b=2)
+        if case == "1.3":
+            spec = replace(spec, alpha=num(Q(1, 4)))
+        for gen in classify(spec):
+            red = similarity_substitute(spec, characteristic_invariants(gen))
+            q = float(eval_numeric(red.q))
+            rs = [tv * xv ** q for xv, tv in self.PTS]
+            for h_test in (r, mul(r, r), mul(r, r, r)):
+                u_expr = mul(pow_(X, red.p),
+                             substitute(h_test, {"r": red.r_expr}))
+                got = pde_residual_on_grid(spec, u_expr, self.PTS)
+                want = tree_walk_pde_residual(spec, u_expr, self.PTS)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+                got = fode_residual_on_grid(red.reduced_ode, h_test, rs)
+                want = tree_walk_fode_residual(red.reduced_ode, h_test, rs)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_empty_point_lists_evaluate_nothing(self):
+        # compiling never fails: a tree no point could evaluate gives []
+        unresolvable = add(fderiv(h, r, ALPHA), num(10 ** 400))
+        assert fode_residual_on_grid(unresolvable, r, []) == []
+        with pytest.raises(EvalError, match="constant out of float range"):
+            fode_residual_on_grid(unresolvable, r, [1.0])
+        spec = PdeSpec(alpha=num(Q(1, 2)), g=CoeffForm(CoeffTag.ARBITRARY))
+        assert pde_residual_on_grid(spec, mul(X, T), []) == []
+        with pytest.raises(EvalError, match="cannot evaluate function 'g'"):
+            pde_residual_on_grid(spec, mul(X, T), [(1.0, 1.0)])

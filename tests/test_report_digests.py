@@ -26,6 +26,12 @@ CATALOG_ARGV = (
     + [("reduce", "--case", c) for c in SCALING_CASES]
 )
 
+# off K(2,3), on 3m - n - 2 = 0: a t-free scaling with its weight check
+DEGENERATE_ARGV = [
+    ("classify", "--m", "2", "--n", "4", "--g", "k"),
+    ("classify", "--m", "1", "--n", "1", "--g", "k"),
+]
+
 VERIFY_ARGV = [
     ("verify", "--m", "2", "--n", "3", "--alpha", "generic", "--g", "k*t^b",
      "--xi-t", "-t", "--xi-x", "((1)*(2*alpha - b)/(1) - alpha)*x",
@@ -122,6 +128,10 @@ DIGESTS = {
         '527581048227d9adca8e2c773d0648eabd4cc65b020257540f62eaaa12e66368',
     'verify --m 3 --n 2 --alpha 1/3 --g k --xi-t -t + (1/4) --xi-x ((2)*(2*(1/3))/(5) - (1/3))*x --eta ((2*(1/3))/(5))*u':
         '09af3940a24aff148478aacefd875494b04fdcb45678c0a136504bcbfe3daf3a',
+    'classify --m 2 --n 4 --g k':
+        'c4b674ef94ecc03fbcae845c381832227f5deabe43adfe07aa93c759b1e2387a',
+    'classify --m 1 --n 1 --g k':
+        'dc528e6f6ffe3664decffb33b29f3fd05dcc62174da0f38296b7b19fb66814af',
 }
 
 FRAC_DERIV_DIGESTS = {
@@ -165,7 +175,8 @@ def _label(argv) -> str:
     return " ".join(argv)
 
 
-@pytest.mark.parametrize("argv", CATALOG_ARGV + VERIFY_ARGV, ids=_label)
+@pytest.mark.parametrize("argv", CATALOG_ARGV + VERIFY_ARGV + DEGENERATE_ARGV,
+                         ids=_label)
 def test_report_is_byte_identical(argv, tmp_path):
     got = report_digest(argv, tmp_path)
     assert got == DIGESTS[_label(argv)], (
@@ -185,7 +196,8 @@ if __name__ == "__main__":
 
     pins = {**DIGESTS, **FRAC_DERIV_DIGESTS}
     with tempfile.TemporaryDirectory() as tmp:
-        for argv in CATALOG_ARGV + VERIFY_ARGV + FRAC_DERIV_ARGV:
+        for argv in (CATALOG_ARGV + VERIFY_ARGV + DEGENERATE_ARGV
+                     + FRAC_DERIV_ARGV):
             digest = report_digest(argv, pathlib.Path(tmp))
             if digest != pins[_label(argv)]:
                 print(f"{_label(argv)}: {pins[_label(argv)]} → {digest}")
