@@ -12,7 +12,7 @@ oracle (Riemann-Liouville power rule plus a Grünwald-Letnikov scheme).
 
 __version__ = "0.1.0"
 
-from .calculus import JetContext, collect_terms, diff, total_derivative_t
+from .calculus import JetContext, diff, total_derivative_t
 from .expr import (
     Expr, Rational,
     add, eval_numeric, fderiv, func, gammaf, mul, num, pow_, simplify,
@@ -25,7 +25,7 @@ from .fracnum import (
 from .parser import parse_expression
 from .pde import (
     CoeffForm, CoeffTag, Generator, PdeSpec, ScalingWeights,
-    pde_residual, scaling_invariance_check, term_weights,
+    scaling_invariance_check, term_weights,
 )
 from .reduction import (
     SimilarityReduction, characteristic_invariants, compare_reduced_forms,
@@ -43,10 +43,10 @@ __all__ = [
     "gammaf", "fderiv", "simplify", "substitute", "eval_numeric", "to_text",
     "parse_expression",
     # calculus
-    "JetContext", "diff", "total_derivative_t", "collect_terms",
+    "JetContext", "diff", "total_derivative_t",
     # model
     "PdeSpec", "CoeffForm", "CoeffTag", "Generator", "ScalingWeights",
-    "pde_residual", "term_weights", "scaling_invariance_check",
+    "term_weights", "scaling_invariance_check",
     # symmetry
     "classify", "determining_system", "eta_alpha", "integer_prolongations",
     "invariance_residual",

@@ -1,4 +1,4 @@
-"""Differentiation, jet coordinates, and coefficient collection.
+"""Differentiation and jet coordinates.
 
 ``diff`` is a partial derivative unless a :class:`JetContext` is supplied,
 in which case it acts as the total derivative: jet symbols (u, u_x, u_xt,
@@ -8,68 +8,48 @@ in which case it acts as the total derivative: jet symbols (u, u_x, u_xt,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .expr import (
     Expr, Num, Sym, Sum, Prod, Pow, Func, GammaF, FDeriv,
     ExprError, ZERO, ONE, MINUS_ONE,
     add, mul, pow_, sym, as_expr, children, free_symbols, contains_symbol,
-    contains_node,
 )
 
 __all__ = [
-    "DiffError", "CollectError", "JetContext",
-    "diff", "total_derivative_t", "split_by", "collect_terms",
+    "DiffError", "JetContext",
+    "diff", "total_derivative_t", "split_by",
     "jet_bindings", "is_polynomial_in",
 ]
+
+# the jet coordinates of u(t, x): spatial derivatives up to fifth order
+# (the dispersion term needs three), time derivatives up to tenth
+_DEPENDENT = "u"
+_MAX_X_ORDER = 5
+_MAX_T_ORDER = 10
 
 
 class DiffError(ExprError):
     """Unsupported differentiation (fractional nodes, opaque multi-arg)."""
 
 
-class CollectError(ExprError):
-    """A term of the expression is not representable over the given basis."""
-
-    def __init__(self, message, offending=None):
-        super().__init__(message)
-        self.offending = offending
-
-
-@dataclass(frozen=True)
 class JetContext:
-    """Coordinates (t, x, u, u_x, u_t, ...) for total derivatives.
-
-    ``order`` caps the spatial derivative count and must be at least 3 for
-    the third-order dispersion term.
-    """
-
-    independent: tuple = ("t", "x")
-    dependent: str = "u"
-    order: int = 5
-    max_time_order: int = 10
-
-    def __post_init__(self):
-        if self.dependent in self.independent:
-            raise ValueError("dependent variable collides with an independent")
-        if self.order < 3:
-            raise ValueError("spatial order must be >= 3")
+    """Coordinates (t, x, u, u_x, u_t, ...) for total derivatives; the one
+    owner of the jet-symbol names ``u_<x...><t...>``."""
 
     def jet(self, nx: int, nt: int) -> Sym:
         if nx == 0 and nt == 0:
-            return sym(self.dependent)
-        if nx > self.order:
+            return sym(_DEPENDENT)
+        if nx > _MAX_X_ORDER:
             raise DiffError(f"spatial jet order {nx} exceeds context cap "
-                            f"{self.order}")
-        if nt > self.max_time_order:
+                            f"{_MAX_X_ORDER}")
+        if nt > _MAX_T_ORDER:
             raise DiffError(f"time jet order {nt} exceeds context cap")
-        return sym(f"{self.dependent}_{'x' * nx}{'t' * nt}")
+        return sym(f"{_DEPENDENT}_{'x' * nx}{'t' * nt}")
 
     def parse_jet(self, name: str):
         """(nx, nt) for a jet symbol name, or None."""
-        if name == self.dependent:
+        if name == _DEPENDENT:
             return (0, 0)
-        prefix = self.dependent + "_"
+        prefix = _DEPENDENT + "_"
         if not name.startswith(prefix):
             return None
         tail = name[len(prefix):]
@@ -209,31 +189,6 @@ def is_polynomial_in(e: Expr, names) -> bool:
     return ok(e)
 
 
-# ---------------------------------------------------------------------------
-# coefficient collection
-
-
-def _basis_parts(basis_monos):
-    """Symbols plus non-symbol atoms a factor may contain."""
-    syms: set[str] = set()
-    nodes: list[Expr] = []
-
-    def scan(e: Expr):
-        if isinstance(e, Sym):
-            syms.add(e.name)
-        elif isinstance(e, (Func, GammaF, FDeriv)):
-            nodes.append(e)
-        elif isinstance(e, Pow):
-            scan(e.base)  # exponent symbols may still appear in coefficients
-        else:
-            for c in children(e):
-                scan(c)
-
-    for m in basis_monos:
-        scan(m)
-    return syms, nodes
-
-
 def split_by(e: Expr, belongs) -> dict:
     """Group a canonical expression by monomials of selected factors.
 
@@ -263,41 +218,13 @@ def split_by(e: Expr, belongs) -> dict:
     return {mono: add(*parts) for mono, parts in groups.items()}
 
 
-def collect_terms(e: Expr, basis) -> dict:
-    """Write e exactly as sum(coeff[m] * m) over the given monomial basis.
-
-    Raises :class:`CollectError` (naming the offending term) when a term is
-    not a coefficient times a basis monomial, or when a coefficient still
-    contains basis symbols.
-    """
-    basis = [as_expr(m) for m in basis]
-    basis_set = {m: m for m in basis}
-    syms, nodes = _basis_parts(basis)
-
-    def belongs(f: Expr) -> bool:
-        if contains_symbol(f, syms):
-            return True
-        return any(contains_node(f, n) for n in nodes)
-
-    grouped = split_by(as_expr(e), belongs)
-    out: dict[Expr, Expr] = {}
-    for mono, coeff in grouped.items():
-        if coeff == ZERO:
-            continue
-        if mono not in basis_set:
-            raise CollectError(
-                f"term not expressible over the basis: {mono}", offending=mono)
-        out[basis_set[mono]] = coeff
-    return out
-
-
 def jet_bindings(u_expr: Expr, ctx: JetContext, max_x: int = 3,
                  max_t: int = 2) -> dict:
     """Bindings replacing jet symbols by derivatives of an explicit u(x, t).
 
     Useful for evaluating jet-space expressions along a concrete trajectory.
     """
-    out = {ctx.dependent: u_expr}
+    out = {_DEPENDENT: u_expr}
     for nx in range(max_x + 1):
         for nt in range(max_t + 1):
             if nx == 0 and nt == 0:

@@ -124,26 +124,21 @@ class SessionConfig:
         return cfg
 
 
-_INT_KEYS = {"m", "n", "zeta", "truncation", "seed"}
-_FLOAT_KEYS = {"tol_rel", "dt"}
+# a setting's type is that of its default, for config files and flags alike
+_KINDS = {f.name: type(f.default) for f in fields(SessionConfig)}
+_NEEDS = {int: "an integer", float: "a number"}
 
 
 def _apply_config_value(cfg: SessionConfig, key: str, value: str,
                         where: str) -> SessionConfig:
     key = key.replace("-", "_")
-    if key not in {f.name for f in fields(SessionConfig)}:
+    if key not in _KINDS:
         raise CliError(f"config {where}: unknown key {key!r}")
-    if key in _INT_KEYS:
-        try:
-            return replace(cfg, **{key: int(value)})
-        except ValueError:
-            raise CliError(f"config {where}: {key} needs an integer") from None
-    if key in _FLOAT_KEYS:
-        try:
-            return replace(cfg, **{key: float(value)})
-        except ValueError:
-            raise CliError(f"config {where}: {key} needs a number") from None
-    return replace(cfg, **{key: value})
+    kind = _KINDS[key]
+    try:
+        return replace(cfg, **{key: kind(value)})
+    except ValueError:
+        raise CliError(f"config {where}: {key} needs {_NEEDS[kind]}") from None
 
 
 def _seeded_points(cfg: SessionConfig, count: int = 20,
@@ -233,13 +228,13 @@ def run_reduce(cfg: SessionConfig, generator_index: int) -> ReportDoc:
         return doc
 
     doc.invariants = {"r": to_text(red.r_expr), "z": to_text(red.z_expr)}
-    doc.reduced_ode = to_text(red.reduced_ode)
 
     # the translation print holds for every (m, n, zeta); the scaling print
     # was derived for K(2,3) only
     section = "1" if red.translation_case else "2.1"
     label = f"printed_form[{section}]"
     if section == "2.1" and (spec.m, spec.n) != (2, 3):
+        doc.reduced_ode = to_text(red.reduced_ode)
         doc.add_check(label, STATUS_SKIPPED,
                       detail=f"the printed scaling form is K(2,3)'s; this "
                              f"spec has (m, n) = ({spec.m}, {spec.n})")
@@ -407,19 +402,9 @@ def _common_flags() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--case", choices=sorted(CLASSIFICATION_CASES),
                    help="preset (alpha, g) from the classification table")
-    p.add_argument("--alpha")
-    p.add_argument("--g")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--zeta", type=int, choices=(1, -1))
-    p.add_argument("--truncation", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tol-rel", type=float, dest="tol_rel")
-    p.add_argument("--out")
-    p.add_argument("--oracle-alpha", dest="oracle_alpha")
-    p.add_argument("--oracle-b", dest="oracle_b")
-    p.add_argument("--oracle-k", dest="oracle_k")
-    p.add_argument("--dt", type=float)
+    for name, kind in _KINDS.items():
+        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind,
+                       choices=(1, -1) if name == "zeta" else None)
     return p
 
 
@@ -434,12 +419,10 @@ def _config_from_args(args) -> SessionConfig:
     if args.case:
         case = classification_case(args.case)
         cfg = replace(cfg, alpha=case.alpha, g=case.g)
-    for key in ("alpha", "g", "m", "n", "zeta", "truncation", "seed",
-                "tol_rel", "out", "oracle_alpha", "oracle_b", "oracle_k",
-                "dt"):
-        value = getattr(args, key, None)
+    for name in _KINDS:
+        value = getattr(args, name)
         if value is not None:
-            cfg = replace(cfg, **{key: value})
+            cfg = replace(cfg, **{name: value})
     return cfg
 
 

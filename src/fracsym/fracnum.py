@@ -8,7 +8,7 @@ spacing).  The RL lower terminal is fixed at 0 throughout.
 
 The GL value is taken at the last grid node only: one extended-precision
 dot product of the weights with the reversed history, O(N) in the number
-of samples, in NumPy.
+of samples, in NumPy.  The sum always covers the full history from t = 0.
 """
 
 from __future__ import annotations
@@ -76,9 +76,6 @@ class Grid:
     def dt(self) -> float:
         return (self.t1 - self.t0) / (self.steps - 1)
 
-    def nodes(self) -> np.ndarray:
-        return np.linspace(self.t0, self.t1, self.steps)
-
     @classmethod
     def sample(cls, fn, t0: float, t1: float, steps: int) -> "Grid":
         ts = np.linspace(t0, t1, steps)
@@ -88,16 +85,10 @@ class Grid:
 @dataclass(frozen=True)
 class FracConfig:
     alpha: float
-    history_start: float = 0.0
-    truncation: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise FracDomainError("alpha must lie in (0, 1)")
-        if self.history_start < 0.0:
-            raise FracDomainError("history start must be >= 0")
-        if self.truncation is not None and self.truncation < 1:
-            raise FracDomainError("truncation window must be >= 1")
 
 
 def rl_power_rule(p, alpha: float, t: float) -> float:
@@ -138,19 +129,16 @@ def gl_rl_derivative(samples: Grid, cfg: FracConfig) -> float:
     """Grünwald-Letnikov approximation of the RL derivative at samples.t1.
 
     (D^a f)(t_j) ~ dt^-a * sum_{i<=j} w_i f(t_{j-i}), evaluated at the last
-    node j = N-1 as one long-double dot product (the history is windowed to
-    cfg.truncation terms when set); first-order accurate for smooth f with
-    f(history_start) = 0.  The samples must start at the lower terminal
-    (samples.t0 == cfg.history_start).
+    node j = N-1 as one long-double dot product over the full history;
+    first-order accurate for smooth f with f(0) = 0.  The samples must
+    start at the lower terminal (samples.t0 == 0).
     """
-    if abs(samples.t0 - cfg.history_start) > 1e-12:
+    if abs(samples.t0) > 1e-12:
         raise FracDomainError(
             "samples must start at the RL lower terminal "
-            f"({samples.t0} != {cfg.history_start})")
-    n = samples.steps
-    m = n if cfg.truncation is None else min(cfg.truncation, n)
-    w = gl_weights(cfg.alpha, m).astype(np.longdouble)
-    history = samples.values[::-1][:m].astype(np.longdouble)
+            f"({samples.t0} != 0.0)")
+    w = gl_weights(cfg.alpha, samples.steps).astype(np.longdouble)
+    history = samples.values[::-1].astype(np.longdouble)
     value = np.float64(np.dot(w, history))
     return float(value * samples.dt ** (-cfg.alpha))
 

@@ -1,4 +1,4 @@
-"""The time-fractional K(m,n) family: residual construction and the exact
+"""The time-fractional K(m,n) family: its specification and the exact
 scaling-weight homogeneity check behind every scaling symmetry.
 
 The equation is  D^a_t u + zeta*(u^m)_x + g(t)*(u^n)_xxx = 0  on t > 0 with
@@ -12,17 +12,17 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .calculus import JetContext, diff
+from .calculus import diff
 from .expr import (
     Expr, Num, Pow, Prod, Func, ExprError,
-    add, mul, pow_, num, sym, func, fderiv, as_expr, free_symbols,
+    add, mul, pow_, num, sym, func, as_expr, free_symbols,
     is_zero_exact, to_text, ZERO, ONE, MINUS_ONE,
 )
 
 __all__ = [
     "CoeffTag", "CoeffForm", "PdeSpec", "Generator", "ScalingWeights",
     "PdeModelError", "NotWeightHomogeneous",
-    "pde_residual", "term_weights", "scaling_invariance_check",
+    "term_weights", "scaling_invariance_check",
     "coeff_form_from_text", "T", "X", "U", "ALPHA", "B", "K",
 ]
 
@@ -188,10 +188,6 @@ class PdeSpec:
         if self.zeta not in (1, -1):
             raise PdeModelError("zeta must be +1 or -1")
 
-    @property
-    def alpha_is_classical(self) -> bool:
-        return isinstance(self.alpha, Num) and self.alpha.value == 1
-
 
 @dataclass(frozen=True)
 class Generator:
@@ -272,22 +268,6 @@ class ScalingWeights:
         object.__setattr__(self, "w_u", as_expr(self.w_u))
         if self.w_t == ZERO and self.w_x == ZERO and self.w_u == ZERO:
             raise PdeModelError("at least one weight must be nonzero")
-
-
-def pde_residual(spec: PdeSpec, ctx: JetContext | None = None) -> Expr:
-    """Left-hand side of the equation, fully expanded in jet symbols.
-
-    The classical limit alpha = 1 produces the u_t jet symbol instead of a
-    fractional-derivative node.
-    """
-    ctx = ctx or JetContext()
-    if spec.alpha_is_classical:
-        frac = ctx.jet(0, 1)
-    else:
-        frac = fderiv(U, T, spec.alpha)
-    convect = mul(num(spec.zeta), diff(pow_(U, spec.m), "x", 1, ctx))
-    disperse = mul(spec.g.expr(), diff(pow_(U, spec.n), "x", 3, ctx))
-    return add(frac, convect, disperse)
 
 
 def term_weights(spec: PdeSpec, w: ScalingWeights) -> list[Expr]:

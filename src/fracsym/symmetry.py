@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from typing import ClassVar
 
 from .cases import alpha_kind
 from .calculus import (
@@ -136,7 +137,6 @@ class ProlongationResult:
     eta_x: Expr
     eta_xx: Expr
     eta_xxx: Expr
-    series_truncation: int
     residual_series_terms: tuple[SeriesTerm, ...]
 
 
@@ -218,7 +218,6 @@ def eta_alpha(gen: Generator, alpha, M: int = DEFAULT_TRUNCATION,
     return ProlongationResult(
         eta_alpha=add(head, *tail),
         eta_x=ex, eta_xx=exx, eta_xxx=exxx,
-        series_truncation=M,
         residual_series_terms=tuple(series),
     )
 
@@ -273,12 +272,7 @@ class DeterminingSystem:
     equations: list[Expr]
     rows: list[tuple[Expr, ...]]
     residual: Expr
-    unknowns: tuple[Sym, ...] = _UNKNOWNS
-
-    def is_solution(self, a0, a1, e, c) -> bool:
-        binding = _ansatz_binding(a0, a1, e, c)
-        return all(is_zero_exact(substitute(eq, binding))
-                   for eq in self.equations)
+    unknowns: ClassVar[tuple[Sym, ...]] = _UNKNOWNS
 
     def nullspace(self) -> list[tuple[Expr, ...]]:
         """Basis (a0, a1, e, c) of the solutions of ``rows``.

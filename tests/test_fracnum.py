@@ -86,7 +86,6 @@ class TestGrid:
     def test_spacing(self):
         g = fn.Grid(0.0, 1.0, np.zeros(11))
         assert g.dt == pytest.approx(0.1)
-        assert g.nodes()[3] == pytest.approx(0.3)
 
 
 def gl_value_at_1(p, a, steps):
@@ -105,7 +104,7 @@ def gl_on_prefixes(values, cfg):
 
 def convolution_reference(grid, cfg):
     """The full-grid long-double history convolution, every node."""
-    w = fn.gl_weights(cfg.alpha, grid.steps)[:cfg.truncation]
+    w = fn.gl_weights(cfg.alpha, grid.steps)
     full = np.convolve(w.astype(np.longdouble),
                        grid.values.astype(np.longdouble))[:grid.steps]
     return full.astype(np.float64) * grid.dt ** (-cfg.alpha)
@@ -157,16 +156,6 @@ class TestGrunwaldLetnikov:
         with pytest.raises(fn.FracDomainError):
             fn.gl_rl_derivative(g, fn.FracConfig(alpha=0.5))
 
-    def test_truncation_window_hook(self):
-        g = fn.Grid.sample(lambda tv: tv, 0.0, 1.0, 501)
-        full = gl_on_prefixes(g.values, fn.FracConfig(alpha=0.5))
-        windowed = gl_on_prefixes(
-            g.values, fn.FracConfig(alpha=0.5, truncation=50))
-        # windowed sum drops old history: identical on nodes t_1..t_49,
-        # whose prefixes hold at most 50 samples
-        assert np.allclose(full[:49], windowed[:49])
-        assert not np.allclose(full[-1], windowed[-1])
-
     def test_value_is_a_plain_float(self):
         assert type(gl_value_at_1(1, 0.5, 101)) is float
 
@@ -178,10 +167,9 @@ class TestPointEvaluation:
     @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
     def test_equals_last_node_of_full_convolution(self, n, a):
         grid = fn.Grid(0.0, 1.0, np.random.default_rng(n).normal(size=n))
-        for window in (1, 50, n, n + 5):
-            cfg = fn.FracConfig(alpha=a, truncation=window)
-            assert fn.gl_rl_derivative(grid, cfg) \
-                == convolution_reference(grid, cfg)[-1], window
+        cfg = fn.FracConfig(alpha=a)
+        assert fn.gl_rl_derivative(grid, cfg) \
+            == convolution_reference(grid, cfg)[-1]
 
     def test_power_sum_sampler_matches_per_node_lambda(self):
         e = add(mul(num(Q(3, 2)), pow_(t, num(Q(3, 2)))),

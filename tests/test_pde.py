@@ -1,43 +1,47 @@
-"""PDE-model tests: residual construction, scaling weights, g-form catalog."""
+"""PDE-model tests: jet expansion of the equation, scaling weights, g-form
+catalog."""
 
 from fractions import Fraction as Q
 
 import pytest
 
+from fracsym.calculus import JetContext, diff
 from fracsym.expr import (
     ZERO, MINUS_ONE, add, fderiv, func, mul, num, pow_, sym,
 )
 from fracsym.pde import (
     ALPHA, B, K, T, U, X,
     CoeffForm, CoeffTag, Generator, NotWeightHomogeneous, PdeModelError,
-    PdeSpec, ScalingWeights, coeff_form_from_text, pde_residual,
+    PdeSpec, ScalingWeights, coeff_form_from_text,
     scaling_invariance_check, term_weights,
 )
 
-u_x, u_xx, u_xxx, u_t = (sym(n) for n in ("u_x", "u_xx", "u_xxx", "u_t"))
+u_x, u_xx, u_xxx = (sym(n) for n in ("u_x", "u_xx", "u_xxx"))
+
+
+CTX = JetContext()
+
+
+def expanded(spec):
+    """The equation's left-hand side, expanded in jet symbols."""
+    return add(fderiv(U, T, spec.alpha),
+               mul(num(spec.zeta), diff(pow_(U, spec.m), "x", 1, CTX)),
+               mul(spec.g.expr(), diff(pow_(U, spec.n), "x", 3, CTX)))
 
 
 class TestResidual:
     def test_k23_constant_coefficient(self):
         spec = PdeSpec(alpha=ALPHA, m=2, n=3, zeta=1,
                        g=CoeffForm(CoeffTag.CONSTANT, k=K))
-        got = pde_residual(spec)
+        got = expanded(spec)
         cubic = add(mul(6, pow_(u_x, 3)), mul(18, U, u_x, u_xx),
                     mul(3, pow_(U, 2), u_xxx))
         expected = add(fderiv(U, T, ALPHA), mul(2, U, u_x), mul(K, cubic))
         assert got == expected
 
-    def test_classical_limit_uses_ut(self):
-        spec = PdeSpec(alpha=1, m=2, n=3, zeta=1,
-                       g=CoeffForm(CoeffTag.CONSTANT, k=num(1)))
-        got = pde_residual(spec)
-        assert got == add(u_t, mul(2, U, u_x),
-                          mul(6, pow_(u_x, 3)), mul(18, U, u_x, u_xx),
-                          mul(3, pow_(U, 2), u_xxx))
-
     def test_power_coefficient_carries_tb(self):
         spec = PdeSpec(g=CoeffForm(CoeffTag.POWER))
-        got = pde_residual(spec)
+        got = expanded(spec)
         cubic = add(mul(6, pow_(u_x, 3)), mul(18, U, u_x, u_xx),
                     mul(3, pow_(U, 2), u_xxx))
         expected = add(fderiv(U, T, ALPHA), mul(2, U, u_x),
@@ -46,13 +50,13 @@ class TestResidual:
 
     def test_n_equals_one_is_linear_dispersion(self):
         spec = PdeSpec(m=2, n=1, g=CoeffForm(CoeffTag.CONSTANT, k=K))
-        got = pde_residual(spec)
+        got = expanded(spec)
         assert got == add(fderiv(U, T, ALPHA), mul(2, U, u_x),
                           mul(K, u_xxx))
 
     def test_zeta_minus_one(self):
         spec = PdeSpec(zeta=-1, g=CoeffForm(CoeffTag.CONSTANT, k=num(1)))
-        got = pde_residual(spec)
+        got = expanded(spec)
         assert got == add(fderiv(U, T, ALPHA), mul(-2, U, u_x),
                           mul(6, pow_(u_x, 3)), mul(18, U, u_x, u_xx),
                           mul(3, pow_(U, 2), u_xxx))

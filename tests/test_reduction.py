@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import test_symmetry
 from conftest import PAPER_SECTIONS, paper_print, tree_walk_eval
-from fracsym.calculus import collect_terms, diff
+from fracsym.calculus import diff, split_by
 from fracsym.cases import (
     CLASSIFICATION_CASES, classification_case, load_printed_form,
     spec_for_case,
@@ -122,6 +122,22 @@ class TestCharacteristicInvariants:
                     assert v1 == pytest.approx(v0, rel=1e-10), case
 
 
+def k23_monomials(order):
+    """The ten h, r monomials of a K(2,3) scaling reduction."""
+    return {
+        fderiv(h, r, order), mul(r, h, hp), pow_(h, 2), pow_(h, 3),
+        mul(pow_(r, 3), pow_(hp, 3)), mul(pow_(r, 2), h, pow_(hp, 2)),
+        mul(pow_(r, 3), h, hp, hpp), mul(r, pow_(h, 2), hp),
+        mul(pow_(r, 2), pow_(h, 2), hpp),
+        mul(pow_(r, 3), pow_(h, 2), hppp),
+    }
+
+
+def in_h_and_r(factor):
+    """A reduced-ODE factor that belongs to the monomial in h and r."""
+    return "r" in free_symbols(factor)
+
+
 class TestSimilaritySubstitute:
     def test_translation_reduces_to_bare_fd(self):
         spec = spec_for_case("1.1")
@@ -136,13 +152,8 @@ class TestSimilaritySubstitute:
         red = similarity_substitute(
             spec, characteristic_invariants(scaling_of("1.3")))
         scaled = mul(pow_(ALPHA, 3), red.reduced_ode)
-        groups = collect_terms(scaled, [
-            fderiv(h, r, ALPHA), mul(r, h, hp), pow_(h, 2), pow_(h, 3),
-            mul(pow_(r, 3), pow_(hp, 3)), mul(pow_(r, 2), h, pow_(hp, 2)),
-            mul(pow_(r, 3), h, hp, hpp), mul(r, pow_(h, 2), hp),
-            mul(pow_(r, 2), pow_(h, 2), hpp),
-            mul(pow_(r, 3), pow_(h, 2), hppp),
-        ])
+        groups = split_by(scaled, in_h_and_r)
+        assert set(groups) == k23_monomials(ALPHA)
         assert groups[fderiv(h, r, ALPHA)] == pow_(ALPHA, 3)
         assert groups[mul(r, h, hp)] == mul(2, pow_(ALPHA, 2))
         assert groups[pow_(h, 2)] == mul(4, pow_(ALPHA, 3))
@@ -154,14 +165,8 @@ class TestSimilaritySubstitute:
         red = similarity_substitute(
             spec, characteristic_invariants(scaling_of("2.3")))
         scaled = mul(num(Q(1, 4)), red.reduced_ode)
-        half = num(Q(1, 2))
-        groups = collect_terms(scaled, [
-            fderiv(h, r, half), mul(r, h, hp), pow_(h, 2), pow_(h, 3),
-            mul(pow_(r, 3), pow_(hp, 3)), mul(pow_(r, 2), h, pow_(hp, 2)),
-            mul(pow_(r, 3), h, hp, hpp), mul(r, pow_(h, 2), hp),
-            mul(pow_(r, 2), pow_(h, 2), hpp),
-            mul(pow_(r, 3), pow_(h, 2), hppp),
-        ])
+        groups = split_by(scaled, in_h_and_r)
+        assert set(groups) == k23_monomials(num(Q(1, 2)))
         assert groups[pow_(h, 3)] == mul(30, K)
         assert groups[mul(pow_(r, 3), pow_(hp, 3))] == mul(12, K)
 
