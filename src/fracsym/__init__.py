@@ -12,7 +12,7 @@ oracle (Riemann-Liouville power rule plus a Grünwald-Letnikov scheme).
 
 __version__ = "0.1.0"
 
-from .calculus import JetContext, diff, total_derivative_t
+from .calculus import JetContext, diff
 from .expr import (
     Expr, Rational,
     add, eval_numeric, fderiv, func, gammaf, mul, num, pow_, simplify,
@@ -43,7 +43,7 @@ __all__ = [
     "gammaf", "fderiv", "simplify", "substitute", "eval_numeric", "to_text",
     "parse_expression",
     # calculus
-    "JetContext", "diff", "total_derivative_t",
+    "JetContext", "diff",
     # model
     "PdeSpec", "CoeffForm", "CoeffTag", "Generator", "ScalingWeights",
     "term_weights", "scaling_invariance_check",

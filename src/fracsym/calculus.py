@@ -1,9 +1,9 @@
 """Differentiation and jet coordinates.
 
-``diff`` is a partial derivative unless a :class:`JetContext` is supplied,
-in which case it acts as the total derivative: jet symbols (u, u_x, u_xt,
-...) are raised through the chain rule, so e.g. d/dx of u^3 expands to
-3 u^2 u_x automatically.
+``diff`` is one chain-rule walk.  Without a :class:`JetContext` it is the
+partial derivative.  With one it is the total derivative: each jet symbol
+(u, u_x, u_xt, ...) at a leaf is raised along the variable, so e.g. d/dx of
+u^3 expands to 3 u^2 u_x.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .expr import (
 
 __all__ = [
     "DiffError", "JetContext",
-    "diff", "total_derivative_t", "split_by",
+    "diff", "split_by",
     "jet_bindings", "is_polynomial_in",
 ]
 
@@ -72,49 +72,52 @@ class JetContext:
             return self.jet(nx, nt + 1)
         raise DiffError(f"cannot raise jets along {var!r}")
 
-    def jet_symbols_in(self, e: Expr) -> list:
-        names = [n for n in free_symbols(e) if self.parse_jet(n) is not None]
-        names.sort()
-        return names
 
+def _partial(e: Expr, v: str, ctx: JetContext | None,
+             deps: frozenset) -> Expr:
+    """de/dv by the sum, product, power and chain rules.
 
-def _partial(e: Expr, v: str) -> Expr:
-    if isinstance(e, Num):
+    ``deps`` holds the symbols that vary with v: v itself and, under a jet
+    context, the jet symbols of the expression being differentiated.  A
+    jet leaf becomes its jet raised along v, which makes the walk the total
+    derivative; an FDeriv node holding no jet symbol is then a constant.
+    """
+    if isinstance(e, Num) or not contains_symbol(e, deps):
         return ZERO
     if isinstance(e, Sym):
-        return ONE if e.name == v else ZERO
-    if not contains_symbol(e, v):
-        return ZERO
+        return ONE if e.name == v else ctx.raise_jet(e.name, v)
     if isinstance(e, Sum):
-        return add(*(_partial(t, v) for t in e.terms))
+        return add(*(_partial(t, v, ctx, deps) for t in e.terms))
     if isinstance(e, Prod):
         parts = []
         factors = e.factors
         for i, f in enumerate(factors):
-            df = _partial(f, v)
+            df = _partial(f, v, ctx, deps)
             if df == ZERO:
                 continue
             parts.append(mul(df, *factors[:i], *factors[i + 1:]))
         return add(*parts)
     if isinstance(e, Pow):
-        if contains_symbol(e.exp, v):
+        if contains_symbol(e.exp, deps):
             raise DiffError(
                 f"exponent depends on {v!r}; logarithmic derivatives are out "
                 "of scope")
-        db = _partial(e.base, v)
+        db = _partial(e.base, v, ctx, deps)
         return mul(e.exp, pow_(e.base, add(e.exp, MINUS_ONE)), db)
     if isinstance(e, Func):
         if len(e.args) != 1:
             raise DiffError(
                 f"cannot differentiate {e.name}(...) with {len(e.args)} "
                 "arguments")
-        inner = _partial(e.args[0], v)
+        inner = _partial(e.args[0], v, ctx, deps)
         if inner == ZERO:
             return ZERO
         return mul(Func(e.name, e.args, e.order + 1), inner)
     if isinstance(e, GammaF):
         raise DiffError("derivative of Gamma (digamma) is out of scope")
     if isinstance(e, FDeriv):
+        if ctx is not None and free_symbols(e) & deps == {v}:
+            return ZERO
         if e.var.name == v:
             raise DiffError(
                 "cannot differentiate a fractional-derivative node in its "
@@ -124,33 +127,6 @@ def _partial(e: Expr, v: str) -> Expr:
     raise TypeError(type(e))  # pragma: no cover
 
 
-def _total(e: Expr, v: str, ctx: JetContext) -> Expr:
-    out = _partial_atomic_fd(e, v)
-    for name in ctx.jet_symbols_in(e):
-        de = _partial(e, name)
-        if de == ZERO:
-            continue
-        out = add(out, mul(ctx.raise_jet(name, v), de))
-    return out
-
-
-def _partial_atomic_fd(e: Expr, v: str) -> Expr:
-    """Partial derivative treating FDeriv nodes as atomic coordinates."""
-    if isinstance(e, FDeriv):
-        return ZERO
-    if isinstance(e, Sum):
-        return add(*(_partial_atomic_fd(t, v) for t in e.terms))
-    if isinstance(e, Prod):
-        parts = []
-        for i, f in enumerate(e.factors):
-            df = _partial_atomic_fd(f, v)
-            if df == ZERO:
-                continue
-            parts.append(mul(df, *e.factors[:i], *e.factors[i + 1:]))
-        return add(*parts)
-    return _partial(e, v)
-
-
 def diff(e, v, k: int = 1, ctx: JetContext | None = None) -> Expr:
     """k-th derivative along v; total derivative when a jet context is given."""
     if k < 1:
@@ -158,13 +134,12 @@ def diff(e, v, k: int = 1, ctx: JetContext | None = None) -> Expr:
     e = as_expr(e)
     name = v.name if isinstance(v, Sym) else str(v)
     for _ in range(k):
-        e = _total(e, name, ctx) if ctx is not None else _partial(e, name)
+        deps = {name}
+        if ctx is not None:
+            deps.update(n for n in free_symbols(e)
+                        if ctx.parse_jet(n) is not None)
+        e = _partial(e, name, ctx, frozenset(deps))
     return e
-
-
-def total_derivative_t(e, ctx: JetContext) -> Expr:
-    """Total time derivative D_t in jet coordinates."""
-    return diff(e, "t", 1, ctx)
 
 
 def is_polynomial_in(e: Expr, names) -> bool:

@@ -61,6 +61,15 @@ class CliError(Exception):
     pass
 
 
+def _rational(flag: str, text: str, wanted: str = "a rational p/q") -> Q:
+    """The exact value of a rational setting, or a one-line error naming
+    its flag when the text does not parse or has a zero denominator."""
+    try:
+        return Q(text)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"--{flag} must be {wanted}, got {text!r}") from None
+
+
 @dataclass
 class SessionConfig:
     """All run parameters; round-trips through the key = value format."""
@@ -82,20 +91,16 @@ class SessionConfig:
     def alpha_expr(self) -> Expr:
         if self.alpha == "generic":
             return sym("alpha")
-        try:
-            return num(Q(self.alpha))
-        except (ValueError, ZeroDivisionError):
-            raise CliError(
-                f"--alpha must be 'generic' or a rational p/q, got "
-                f"{self.alpha!r}") from None
+        return num(_rational("alpha", self.alpha,
+                             "'generic' or a rational p/q"))
 
     def alpha_float(self) -> float:
         if self.alpha == "generic":
             raise CliError("a numeric --alpha is required here")
         try:
-            return float(Q(self.alpha))
-        except ValueError:
             return float(self.alpha)
+        except ValueError:
+            return float(_rational("alpha", self.alpha))
 
     def coeff_form(self) -> CoeffForm:
         return coeff_form_from_text(self.g)
@@ -152,9 +157,9 @@ def _oracle_bindings(cfg: SessionConfig, spec: PdeSpec) -> dict:
     """Numeric values for whatever parameters are still symbolic."""
     binding: dict[str, Expr] = {}
     if not isinstance(spec.alpha, Num):
-        binding["alpha"] = num(Q(cfg.oracle_alpha))
-    for name, default in (("b", cfg.oracle_b), ("k", cfg.oracle_k)):
-        binding[name] = num(Q(default))
+        binding["alpha"] = num(_rational("oracle-alpha", cfg.oracle_alpha))
+    for name, text in (("b", cfg.oracle_b), ("k", cfg.oracle_k)):
+        binding[name] = num(_rational(f"oracle-{name}", text))
     return binding
 
 
@@ -171,9 +176,27 @@ def _numeric_spec(cfg: SessionConfig, spec: PdeSpec) -> PdeSpec:
 # commands
 
 
+def _check_scaling_weights(doc: ReportDoc, spec: PdeSpec, gen: Generator,
+                           name: str) -> None:
+    """Add check ``name``: the three PDE terms weigh alike under the
+    scaling part of gen.  Added only for an affine generator with a scaling
+    part (e, a1 or c nonzero), a t-free one included, and a
+    weight-homogeneous g."""
+    nf = gen.normal_form()
+    if nf is None or not spec.g.weight_homogeneous:
+        return
+    e, _, a1, c = nf
+    if e == ZERO and a1 == ZERO and c == ZERO:
+        return
+    weights = ScalingWeights(e, a1, c)
+    ok = scaling_invariance_check(spec, weights)
+    doc.add_check(name, STATUS_PASS if ok else STATUS_FAIL,
+                  detail="term weights: " + ", ".join(
+                      to_text(w) for w in term_weights(spec, weights)))
+
+
 def run_classify(cfg: SessionConfig) -> ReportDoc:
-    """Classify, then check the scaling weights of every generator with a
-    scaling part (e, a1 or c nonzero), a t-free one included.
+    """Classify, then check the scaling weights of every generator.
 
     ``classify`` keeps only generators whose invariance residual is zero,
     so the residual is not recomputed here."""
@@ -189,17 +212,7 @@ def run_classify(cfg: SessionConfig) -> ReportDoc:
     for i, gen in enumerate(gens):
         doc.generators.append(dict(zip(("xi_t", "xi_x", "eta"),
                                        gen.as_text_triple())))
-        nf = gen.normal_form()
-        if nf is None or not spec.g.weight_homogeneous:
-            continue
-        e, _, a1, c = nf
-        if e != ZERO or a1 != ZERO or c != ZERO:
-            ok = scaling_invariance_check(spec, ScalingWeights(e, a1, c))
-            weights = term_weights(spec, ScalingWeights(e, a1, c))
-            doc.add_check(
-                f"scaling_weights[X{i + 1}]",
-                STATUS_PASS if ok else STATUS_FAIL,
-                detail="term weights: " + ", ".join(to_text(w) for w in weights))
+        _check_scaling_weights(doc, spec, gen, f"scaling_weights[X{i + 1}]")
     return doc
 
 
@@ -271,8 +284,7 @@ def run_reduce(cfg: SessionConfig, generator_index: int) -> ReportDoc:
                   detail=f"h in {{r, r^2, r^3}} at {len(points)} points")
 
     if red.translation_case:
-        ks = kernel_solution(Q(cfg.oracle_alpha) if cfg.alpha == "generic"
-                             else Q(cfg.alpha), 1)
+        ks = kernel_solution(nspec.alpha.value, 1)
         doc.add_check(
             "kernel_solution", STATUS_PASS if ks.annihilated else STATUS_FAIL,
             detail=f"h(t) = {to_text(ks.expr)} (kappa = 1)")
@@ -321,18 +333,7 @@ def run_verify(cfg: SessionConfig, triple) -> ReportDoc:
             detail=f"xi_t(t=0) = {to_text(xi_t_at_0)} shifts the lower "
                    "terminal of the memory integral")
 
-    nf = gen.normal_form()
-    if nf is not None and spec.g.weight_homogeneous and (
-            nf[0] != ZERO or nf[2] != ZERO):
-        e, _, a1, c = nf
-        try:
-            weights = term_weights(spec, ScalingWeights(e, a1, c))
-            ok = scaling_invariance_check(spec, ScalingWeights(e, a1, c))
-            doc.add_check(
-                "scaling_weights", STATUS_PASS if ok else STATUS_FAIL,
-                detail="term weights: " + ", ".join(to_text(w) for w in weights))
-        except PdeModelError:
-            pass
+    _check_scaling_weights(doc, spec, gen, "scaling_weights")
     return doc
 
 

@@ -32,13 +32,8 @@ __all__ = [
     "Grid", "FracConfig", "FracDomainError", "UnsupportedProfileError",
     "gamma_fn", "rl_power_rule", "gl_weights", "gl_rl_derivative",
     "sample_power_sum", "power_profile", "pde_residual_on_grid",
-    "fode_residual_on_grid", "GL_BACKEND", "REL_TOL_DEFAULT",
-    "ABS_TOL_DEFAULT", "relative_deviation",
+    "fode_residual_on_grid", "GL_BACKEND", "relative_deviation",
 ]
-
-REL_TOL_DEFAULT = 1e-8
-ABS_TOL_DEFAULT = 1e-10
-
 
 # the one GL implementation; run reports stamp it
 GL_BACKEND = "python"
@@ -97,11 +92,9 @@ def rl_power_rule(p, alpha: float, t: float) -> float:
     Exactly 0 when p+1-alpha is a nonpositive integer (the 1/Gamma pole);
     in particular p = alpha-1 is annihilated for every t.
     """
-    exact = isinstance(p, Q) or isinstance(alpha, Q)
-    pq = p if isinstance(p, Q) else None
     if not (float(p) > -1.0):
         raise FracDomainError(f"power rule requires p > -1, got {p}")
-    if exact and isinstance(p, Q) and isinstance(alpha, Q):
+    if isinstance(p, Q) and isinstance(alpha, Q):
         shifted = p + 1 - alpha
         if shifted.denominator == 1 and shifted <= 0:
             return 0.0
@@ -204,12 +197,11 @@ def power_profile(e: Expr, variables: tuple[str, ...]) -> list:
 
 
 def _rl_time_derivative_value(profile, alpha: float, x: float, t: float) -> float:
+    """Power-rule value of D^alpha_t of a profile whose time exponents all
+    exceed -1 (``pde_residual_on_grid`` checks them)."""
     total = 0.0
     for coeff, exps in profile:
         p = exps.get("t", Q(0))
-        if not p > -1:
-            raise UnsupportedProfileError(
-                f"time exponent {p} outside the power-rule domain (> -1)")
         xpart = float(x) ** float(exps.get("x", Q(0)))
         total += coeff * xpart * rl_power_rule(p, alpha, t)
     return total

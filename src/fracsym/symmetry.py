@@ -8,9 +8,12 @@ built from the Leibniz-expanded form
             + sum_{m>=1} [C(a,m) d^m(eta_u)/dt^m - C(a,m+1) D_t^{m+1} xi_t] * D^{a-m} u
             - sum_{m>=1} C(a,m) * D^{a-m} u_x * D_t^m xi_x
 
-truncated at a configurable order M.  The fractional d^a/dt^a acts on the
-explicit t-dependence with u held as a t-independent indeterminate, through
-the Riemann-Liouville power rule (so it maps a u-independent constant c to
+truncated at a configurable order M.  Each surviving series term stays in
+eta_a, as its coefficient times a ``fderiv(u, t, a - m)`` or
+``fderiv(u_x, t, a - m)`` node.  D_x and D_t are ``diff`` under the one
+module jet context.  The fractional d^a/dt^a acts on the explicit
+t-dependence with u held as a t-independent indeterminate, through the
+Riemann-Liouville power rule (so it maps a u-independent constant c to
 c*t^-a/Gamma(1-a), not to zero).  Under that convention the two explicit
 terms cancel exactly for eta = c*u, and every series term vanishes for the
 affine/scaling ansatz xi_t = e*t, xi_x = a0 + a1*x, eta = c*u.
@@ -23,9 +26,7 @@ from fractions import Fraction as Q
 from typing import ClassVar
 
 from .cases import alpha_kind
-from .calculus import (
-    JetContext, diff, is_polynomial_in, split_by, total_derivative_t,
-)
+from .calculus import JetContext, diff, is_polynomial_in, split_by
 from .expr import (
     Expr, Num, Sym, Pow, Func, GammaF, FDeriv, ExprError,
     add, mul, pow_, num, sym, gammaf, fderiv, as_expr,
@@ -38,13 +39,16 @@ from .pde import (
 
 __all__ = [
     "SymmetryError", "UnsupportedAnsatzError", "OutsideCatalogError",
-    "ProlongationResult", "SeriesTerm", "DeterminingSystem",
+    "ProlongationResult", "DeterminingSystem",
     "generalized_binomial", "rl_partial_t",
     "eta_alpha", "integer_prolongations", "invariance_residual",
     "determining_system", "classify",
 ]
 
 DEFAULT_TRUNCATION = 5
+
+# the jet coordinates (u, u_x, u_t, ...) of every total derivative here
+_JETS = JetContext()
 
 _A0 = sym("_a0")
 _A1 = sym("_a1")
@@ -123,21 +127,11 @@ def rl_partial_t(e: Expr, alpha) -> Expr:
 
 
 @dataclass(frozen=True)
-class SeriesTerm:
-    """One surviving Leibniz-series term: coeff * D^(alpha-order) target."""
-
-    order: int
-    target: str  # "u" or "u_x"
-    coeff: Expr
-
-
-@dataclass(frozen=True)
 class ProlongationResult:
     eta_alpha: Expr
     eta_x: Expr
     eta_xx: Expr
     eta_xxx: Expr
-    residual_series_terms: tuple[SeriesTerm, ...]
 
 
 def _check_polynomial_gen(gen: Generator):
@@ -147,30 +141,28 @@ def _check_polynomial_gen(gen: Generator):
                 f"{name} = {to_text(e)} is not polynomial in (t, x, u)")
 
 
-def integer_prolongations(gen: Generator, ctx: JetContext | None = None):
+def integer_prolongations(gen: Generator):
     """(eta_x, eta_xx, eta_xxx) by the standard recursion
     eta^(k+1) = D_x eta^(k) - u_{x^k x} D_x xi_x - u_{x^k t} D_x xi_t."""
-    ctx = ctx or JetContext()
-    dx = lambda e: diff(e, "x", 1, ctx)
+    dx = lambda e: diff(e, "x", 1, _JETS)
     dxi_x = dx(gen.xi_x)
     dxi_t = dx(gen.xi_t)
     current = gen.eta
     out = []
     for k in range(1, 4):
         current = add(dx(current),
-                      mul(MINUS_ONE, ctx.jet(k, 0), dxi_x),
-                      mul(MINUS_ONE, ctx.jet(k - 1, 1), dxi_t))
+                      mul(MINUS_ONE, _JETS.jet(k, 0), dxi_x),
+                      mul(MINUS_ONE, _JETS.jet(k - 1, 1), dxi_t))
         out.append(current)
     return tuple(out)
 
 
-def eta_alpha(gen: Generator, alpha, M: int = DEFAULT_TRUNCATION,
-              ctx: JetContext | None = None) -> ProlongationResult:
+def eta_alpha(gen: Generator, alpha,
+              M: int = DEFAULT_TRUNCATION) -> ProlongationResult:
     """Prolongation coefficient on the D^alpha_t u coordinate, plus the
     integer prolongations, with the Leibniz series truncated at order M."""
     if M < 1:
         raise ValueError("series truncation must be >= 1")
-    ctx = ctx or JetContext()
     _check_polynomial_gen(gen)
     alpha = as_expr(alpha)
     # C(alpha, m) is built only for an m whose derivative is nonzero; the
@@ -178,7 +170,7 @@ def eta_alpha(gen: Generator, alpha, M: int = DEFAULT_TRUNCATION,
     binom = [ONE]
 
     eta_u = diff(gen.eta, "u")
-    dt_xi_t = total_derivative_t(gen.xi_t, ctx)
+    dt_xi_t = diff(gen.xi_t, "t", 1, _JETS)
 
     fd_u = fderiv(U, T, alpha)
     head = add(
@@ -187,13 +179,12 @@ def eta_alpha(gen: Generator, alpha, M: int = DEFAULT_TRUNCATION,
         mul(MINUS_ONE, U, rl_partial_t(eta_u, alpha)),
     )
 
-    series: list[SeriesTerm] = []
     tail = []
     dtk_xi_t = dt_xi_t
     dtk_xi_x = gen.xi_x
     for m in range(1, M + 1):
-        dtk_xi_t = total_derivative_t(dtk_xi_t, ctx)  # D_t^{m+1} xi_t
-        dtk_xi_x = total_derivative_t(dtk_xi_x, ctx)  # D_t^m xi_x
+        dtk_xi_t = diff(dtk_xi_t, "t", 1, _JETS)  # D_t^{m+1} xi_t
+        dtk_xi_x = diff(dtk_xi_x, "t", 1, _JETS)  # D_t^m xi_x
         dtk_eta_u = diff(eta_u, "t", m)
         if dtk_eta_u == ZERO and dtk_xi_t == ZERO and dtk_xi_x == ZERO:
             break  # every higher derivative is zero too
@@ -204,21 +195,18 @@ def eta_alpha(gen: Generator, alpha, M: int = DEFAULT_TRUNCATION,
             if dtk_xi_t != ZERO else ZERO,
         )
         if coeff_u != ZERO:
-            series.append(SeriesTerm(m, "u", coeff_u))
             tail.append(mul(coeff_u,
                             fderiv(U, T, add(alpha, num(-m)))))
         coeff_ux = (mul(MINUS_ONE, _binomial(binom, alpha, m), dtk_xi_x)
                     if dtk_xi_x != ZERO else ZERO)
         if coeff_ux != ZERO:
-            series.append(SeriesTerm(m, "u_x", coeff_ux))
             tail.append(mul(coeff_ux,
-                            fderiv(ctx.jet(1, 0), T, add(alpha, num(-m)))))
+                            fderiv(_JETS.jet(1, 0), T, add(alpha, num(-m)))))
 
-    ex, exx, exxx = integer_prolongations(gen, ctx)
+    ex, exx, exxx = integer_prolongations(gen)
     return ProlongationResult(
         eta_alpha=add(head, *tail),
         eta_x=ex, eta_xx=exx, eta_xxx=exxx,
-        residual_series_terms=tuple(series),
     )
 
 
@@ -230,18 +218,17 @@ def invariance_residual(spec: PdeSpec, gen: Generator,
     truncation M.  Surviving D^(alpha-m) obstruction terms stay in the
     result rather than being dropped.
     """
-    ctx = JetContext()
-    prol = eta_alpha(gen, spec.alpha, M, ctx)
+    prol = eta_alpha(gen, spec.alpha, M)
 
-    rest = add(mul(num(spec.zeta), diff(pow_(U, spec.m), "x", 1, ctx)),
-               mul(spec.g.expr(), diff(pow_(U, spec.n), "x", 3, ctx)))
+    rest = add(mul(num(spec.zeta), diff(pow_(U, spec.m), "x", 1, _JETS)),
+               mul(spec.g.expr(), diff(pow_(U, spec.n), "x", 3, _JETS)))
 
     applied = [prol.eta_alpha]
     coords = [
         (T, gen.xi_t), (X, gen.xi_x), (U, gen.eta),
-        (ctx.jet(1, 0), prol.eta_x),
-        (ctx.jet(2, 0), prol.eta_xx),
-        (ctx.jet(3, 0), prol.eta_xxx),
+        (_JETS.jet(1, 0), prol.eta_x),
+        (_JETS.jet(2, 0), prol.eta_xx),
+        (_JETS.jet(3, 0), prol.eta_xxx),
     ]
     for coord, coeff in coords:
         if coeff == ZERO:
@@ -338,15 +325,13 @@ def determining_system(spec: PdeSpec,
     gen = Generator.from_coeffs(_E, _A0, _A1, _C)
     residual = invariance_residual(spec, gen, M)
 
-    ctx = JetContext()
-
     def is_state_factor(f: Expr) -> bool:
         if isinstance(f, FDeriv):
             return True
         if isinstance(f, Pow):
             return is_state_factor(f.base)
         if isinstance(f, Sym):
-            return ctx.parse_jet(f.name) is not None
+            return _JETS.parse_jet(f.name) is not None
         if isinstance(f, (Func, GammaF)):
             # opaque g(t) and Gamma(1-alpha) belong to the t-structure side
             return False

@@ -1,5 +1,6 @@
 """Shared test helpers: seeded random expressions, rational sampling, the
-paper's printed scaling reductions and the tree-walk numeric evaluator."""
+paper's printed scaling reductions, the tree-walk numeric evaluator and the
+jet-by-jet total derivative."""
 
 import math
 import pathlib
@@ -8,10 +9,12 @@ from fractions import Fraction as Q
 
 import pytest
 
+from fracsym.calculus import JetContext, diff
 from fracsym.cases import parse_printed_form
 from fracsym.expr import (
     EvalError, FDeriv, Func, GammaF, Num, Pow, Prod, Sum, Sym, _KNOWN_FUNCS,
-    _eval_known_func, add, as_expr, children, mul, num, pow_, sym,
+    _eval_known_func, add, as_expr, children, free_symbols, mul, num, pow_,
+    sym,
 )
 from fracsym.special import GammaPoleError, gamma_fn
 
@@ -126,3 +129,17 @@ def tree_walk_eval(e, point=None, *, funcs=None, fd_handler=None) -> float:
         raise TypeError(type(node))
 
     return ev(as_expr(e))
+
+
+def total_derivative_reference(e, v: str):
+    """The total derivative D_v as a sum over coordinates: the partial
+    derivative in v, plus, for each jet symbol of e, that jet raised along
+    v times the partial derivative in it.  The reference for ``diff`` under
+    a jet context, which raises each jet leaf in one walk; for expressions
+    without fractional-derivative nodes."""
+    ctx = JetContext()
+    out = diff(e, v)
+    for name in sorted(free_symbols(e)):
+        if ctx.parse_jet(name) is not None:
+            out = add(out, mul(ctx.raise_jet(name, v), diff(e, name)))
+    return out

@@ -7,7 +7,7 @@ import pytest
 
 from fracsym.calculus import (
     DiffError, JetContext, diff,
-    is_polynomial_in, jet_bindings, split_by, total_derivative_t,
+    is_polynomial_in, jet_bindings, split_by,
 )
 from fracsym.expr import (
     ZERO, ONE, MINUS_ONE, add, contains_symbol, eval_numeric, fderiv, func,
@@ -86,13 +86,13 @@ class TestJetDiff:
 
 class TestTotalDerivativeT:
     def test_no_explicit_t(self):
-        assert total_derivative_t(mul(x, u), CTX) == mul(x, u_t)
+        assert diff(mul(x, u), "t", 1, CTX) == mul(x, u_t)
 
     def test_chain_rule(self):
-        assert total_derivative_t(pow_(u, 2), CTX) == mul(2, u, u_t)
+        assert diff(pow_(u, 2), "t", 1, CTX) == mul(2, u, u_t)
 
     def test_product_with_explicit_t(self):
-        assert total_derivative_t(mul(t, u_x), CTX) == add(u_x, mul(t, u_xt))
+        assert diff(mul(t, u_x), "t", 1, CTX) == add(u_x, mul(t, u_xt))
 
     def test_against_finite_differences_along_trajectory(self):
         # u(x, t) = sin(x + t^2); compare D_t e with d/dt of e o trajectory
@@ -101,7 +101,7 @@ class TestTotalDerivativeT:
         exprs = [pow_(u, 2), mul(t, u_x), add(mul(u, u_x), mul(x, u))]
         rng = random.Random(7)
         for e in exprs:
-            de = total_derivative_t(e, CTX)
+            de = diff(e, "t", 1, CTX)
             de_explicit = substitute(de, bindings)
             e_explicit = substitute(e, bindings)
             for _ in range(10):

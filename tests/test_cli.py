@@ -236,6 +236,15 @@ class TestRunVerify:
         assert doc.checks[0].status == STATUS_FAIL
         assert "xi_t" in doc.checks[0].detail
 
+    @pytest.mark.parametrize("m, n, status", [
+        (1, 1, STATUS_PASS), (2, 3, STATUS_FAIL),
+    ])
+    def test_t_free_scaling_gets_a_weight_check(self, m, n, status):
+        # u d/du is a symmetry at (1, 1) only, as classify finds
+        doc = run_verify(SessionConfig(g="k", m=m, n=n), ("0", "0", "u"))
+        assert statuses(doc)["scaling_weights"] == status
+        assert statuses(doc)["invariance_residual"] == status
+
     def test_moving_the_lower_terminal_is_flagged(self):
         # constant time translation formally passes the expanded criterion
         # for constant g but shifts the memory integral's terminal
@@ -389,6 +398,22 @@ class TestMainEntry:
         capsys.readouterr()
         assert main(["report", "--in", str(out_path)]) == 0
         assert "case 1.3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["frac-deriv", "--expr", "t^2", "--alpha", "1/0", "--at", "1"],
+         "--alpha"),
+        (["reduce", "--case", "1.2", "--oracle-alpha", "1/0"],
+         "--oracle-alpha"),
+        (["reduce", "--case", "1.2", "--oracle-b", "1/0"], "--oracle-b"),
+        (["reduce", "--case", "1.2", "--oracle-k", "1/0"], "--oracle-k"),
+        (["reduce", "--case", "1.2", "--oracle-b", "x"], "--oracle-b"),
+    ], ids=["alpha", "oracle-alpha", "oracle-b", "oracle-k", "oracle-b-text"])
+    def test_bad_rational_is_a_one_line_error(self, argv, flag, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_error_exit_is_one(self, capsys):
         assert main(["report", "--in", "/no/such/file.json"]) == 1

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import subtrees, tree_walk_eval
+from conftest import subtrees, total_derivative_reference, tree_walk_eval
+from fracsym.calculus import JetContext, diff
 from fracsym.expr import (
     EvalError, ONE, ZERO, Pow, Prod, SimplifyError, Sum, add, compile_numeric,
     eval_numeric, _monic_sum, fderiv, func, gammaf, mul, num, pow_, rebuild,
@@ -329,6 +330,32 @@ class TestTermTable:
         for _ in range(k - 1):
             want = per_pair_product(want, s)
         assert pow_(s, num(k)) == want
+
+
+jet_names = st.sampled_from(["u", "u_x", "u_t", "u_xx", "u_xt", "t", "x",
+                             "alpha", "b", "k"])
+
+
+def jet_polys(depth: int = 4):
+    """Random polynomials in jets, t, x and the parameters."""
+    leaf = st.one_of(rationals.map(num), jet_names.map(sym))
+    return st.recursive(
+        leaf,
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda p: add(*p)),
+            st.tuples(inner, inner).map(lambda p: mul(*p)),
+            st.tuples(inner, st.integers(1, 3)).map(
+                lambda p: pow_(p[0], num(p[1]))),
+        ),
+        max_leaves=depth * 4,
+    )
+
+
+class TestTotalDerivative:
+    @given(jet_polys(), st.sampled_from(["t", "x"]))
+    @settings(max_examples=200, deadline=None)
+    def test_one_walk_matches_the_sum_over_jets(self, e, v):
+        assert diff(e, v, 1, JetContext()) == total_derivative_reference(e, v)
 
 
 class TestWeightProperties:
