@@ -15,9 +15,7 @@ from .expr import (
 )
 
 __all__ = [
-    "DiffError", "JetContext",
-    "diff", "split_by",
-    "jet_bindings", "is_polynomial_in",
+    "DiffError", "JetContext", "diff", "split_by", "is_polynomial_in",
 ]
 
 # the jet coordinates of u(t, x): spatial derivatives up to fifth order
@@ -192,22 +190,3 @@ def split_by(e: Expr, belongs) -> dict:
         groups.setdefault(mono, []).append(coeff)
     return {mono: add(*parts) for mono, parts in groups.items()}
 
-
-def jet_bindings(u_expr: Expr, ctx: JetContext, max_x: int = 3,
-                 max_t: int = 2) -> dict:
-    """Bindings replacing jet symbols by derivatives of an explicit u(x, t).
-
-    Useful for evaluating jet-space expressions along a concrete trajectory.
-    """
-    out = {_DEPENDENT: u_expr}
-    for nx in range(max_x + 1):
-        for nt in range(max_t + 1):
-            if nx == 0 and nt == 0:
-                continue
-            d = u_expr
-            if nx:
-                d = diff(d, "x", nx)
-            if nt:
-                d = diff(d, "t", nt)
-            out[ctx.jet(nx, nt).name] = d
-    return out

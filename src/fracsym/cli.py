@@ -47,8 +47,8 @@ from .report import (
     ReportDoc, emit_report, read_report,
 )
 from .symmetry import (
-    OutsideCatalogError, SymmetryError, UnsupportedAnsatzError,
-    classify, invariance_residual,
+    DEFAULT_TRUNCATION, OutsideCatalogError, SymmetryError,
+    UnsupportedAnsatzError, classify, invariance_residual,
 )
 
 __all__ = ["SessionConfig", "run_classify", "run_reduce", "run_verify",
@@ -79,7 +79,7 @@ class SessionConfig:
     m: int = 2
     n: int = 3
     zeta: int = 1
-    truncation: int = 5
+    truncation: int = DEFAULT_TRUNCATION
     seed: int = 1234
     tol_rel: float = 1e-8
     out: str = ""
@@ -100,7 +100,11 @@ class SessionConfig:
         try:
             return float(self.alpha)
         except ValueError:
-            return float(_rational("alpha", self.alpha))
+            value = _rational("alpha", self.alpha)
+        try:
+            return float(value)
+        except OverflowError:  # outside (0, 1) all the same
+            return math.inf if value > 0 else -math.inf
 
     def coeff_form(self) -> CoeffForm:
         return coeff_form_from_text(self.g)
@@ -146,11 +150,11 @@ def _apply_config_value(cfg: SessionConfig, key: str, value: str,
         raise CliError(f"config {where}: {key} needs {_NEEDS[kind]}") from None
 
 
-def _seeded_points(cfg: SessionConfig, count: int = 20,
-                   low: float = 0.5, high: float = 2.0):
+def _seeded_points(cfg: SessionConfig):
+    """The grid oracle's 20 (x, t) points, drawn from [0.5, 2] squared."""
     rng = random.Random(cfg.seed)
-    return [(rng.uniform(low, high), rng.uniform(low, high))
-            for _ in range(count)]
+    return [(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+            for _ in range(20)]
 
 
 def _oracle_bindings(cfg: SessionConfig, spec: PdeSpec) -> dict:
@@ -163,8 +167,7 @@ def _oracle_bindings(cfg: SessionConfig, spec: PdeSpec) -> dict:
     return binding
 
 
-def _numeric_spec(cfg: SessionConfig, spec: PdeSpec) -> PdeSpec:
-    binding = _oracle_bindings(cfg, spec)
+def _numeric_spec(spec: PdeSpec, binding: dict) -> PdeSpec:
     alpha = binding.get("alpha", spec.alpha)
     g = CoeffForm(spec.g.tag,
                   k=substitute(spec.g.k, binding),
@@ -265,7 +268,7 @@ def run_reduce(cfg: SessionConfig, generator_index: int) -> ReportDoc:
 
     # grid oracle on a numeric specialization
     binding = _oracle_bindings(cfg, spec)
-    nspec = _numeric_spec(cfg, spec)
+    nspec = _numeric_spec(spec, binding)
     nred = replace(
         red,
         p=substitute(red.p, binding),

@@ -1040,10 +1040,13 @@ def compile_numeric(e: Expr, *, funcs: Mapping | None = None,
             arg = build(node.arg)
 
             def gamma(point):
+                x = arg(point)
                 try:
-                    return gamma_fn(arg(point))
+                    return gamma_fn(x)
                 except GammaPoleError as exc:
                     raise EvalError(str(exc)) from exc
+                except OverflowError as exc:
+                    raise EvalError(f"gamma overflows a float at {x}") from exc
             return gamma
         if isinstance(node, Func):
             name, order = node.name, node.order
@@ -1067,10 +1070,9 @@ def compile_numeric(e: Expr, *, funcs: Mapping | None = None,
     return build(as_expr(e))
 
 
-def eval_numeric(e: Expr, point: Mapping | None = None, *,
-                 funcs: Mapping | None = None, fd_handler=None) -> float:
+def eval_numeric(e: Expr, point: Mapping | None = None) -> float:
     """:func:`compile_numeric` of e, evaluated once at ``point``."""
-    return compile_numeric(e, funcs=funcs, fd_handler=fd_handler)(point or {})
+    return compile_numeric(e)(point or {})
 
 
 # ---------------------------------------------------------------------------

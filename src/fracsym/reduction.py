@@ -25,14 +25,14 @@ from .calculus import diff, split_by
 from .expr import (
     Expr, Sym, Prod, Pow, Func, FDeriv, ExprError,
     add, mul, pow_, num, sym, func, gammaf, fderiv, as_expr,
-    contains_symbol, eval_numeric, is_zero_exact, rewrite, substitute,
+    contains_symbol, eval_numeric, is_zero_exact, substitute,
     to_text,
     ZERO, ONE, MINUS_ONE,
 )
 from .fracnum import (
     fode_residual_on_grid, pde_residual_on_grid, relative_deviation,
 )
-from .pde import Generator, PdeSpec, PdeModelError, T, U, X
+from .pde import Generator, PdeSpec, T, U, X
 from .symmetry import rl_partial_t
 
 __all__ = [
@@ -88,8 +88,6 @@ def characteristic_invariants(gen: Generator) -> SimilarityReduction:
             "generator is outside the affine/scaling normal form")
     e, a0, a1, c = nf
     if e == ZERO and a1 == ZERO and c == ZERO:
-        if a0 == ZERO:
-            raise PdeModelError("zero generator")  # pragma: no cover
         return SimilarityReduction(p=ZERO, q=ZERO)
     if a0 != ZERO:
         raise ReductionError(
@@ -207,7 +205,7 @@ def _reduced_monomials(e: Expr) -> dict:
             return True
         if isinstance(f, Pow):
             return belongs(f.base)
-        if isinstance(f, Func) and f.name in ("h", "f"):
+        if isinstance(f, Func) and f.name == "h":
             return True
         if isinstance(f, Sym) and f.name == "r":
             return True
@@ -225,16 +223,6 @@ def _fd_coefficient(groups: dict) -> Expr:
     raise ReductionError("reduced form carries no fractional-derivative term")
 
 
-def _normalize_h_names(e: Expr) -> Expr:
-    """The unknown is written h(r); stored forms sometimes say f(r)."""
-    def walk(node: Expr) -> Expr:
-        if isinstance(node, Func) and node.name == "f":
-            node = Func("h", node.args, node.order)
-        return rewrite(node, walk)
-
-    return walk(e)
-
-
 def compare_reduced_forms(derived: Expr, printed: Expr) -> ComparisonReport:
     """Per-monomial coefficient comparison after normalizing both sides to
     the printed fractional-derivative coefficient.
@@ -242,10 +230,8 @@ def compare_reduced_forms(derived: Expr, printed: Expr) -> ComparisonReport:
     Equality is decided exactly (cross-multiplied, denominators cleared);
     mismatches are listed, never auto-resolved.
     """
-    derived = _normalize_h_names(as_expr(derived))
-    printed = _normalize_h_names(as_expr(printed))
-    d_groups = _reduced_monomials(derived)
-    p_groups = _reduced_monomials(printed)
+    d_groups = _reduced_monomials(as_expr(derived))
+    p_groups = _reduced_monomials(as_expr(printed))
     d0 = _fd_coefficient(d_groups)
     p0 = _fd_coefficient(p_groups)
 
@@ -316,8 +302,6 @@ class KernelSolution:
     the kernel is the constant solution instead (``classical`` is set).
     """
 
-    alpha: Q
-    kappa: Q
     expr: Expr
     residual: Expr
     classical: bool = False
@@ -333,13 +317,9 @@ def kernel_solution(alpha, kappa) -> KernelSolution:
     if not 0 < alpha <= 1:
         raise ReductionError("kernel solution needs alpha in (0, 1]")
     if alpha == 1:
-        expr = num(kappa)
-        return KernelSolution(alpha=alpha, kappa=kappa, expr=expr,
-                              residual=ZERO, classical=True)
+        return KernelSolution(expr=num(kappa), residual=ZERO, classical=True)
     if kappa == 0:
-        return KernelSolution(alpha=alpha, kappa=kappa, expr=ZERO,
-                              residual=ZERO)
+        return KernelSolution(expr=ZERO, residual=ZERO)
     expr = mul(num(kappa), pow_(T, num(alpha - 1)),
                pow_(gammaf(alpha), MINUS_ONE))
-    return KernelSolution(alpha=alpha, kappa=kappa, expr=expr,
-                          residual=rl_partial_t(expr, num(alpha)))
+    return KernelSolution(expr=expr, residual=rl_partial_t(expr, num(alpha)))

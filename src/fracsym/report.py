@@ -111,20 +111,45 @@ def emit_report(doc: ReportDoc, path=None, stream=None) -> str:
     return payload
 
 
+_STATUSES = (STATUS_PASS, STATUS_FAIL, STATUS_ADJUDICATED, STATUS_SKIPPED)
+# the field types of an emitted document, a generator and a check
+_DOC_FIELDS = {"case": str, "generators": list, "invariants": dict,
+               "reduced_ode": str, "checks": list, "config": dict,
+               "version": str}
+_GENERATOR_FIELDS = dict.fromkeys(("xi_t", "xi_x", "eta"), str)
+_CHECK_FIELDS = {"name": str, "status": str,
+                 "deviation": (float, int, type(None)), "detail": str}
+
+
+def _checked(obj, fields: dict, where: str) -> dict:
+    """obj, when it is an object holding each of ``fields`` with its type;
+    else a ValueError naming the first bad field below ``where``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"report field {where[:-1]} must be an object"
+                         if where else "report must be a JSON object")
+    for key, kind in fields.items():
+        if key not in obj or not isinstance(obj[key], kind):
+            raise ValueError(f"report field {where}{key} is missing or not "
+                             f"{getattr(kind, '__name__', 'a number or null')}")
+    return obj
+
+
 def read_report(path) -> ReportDoc:
-    """Re-read an emitted document; inverse of emit_report for the JSON part."""
+    """Re-read an emitted document; inverse of emit_report for the JSON part.
+
+    The file comes from outside, so its shape is checked: a bad one raises
+    a ValueError naming the first bad field."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    checks = [CheckRecord(name=c["name"], status=c["status"],
-                          deviation=c.get("deviation"),
-                          detail=c.get("detail", ""))
-              for c in data.get("checks", [])]
-    return ReportDoc(
-        case=data["case"],
-        generators=data.get("generators", []),
-        invariants=data.get("invariants", {}),
-        reduced_ode=data.get("reduced_ode", ""),
-        checks=checks,
-        config=data.get("config", {}),
-        version=data.get("version", ""),
-    )
+        data = _checked(json.load(fh), _DOC_FIELDS, "")
+    for i, gen in enumerate(data["generators"]):
+        _checked(gen, _GENERATOR_FIELDS, f"generators[{i}].")
+    checks = []
+    for i, c in enumerate(data["checks"]):
+        where = f"checks[{i}]."
+        c = _checked(c, _CHECK_FIELDS, where)
+        if c["status"] not in _STATUSES:
+            raise ValueError(f"report field {where}status must be one of "
+                             f"{', '.join(_STATUSES)}")
+        checks.append(CheckRecord(*(c[key] for key in _CHECK_FIELDS)))
+    fields = {key: data[key] for key in _DOC_FIELDS}
+    return ReportDoc(**{**fields, "checks": checks})

@@ -34,7 +34,8 @@ def gamma_fn(x: float) -> float:
     """Gamma(x) for real x, accurate to at least 12 significant digits.
 
     Uses reflection for x < 0.5 so the whole real line (minus the poles at
-    0, -1, -2, ...) is covered.
+    0, -1, -2, ...) is covered.  Raises OverflowError where Gamma(x)
+    exceeds the float range.
     """
     x = float(x)
     if x <= 0.0 and x == math.floor(x):
@@ -47,4 +48,15 @@ def gamma_fn(x: float) -> float:
     for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
         acc += c / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    try:
+        value = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        # t^(z+0.5) overflows above x ~ 142.2, Gamma only above x ~ 171.6:
+        # take the power in two halves on either side of e^-t
+        half = t ** ((z + 0.5) / 2)
+        value = math.sqrt(2.0 * math.pi) * half * math.exp(-t) * half * acc
+        if value == math.inf:
+            raise OverflowError(f"gamma overflows a float at {x}")
+    return value

@@ -28,7 +28,7 @@ from typing import ClassVar
 from .cases import alpha_kind
 from .calculus import JetContext, diff, is_polynomial_in, split_by
 from .expr import (
-    Expr, Num, Sym, Pow, Func, GammaF, FDeriv, ExprError,
+    Expr, Num, Sym, Pow, FDeriv, ExprError,
     add, mul, pow_, num, sym, gammaf, fderiv, as_expr,
     contains_symbol, is_zero_exact, replace_node, substitute,
     to_text, ZERO, ONE, MINUS_ONE,
@@ -332,9 +332,7 @@ def determining_system(spec: PdeSpec,
             return is_state_factor(f.base)
         if isinstance(f, Sym):
             return _JETS.parse_jet(f.name) is not None
-        if isinstance(f, (Func, GammaF)):
-            # opaque g(t) and Gamma(1-alpha) belong to the t-structure side
-            return False
+        # opaque g(t) and Gamma(1-alpha) belong to the t-structure side
         return False
 
     names = tuple(u.name for u in _UNKNOWNS)

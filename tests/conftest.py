@@ -30,9 +30,11 @@ PAPER_SECTIONS = {"2.1": "1.2", "2.2": "1.3", "3.1": "2.2", "3.2": "2.3",
 
 
 def paper_print(section: str):
-    """The reduced ODE the paper prints in a scaling section."""
+    """The reduced ODE the paper prints in a scaling section, in fracsym's
+    unknown h(r): the paper writes one of its prints in f(r)."""
     name = f"case_{section.replace('.', '_')}.txt"
-    return parse_printed_form((PAPER_PRINTS / name).read_text())
+    text = (PAPER_PRINTS / name).read_text()
+    return parse_printed_form(text.replace("f(r)", "h(r)"))
 
 
 def random_rational(rng: random.Random, lo: int = -9, hi: int = 9,

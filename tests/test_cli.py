@@ -1,9 +1,12 @@
 """CLI and report tests: commands, config round-trip, determinism, exits."""
 
+import contextlib
 import io
+import json
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracsym import cases, cli
 from fracsym.cli import (
@@ -365,6 +368,114 @@ class TestHugeConstants:
         out = tmp_path / "r.json"
         assert main(argv + ["--out", str(out)]) == code
         assert check in statuses(read_report(str(out)))
+
+
+BIG = 10 ** 400
+
+
+class TestFloatRange:
+    """Numbers beyond the float range end in a report whose failing check
+    names the cause, or in one error line; nothing escapes main."""
+
+    @pytest.mark.parametrize("flags, code, cause", [
+        (["--expr", "t", "--alpha", f"{BIG}/3"], 1,
+         "alpha -- alpha must be in (0, 1)"),
+        (["--expr", "t^142", "--alpha", "1/2"], 1, "power_rule_vs_gl"),
+        (["--expr", "Gamma(150)*t", "--alpha", "1/2"], 0, "power_rule_vs_gl"),
+        (["--expr", "Gamma(172)*t", "--alpha", "1/2"], 1,
+         "profile -- coefficient of t*Gamma(172) is not numeric: "
+         "gamma overflows a float at 172.0"),
+        (["--expr", "t^200", "--alpha", "1/2"], 1,
+         "error: power rule value overflows a float"),
+        (["--expr", "t^(10^400)", "--alpha", "1/2"], 1,
+         "error: power rule value overflows a float"),
+        (["--expr", "t^(-10^400)", "--alpha", "1/2"], 1,
+         "error: power rule value overflows a float"),
+    ], ids=["huge-alpha", "t^142", "Gamma(150)", "Gamma(172)", "t^200",
+            "t^(10^400)", "t^(-10^400)"])
+    def test_frac_deriv(self, flags, code, cause, capsys):
+        assert main(["frac-deriv", *flags, "--at", "1"]) == code
+        out, err = capsys.readouterr()
+        assert cause in out + err
+        assert err == "" or (err.startswith("error: ") and out == ""
+                             and err.count("\n") == 1)
+
+    @given(
+        st.one_of(st.integers(-5, 400), st.integers(-BIG, BIG)),
+        st.one_of(st.integers(1, 7), st.integers(1, BIG)),
+        st.one_of(st.fractions(0, 1, max_denominator=10),
+                  st.builds(Q, st.integers(-BIG, BIG), st.integers(1, BIG))),
+        st.floats(0.01, 2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_frac_deriv_never_raises(self, num, den, alpha, at):
+        argv = ["frac-deriv", "--expr", f"t^({num}/{den}) + t",
+                f"--alpha={alpha}", "--at", repr(at), "--dt", "0.01"]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert err.getvalue().count("\n") <= 1
+
+
+DELETE = object()
+
+
+def _set(path, value):
+    """A report mutation: the field at ``path`` (keys and indices) set to
+    ``value``, or deleted when value is DELETE."""
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        if value is DELETE:
+            del doc[last]
+        else:
+            doc[last] = value
+    return mutate
+
+
+class TestReadReportShape:
+    """report --in checks the shape of the file it reads."""
+
+    @pytest.mark.parametrize("mutate, field", [
+        (_set(("checks", 0), 1), "checks[0] must be an object"),
+        (_set(("generators", 0), "X1"), "generators[0] must be an object"),
+        (_set(("generators", 0, "eta"), DELETE), "generators[0].eta"),
+        (_set(("invariants",), [1]), "invariants"),
+        (_set(("checks", 0, "status"), "weird"), "checks[0].status"),
+        (_set(("checks", 0, "deviation"), "small"), "checks[0].deviation"),
+        (_set(("checks", 0, "name"), 3), "checks[0].name"),
+        (_set(("case",), DELETE), "case"),
+        (_set(("config",), "alpha = 1/2"), "config"),
+    ])
+    def test_malformed_file_is_a_one_line_error(self, mutate, field,
+                                                tmp_path, capsys):
+        path = tmp_path / "r.json"
+        assert main(["reduce", "--case", "2.3", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        mutate(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--in", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: report field {field}")
+
+    def test_a_list_is_a_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        assert main(["report", "--in", str(path)]) == 1
+        assert capsys.readouterr().err == \
+            "error: report must be a JSON object\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "--case", "2.3"], ["classify", "--case", "1.2"],
+        ["frac-deriv", "--expr", "t^(3/2)", "--alpha", "1/3", "--at", "1"]])
+    def test_emitted_reports_round_trip(self, argv, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        main(argv + ["--out", str(path)])
+        assert read_report(str(path)).to_json() \
+            == path.read_text(encoding="utf-8")
 
 
 class TestMainEntry:

@@ -48,6 +48,18 @@ class TestGamma:
             with pytest.raises(GammaPoleError):
                 gamma_fn(v)
 
+    def test_finite_up_to_the_float_range(self):
+        # t^(z+1/2) alone overflows from x ~ 142.2; Gamma itself only past
+        # x ~ 171.6
+        for v in np.linspace(140.0, 171.6, 317):
+            assert gamma_fn(float(v)) == pytest.approx(math.gamma(float(v)),
+                                                       rel=1e-12)
+
+    @pytest.mark.parametrize("v", [171.7, 200.0, 1e6, 1e300])
+    def test_overflow_raises_past_the_float_range(self, v):
+        with pytest.raises(OverflowError):
+            gamma_fn(v)
+
 
 class TestPowerRule:
     def test_kernel_exponent_annihilated(self):
@@ -67,6 +79,12 @@ class TestPowerRule:
     def test_domain_error(self):
         with pytest.raises(fn.FracDomainError):
             fn.rl_power_rule(-1, 0.5, 1.0)
+
+    @pytest.mark.parametrize("p, t", [
+        (Q(10 ** 400), 1.0), (Q(-10 ** 400), 1.0), (200, 1.0), (150, 200.0)])
+    def test_overflow_is_a_domain_error(self, p, t):
+        with pytest.raises(fn.FracDomainError, match="overflows a float"):
+            fn.rl_power_rule(p, 0.5, t)
 
     def test_classical_limit(self):
         for p in (1, 2, 3):

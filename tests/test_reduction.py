@@ -9,7 +9,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import test_symmetry
-from conftest import PAPER_SECTIONS, paper_print, tree_walk_eval
+from conftest import (
+    PAPER_PRINTS, PAPER_SECTIONS, paper_print, subtrees, tree_walk_eval,
+)
 from fracsym.calculus import diff, split_by
 from fracsym.cases import (
     CLASSIFICATION_CASES, classification_case, load_printed_form,
@@ -228,11 +230,38 @@ class TestCompareReducedForms:
             assert report.all_equal == (fault == ZERO)
 
     def test_f_and_h_are_the_same_unknown(self):
-        stored = paper_print("3.2")  # written with f(r)
-        assert "f(r)" in to_text(stored)
-        normalized = compare_reduced_forms(stored, stored).normalized_derived()
-        assert "f(r)" not in to_text(normalized)
-        assert "h(r)" in to_text(normalized)
+        # the paper writes section 3.2 in f(r); the fixture loader reads it
+        # in h(r), the one unknown the comparison knows
+        assert "f(r)" in (PAPER_PRINTS / "case_3_2.txt").read_text()
+        stored = paper_print("3.2")
+        assert _function_names(stored) == {"h"}
+        red = similarity_substitute(
+            spec_for_case("2.3"), characteristic_invariants(scaling_of("2.3")))
+        assert compare_reduced_forms(red.reduced_ode, stored).all_equal
+
+
+def _function_names(e) -> set:
+    return {n.name for n in subtrees(e) if isinstance(n, Func)}
+
+
+class TestTheUnknownIsH:
+    """No program path carries an f(r) unknown: the comparison and the grid
+    oracle know h(r) only."""
+
+    @pytest.mark.parametrize("case", sorted(CLASSIFICATION_CASES))
+    @pytest.mark.parametrize("section", ["1", "2.1"])
+    def test_data_forms_are_in_h(self, case, section):
+        form = load_printed_form(section, spec_for_case(case))
+        assert "f" not in _function_names(form)
+        assert "h" in _function_names(form)
+
+    @pytest.mark.parametrize("case", sorted(CLASSIFICATION_CASES))
+    def test_derived_forms_are_in_h(self, case):
+        spec = spec_for_case(case)
+        for gen in classify(spec)[:2]:
+            red = similarity_substitute(spec, characteristic_invariants(gen))
+            assert "f" not in _function_names(red.reduced_ode)
+            assert "h" in _function_names(red.reduced_ode)
 
 
 class TestSpecializedPrintedForms:
