@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 
 from .calculus import JetContext, diff
 from .expr import (
-    Expr, Rational,
-    add, eval_numeric, fderiv, func, gammaf, mul, num, pow_, simplify,
+    Expr, add, eval_numeric, fderiv, func, gammaf, mul, num, pow_, simplify,
     substitute, sym, to_text,
 )
 from .fracnum import (
@@ -39,7 +38,7 @@ from .symmetry import (
 __all__ = [
     "__version__",
     # expressions
-    "Expr", "Rational", "add", "mul", "pow_", "num", "sym", "func",
+    "Expr", "add", "mul", "pow_", "num", "sym", "func",
     "gammaf", "fderiv", "simplify", "substitute", "eval_numeric", "to_text",
     "parse_expression",
     # calculus

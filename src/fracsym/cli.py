@@ -28,7 +28,7 @@ from .expr import (
     is_zero_exact, mul, num, sym, substitute, to_text,
 )
 from .fracnum import (
-    FracConfig, gl_rl_derivative, power_profile, rl_power_rule,
+    FracConfig, _power_rule_sum, gl_rl_derivative, power_profile,
     relative_deviation, sample_power_sum, UnsupportedProfileError,
     GL_BACKEND,
 )
@@ -375,8 +375,7 @@ def run_fracderiv(cfg: SessionConfig, expr_text: str, at: float) -> ReportDoc:
                       detail=f"{exc}; only power sums in t are supported here")
         return doc
 
-    exact = sum(c * rl_power_rule(p.get("t", Q(0)), alpha, at)
-                for c, p in profile) if profile else 0.0
+    exact = _power_rule_sum(profile, "t", alpha, {"t": at})
     singular = any(p.get("t", Q(0)) < 0 for _, p in profile)
     if singular:
         doc.add_check(
@@ -470,30 +469,45 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _EXIT_BY_STATUS = {STATUS_PASS: 0, STATUS_ADJUDICATED: 2, STATUS_FAIL: 1}
 
-_EXPRESSION_FLAGS = ("--xi-t", "--xi-x", "--eta", "--expr", "--g")
+
+def _value_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """The option strings, of parser and of its subcommands, that take a
+    value."""
+    flags = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _value_flags(sub)
+        elif action.nargs != 0:
+            flags.update(action.option_strings)
+    return flags
 
 
-def _join_expression_flags(argv: list[str]) -> list[str]:
-    """Fold ['--xi-t', '-t'] into ['--xi-t=-t'] so expression values that
-    start with a minus sign survive argparse."""
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv, first folding ['--alpha', '-1/3'] into ['--alpha=-1/3']
+    for every flag that takes a value, so a value that starts with one minus
+    sign (an expression such as -t, a negative rational) is not read as an
+    option.  A token that starts with '--' stays a flag."""
+    parser = _build_parser()
+    flags = _value_flags(parser)
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _EXPRESSION_FLAGS and i + 1 < len(argv):
+        if (tok in flags and i + 1 < len(argv)
+                and argv[i + 1][:1] == "-" and argv[i + 1][:2] != "--"):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
             out.append(tok)
             i += 1
-    return out
+    return parser.parse_args(out)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    argv = _join_expression_flags(list(argv))
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(list(argv))
     try:
         if args.command == "report":
             doc = read_report(args.path)

@@ -47,15 +47,13 @@ from typing import Iterable, Mapping
 from .special import GammaPoleError, gamma_fn
 
 Q = Fraction
-Rational = Fraction  # exact coefficient type: lowest terms, positive denominator
 
 __all__ = [
-    "Rational",
     "Expr", "Num", "Sym", "Sum", "Prod", "Pow", "Func", "GammaF", "FDeriv",
     "ExprError", "SimplifyError", "EvalError", "SubstitutionError",
     "num", "sym", "add", "mul", "pow_", "func", "gammaf", "fderiv",
     "as_expr", "children", "rebuild", "rewrite", "simplify", "substitute",
-    "replace_node", "free_symbols", "contains_symbol", "contains_node",
+    "replace_node", "free_symbols", "contains_symbol",
     "compile_numeric", "eval_numeric", "is_zero_exact", "clear_denominators",
     "to_text",
     "ZERO", "ONE", "MINUS_ONE",
@@ -75,7 +73,8 @@ class EvalError(ExprError):
 
 
 class SubstitutionError(ExprError):
-    """Raised for cyclic or ill-typed substitutions."""
+    """Raised when a substitution would rename a fractional-derivative
+    variable to anything but a symbol."""
 
 
 _MAX_SUM_POWER_EXPANSION = 16
@@ -114,37 +113,6 @@ class Expr:
 
     def __str__(self):
         return to_text(self)
-
-    # arithmetic sugar -----------------------------------------------------
-    def __add__(self, other):
-        return add(self, as_expr(other))
-
-    def __radd__(self, other):
-        return add(as_expr(other), self)
-
-    def __sub__(self, other):
-        return add(self, mul(MINUS_ONE, as_expr(other)))
-
-    def __rsub__(self, other):
-        return add(as_expr(other), mul(MINUS_ONE, self))
-
-    def __mul__(self, other):
-        return mul(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return mul(as_expr(other), self)
-
-    def __truediv__(self, other):
-        return mul(self, pow_(as_expr(other), MINUS_ONE))
-
-    def __rtruediv__(self, other):
-        return mul(as_expr(other), pow_(self, MINUS_ONE))
-
-    def __pow__(self, other):
-        return pow_(self, as_expr(other))
-
-    def __neg__(self):
-        return mul(MINUS_ONE, self)
 
 
 class Num(Expr):
@@ -589,16 +557,12 @@ def _nth_root_exact(n: int, d: int):
 def _fold_num_power(b, e):
     """Exact value of b**e for coefficients b, e, or None if it is not
     rational."""
-    if type(e) is int:
-        if b == 0:
-            if e < 0:
-                raise SimplifyError("division by zero in constant folding")
-            return 1 if e == 0 else 0
-        return _ipow(b, e)
     if b == 0:
-        if e > 0:
-            return 0
-        raise SimplifyError("division by zero in constant folding")
+        if e < 0:
+            raise SimplifyError("division by zero in constant folding")
+        return 1 if e == 0 else 0
+    if type(e) is int:
+        return _ipow(b, e)
     if b == 1:
         return 1
     if b < 0:
@@ -693,23 +657,16 @@ def gammaf(arg) -> Expr:
     share the atom Gamma(-a) and cancel exactly in ratios.
     """
     arg = as_expr(arg)
-    if isinstance(arg, Num):
-        v = arg.c
-        if type(v) is int:
-            n = v
-            if n <= 0:
-                raise SimplifyError(f"gamma pole at {n}")
-            if n <= _GAMMA_FOLD_LIMIT:
-                return num(math.factorial(n - 1))
-            return GammaF(arg)
-        shift = math.floor(v)
-        if shift >= 1:
-            small = v - shift
-            prefactor = mul(*(num(small + j) for j in range(shift)))
-            return mul(prefactor, GammaF(num(small)))
-        return GammaF(arg)
     const = 0
-    if isinstance(arg, Sum):
+    if isinstance(arg, Num):
+        const = arg.c
+        if type(const) is int:
+            if const <= 0:
+                raise SimplifyError(f"gamma pole at {const}")
+            if const <= _GAMMA_FOLD_LIMIT:
+                return num(math.factorial(const - 1))
+            return GammaF(arg)
+    elif isinstance(arg, Sum):
         first, rest = _coeff_mono(arg.terms[0])
         if rest is None:
             const = first
@@ -829,10 +786,6 @@ def contains_symbol(e: Expr, names) -> bool:
     return not free_symbols(e).isdisjoint(names)
 
 
-def contains_node(e: Expr, target: Expr) -> bool:
-    return e == target or any(contains_node(c, target) for c in children(e))
-
-
 # ---------------------------------------------------------------------------
 # rewriting
 
@@ -846,32 +799,15 @@ def simplify(e: Expr) -> Expr:
 
 
 def substitute(e: Expr, bindings: Mapping) -> Expr:
-    """Simultaneous substitution of symbols, then canonicalization."""
+    """Simultaneous substitution of symbols, then canonicalization.
+
+    Every symbol is replaced at once and the result is not substituted
+    again, so a binding may mention its own or another bound name:
+    ``{x: t, t: x}`` swaps x and t, and ``{x: x + 1}`` shifts x once."""
     table: dict[str, Expr] = {}
     for key, value in bindings.items():
         name = key.name if isinstance(key, Sym) else str(key)
         table[name] = as_expr(value)
-
-    # reject cyclic bindings (x -> y, y -> x has no simultaneous fixpoint
-    # under repeated application semantics; we only apply once, but a cycle
-    # almost always indicates caller error)
-    def reaches(name, target, seen):
-        if name in seen:
-            return False
-        seen.add(name)
-        value = table.get(name)
-        if value is None:
-            return False
-        frees = free_symbols(value)
-        if target in frees:
-            return True
-        return any(reaches(f, target, seen) for f in frees if f in table)
-
-    for name in table:
-        if name in free_symbols(table[name]):
-            continue  # x -> x + 1 style self-reference is fine: applied once
-        if reaches(name, name, set()):
-            raise SubstitutionError(f"cyclic binding through {name!r}")
 
     def walk(node: Expr) -> Expr:
         if isinstance(node, Sym):
@@ -1079,22 +1015,19 @@ def eval_numeric(e: Expr, point: Mapping | None = None) -> float:
 # printing (grammar shared with fracsym.parser)
 
 
+def _is_bare(e: Expr) -> bool:
+    """A symbol or a nonnegative integer: printed unparenthesized as the
+    base or the exponent of a power."""
+    return isinstance(e, Sym) or (
+        isinstance(e, Num) and type(e.c) is int and e.c >= 0)
+
+
 def _print_pow(e: Pow) -> str:
-    base = e.base
-    if isinstance(base, (Sym,)) or (
-            isinstance(base, Num) and base.value.denominator == 1
-            and base.value >= 0):
-        bt = to_text(base)
-    elif isinstance(base, (Func, GammaF, FDeriv)):
-        bt = to_text(base)
-    else:
-        bt = f"({to_text(base)})"
-    ex = e.exp
-    if isinstance(ex, Sym) or (isinstance(ex, Num) and ex.value.denominator == 1
-                               and ex.value >= 0):
-        et = to_text(ex)
-    else:
-        et = f"({to_text(ex)})"
+    bt, et = to_text(e.base), to_text(e.exp)
+    if not (_is_bare(e.base) or isinstance(e.base, (Func, GammaF, FDeriv))):
+        bt = f"({bt})"
+    if not _is_bare(e.exp):
+        et = f"({et})"
     return f"{bt}^{et}"
 
 

@@ -196,14 +196,17 @@ def power_profile(e: Expr, variables: tuple[str, ...]) -> list:
     return out
 
 
-def _rl_time_derivative_value(profile, alpha: float, x: float, t: float) -> float:
-    """Power-rule value of D^alpha_t of a profile whose time exponents all
-    exceed -1 (``pde_residual_on_grid`` checks them)."""
+def _power_rule_sum(profile, var: str, alpha: float, point: dict) -> float:
+    """Power-rule value at ``point`` of D^alpha in ``var`` of a power sum
+    from :func:`power_profile`: each term's coefficient times its powers of
+    the other variables, times the RL derivative of its power of ``var``."""
     total = 0.0
     for coeff, exps in profile:
-        p = exps.get("t", Q(0))
-        xpart = float(x) ** float(exps.get("x", Q(0)))
-        total += coeff * xpart * rl_power_rule(p, alpha, t)
+        term = coeff
+        for name, p in exps.items():
+            if name != var:
+                term *= float(point[name]) ** float(p)
+        total += term * rl_power_rule(exps.get(var, Q(0)), alpha, point[var])
     return total
 
 
@@ -240,8 +243,8 @@ def pde_residual_on_grid(spec: PdeSpec, u_closed_form: Expr,
     out = []
     for xv, tv in points:
         point = {"x": float(xv), "t": float(tv)}
-        frac = _rl_time_derivative_value(profile, alpha, xv, tv)
-        value = frac + spec.zeta * convect(point)
+        value = (_power_rule_sum(profile, "t", alpha, point)
+                 + spec.zeta * convect(point))
         if disperse_expr != ZERO:
             value += g(point) * disperse(point)
         out.append(value)
@@ -273,11 +276,7 @@ def fode_residual_on_grid(reduced_ode: Expr, h_closed_form: Expr,
         a = float(node.alpha.value)
         inner = node.expr
         if isinstance(inner, Func) and inner.name == "h" and inner.order == 0:
-            total = 0.0
-            for coeff, exps in h_profile:
-                total += coeff * rl_power_rule(exps.get("r", Q(0)), a,
-                                               point["r"])
-            return total
+            return _power_rule_sum(h_profile, "r", a, point)
         raise EvalError(f"cannot resolve FD of {inner}")
 
     reduced = compile_numeric(reduced_ode, funcs={"h": h_eval},

@@ -34,7 +34,7 @@ from .expr import (
 
 __all__ = ["ParseError", "parse_expression", "KNOWN_FUNCTIONS"]
 
-KNOWN_FUNCTIONS = frozenset({"h", "f", "g", "exp", "sin", "cos", "log"})
+KNOWN_FUNCTIONS = frozenset({"h", "g", "exp", "sin", "cos", "log"})
 _SPECIAL_HEADS = frozenset({"diff", "fdiff", "Gamma"})
 
 

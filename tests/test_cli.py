@@ -526,6 +526,28 @@ class TestMainEntry:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_negative_rational_is_a_value_not_a_flag(self, capsys):
+        argv = ["frac-deriv", "--expr", "t", "--alpha", "-1/3", "--at", "1"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert "fail] alpha -- alpha must be in (0, 1)" in out and err == ""
+
+    def test_negative_value_folds_like_an_equals_sign(self, tmp_path, capsys):
+        path = tmp_path / "report.json"    # the report records its path
+        reports = []
+        for flags in (["--oracle-b", "-1/2"], ["--oracle-b=-1/2"]):
+            main(["reduce", "--case", "1.2", *flags, "--out", str(path)])
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
+        assert b'"oracle_b": "-1/2"' in reports[0]
+        assert capsys.readouterr().err == ""
+
+    def test_unknown_function_is_a_failing_parse_check(self, capsys):
+        argv = ["frac-deriv", "--expr", "f(t)", "--alpha", "1/2", "--at", "1"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert "fail] parse -- unknown function 'f'" in out and err == ""
+
     def test_error_exit_is_one(self, capsys):
         assert main(["report", "--in", "/no/such/file.json"]) == 1
 

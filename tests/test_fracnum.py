@@ -92,6 +92,35 @@ class TestPowerRule:
             assert got == pytest.approx(p, abs=1e-6)
 
 
+class TestPowerRuleSum:
+    """The one power-rule sum keeps the float operations of the three
+    loops it replaced, bit for bit."""
+
+    PROFILE = [(0.7, {"t": Q(3, 2), "x": Q(-1, 3)}), (-2.5, {"t": Q(0)}),
+               (1.3, {"x": Q(2)}), (0.1, {"t": Q(1, 7), "x": Q(5, 2)})]
+
+    @pytest.mark.parametrize("a, xv, tv", [(0.5, 1.3, 0.7), (0.25, 0.6, 1.9),
+                                           (1 / 3, 2.0, 0.55)])
+    def test_pde_time_derivative(self, a, xv, tv):
+        want = 0.0
+        for coeff, exps in self.PROFILE:
+            xpart = xv ** float(exps.get("x", Q(0)))
+            want += coeff * xpart * fn.rl_power_rule(exps.get("t", Q(0)),
+                                                     a, tv)
+        got = fn._power_rule_sum(self.PROFILE, "t", a, {"x": xv, "t": tv})
+        assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("a, at", [(0.5, 1.0), (0.3, 2.7)])
+    def test_single_variable(self, a, at):
+        profile = [(c, {"r": e["t"]}) for c, e in self.PROFILE if "x" not in e]
+        profile += [(3.25, {"r": Q(4, 3)}), (-0.5, {})]
+        want = sum(c * fn.rl_power_rule(e.get("r", Q(0)), a, at)
+                   for c, e in profile)
+        got = fn._power_rule_sum(profile, "r", a, {"r": at})
+        assert got.hex() == want.hex()
+        assert fn._power_rule_sum([], "r", a, {"r": at}).hex() == "0x0.0p+0"
+
+
 class TestGrid:
     def test_validation(self):
         with pytest.raises(fn.FracDomainError):

@@ -6,7 +6,9 @@ from importlib import resources
 
 import pytest
 
-from conftest import PAPER_PRINTS, random_expr
+from conftest import (
+    PAPER_PRINTS, PAPER_SECTIONS, paper_print, random_expr,
+)
 from fracsym.cases import parse_printed_form
 from fracsym.expr import (
     fderiv, func, gammaf, mul, num, pow_, sym, to_text, MINUS_ONE,
@@ -120,10 +122,12 @@ class TestRoundTrip:
             "fracsym.data.reduced_forms").iterdir() if p.name.endswith(".txt"))
         assert [p.name for p in runtime] == ["case_1.txt", "case_2_1.txt"]
         prints = sorted(PAPER_PRINTS.glob("*.txt"))
-        assert len(prints) == 6
-        for path in runtime + prints:
-            e = parse_printed_form(path.read_text())
-            assert parse(to_text(e)) == e, path.name
+        assert len(prints) == len(PAPER_SECTIONS) == 6
+        forms = {p.name: parse_printed_form(p.read_text()) for p in runtime}
+        forms.update((section, paper_print(section))
+                     for section in PAPER_SECTIONS)
+        for name, e in forms.items():
+            assert parse(to_text(e)) == e, name
 
 
 class TestBindings:

@@ -23,7 +23,7 @@ from fracsym.expr import (
     rewrite, substitute, sym, to_text,
 )
 from fracsym.fracnum import (
-    _rl_time_derivative_value, fode_residual_on_grid, pde_residual_on_grid,
+    _power_rule_sum, fode_residual_on_grid, pde_residual_on_grid,
     power_profile, relative_deviation, rl_power_rule,
 )
 from fracsym.pde import (
@@ -581,7 +581,7 @@ def tree_walk_pde_residual(spec, u_expr, points):
     out = []
     for xv, tv in points:
         point = {"x": float(xv), "t": float(tv)}
-        value = (_rl_time_derivative_value(profile, alpha, xv, tv)
+        value = (_power_rule_sum(profile, "t", alpha, point)
                  + spec.zeta * tree_walk_eval(convect, point))
         if disperse != ZERO:
             value += (tree_walk_eval(spec.g.expr(), point)
