@@ -52,6 +52,21 @@ VERIFY_ARGV = [
      "--eta", "((2*(1/3))/(5))*u"),
 ]
 
+# the g(t) paths that the catalog argvs leave out: oracle values for k and
+# b, the two g-forms that case 3.1 covers besides its own, numeric k*t^b
+# off the table, zeta = -1 and a scaling print skipped off K(2,3)
+G_PATH_ARGV = [
+    ("reduce", "--case", "1.2", "--oracle-b", "1/3", "--oracle-k", "2"),
+    ("reduce", "--case", "2.1", "--generator-index", "0",
+     "--oracle-b", "-1/2", "--oracle-k", "3"),
+    ("classify", "--alpha", "1/3", "--g", "k*(t^2-b)^(1/3)"),
+    ("classify", "--alpha", "1/3", "--g", "2*exp(3*t)"),
+    ("reduce", "--g", "3*t^2", "--alpha", "1/4"),
+    ("reduce", "--g", "t", "--alpha", "1/3"),
+    ("reduce", "--case", "2.2", "--zeta", "-1"),
+    ("reduce", "--case", "1.3", "--m", "3", "--n", "5"),
+]
+
 # the oracle workload's design: positive power sums, N = at/dt + 1 from
 # 5,001 to 20,001, every alpha of the design
 FRAC_DERIV_ARGV = [
@@ -132,6 +147,22 @@ DIGESTS = {
         'c4b674ef94ecc03fbcae845c381832227f5deabe43adfe07aa93c759b1e2387a',
     'classify --m 1 --n 1 --g k':
         'dc528e6f6ffe3664decffb33b29f3fd05dcc62174da0f38296b7b19fb66814af',
+    'reduce --case 1.2 --oracle-b 1/3 --oracle-k 2':
+        '0182e2e71cb1d5c8ea84a95cfecb1c154b0d276895fd200a8f820719f3ad81aa',
+    'reduce --case 2.1 --generator-index 0 --oracle-b -1/2 --oracle-k 3':
+        '9947c6d96ec9047b5d5fba08d22ed69259e57cde3403df753f6901c53d596af1',
+    'classify --alpha 1/3 --g k*(t^2-b)^(1/3)':
+        'd2b9078b9d6e4347d502cfda1221e6555d59368bf7efde4f7acc8130611cdb40',
+    'classify --alpha 1/3 --g 2*exp(3*t)':
+        '713e5b7596d6fcb07cb17623d483614fec2c1961ba446c6111cc34c68af4583e',
+    'reduce --g 3*t^2 --alpha 1/4':
+        '0a091eb9a4727263a9727856cba15ce025b7b328218784559934ce964e3a17c9',
+    'reduce --g t --alpha 1/3':
+        '92051165e848d56449108a55df1ffb7dc38fb6d2ea10768a69cb1744da6f45ad',
+    'reduce --case 2.2 --zeta -1':
+        '2d3a8d4944f011f7f95d527d96bb79bc993aff8eea26b27512a3ded3e7915b8d',
+    'reduce --case 1.3 --m 3 --n 5':
+        'a0021e74742b758feabfe40d0deec6ceb901aa21db8a0587ff6c4ec4fd01575e',
 }
 
 FRAC_DERIV_DIGESTS = {
@@ -175,8 +206,8 @@ def _label(argv) -> str:
     return " ".join(argv)
 
 
-@pytest.mark.parametrize("argv", CATALOG_ARGV + VERIFY_ARGV + DEGENERATE_ARGV,
-                         ids=_label)
+@pytest.mark.parametrize("argv", CATALOG_ARGV + VERIFY_ARGV + DEGENERATE_ARGV
+                         + G_PATH_ARGV, ids=_label)
 def test_report_is_byte_identical(argv, tmp_path):
     got = report_digest(argv, tmp_path)
     assert got == DIGESTS[_label(argv)], (
@@ -197,7 +228,7 @@ if __name__ == "__main__":
     pins = {**DIGESTS, **FRAC_DERIV_DIGESTS}
     with tempfile.TemporaryDirectory() as tmp:
         for argv in (CATALOG_ARGV + VERIFY_ARGV + DEGENERATE_ARGV
-                     + FRAC_DERIV_ARGV):
+                     + G_PATH_ARGV + FRAC_DERIV_ARGV):
             digest = report_digest(argv, pathlib.Path(tmp))
             if digest != pins[_label(argv)]:
                 print(f"{_label(argv)}: {pins[_label(argv)]} → {digest}")
