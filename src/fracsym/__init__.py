@@ -23,7 +23,7 @@ from .fracnum import (
 )
 from .parser import parse_expression
 from .pde import (
-    CoeffForm, CoeffTag, Generator, PdeSpec, ScalingWeights,
+    CoeffTag, Generator, PdeSpec, ScalingWeights,
     scaling_invariance_check, term_weights,
 )
 from .reduction import (
@@ -44,7 +44,7 @@ __all__ = [
     # calculus
     "JetContext", "diff",
     # model
-    "PdeSpec", "CoeffForm", "CoeffTag", "Generator", "ScalingWeights",
+    "PdeSpec", "CoeffTag", "Generator", "ScalingWeights",
     "term_weights", "scaling_invariance_check",
     # symmetry
     "classify", "determining_system", "eta_alpha", "integer_prolongations",

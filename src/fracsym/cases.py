@@ -1,6 +1,8 @@
 """Catalog of classification cases and the two printed reduced forms.
 
-Classification keys follow the symmetry table (1.1 .. 3.3).  The printed
+Classification keys follow the symmetry table (1.1 .. 3.3).  A case holds
+its alpha kind and its g as text in the CLI expression grammar; its catalog
+tag is the one its parsed spec derives from g.  The printed
 reduced forms are named by their paper section: 1 for the translation and
 2.1 for the scaling, whose print at generic alpha and g = k*t^b covers every
 scaling case of K(2,3) once alpha, b, k and zeta are bound.  They live in
@@ -14,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from importlib import resources
 
-from .expr import Expr, Num, Sym, as_expr, num, sym
+from .expr import Expr, Num, Sym, as_expr, num, substitute, sym
 from .parser import parse_expression
-from .pde import CoeffForm, CoeffTag, PdeSpec
+from .pde import CoeffTag, PdeSpec, coeff_form_from_text, power_law
 
 __all__ = [
     "ClassificationCase", "CLASSIFICATION_CASES", "alpha_kind",
@@ -31,39 +33,36 @@ ALPHA = sym("alpha")
 class ClassificationCase:
     key: str
     alpha: str               # "generic" | "1/2" | "1/3", as alpha_kind names it
-    tag: CoeffTag
     g: str                   # the g-form in the CLI expression grammar
 
     def spec(self, m: int = 2, n: int = 3, zeta: int = 1,
              k=None, b=None) -> PdeSpec:
-        kwargs = {}
-        if k is not None:
-            kwargs["k"] = as_expr(k)
-        if b is not None:
-            kwargs["b"] = as_expr(b)
-        g = CoeffForm(self.tag, **kwargs)
+        """The case's spec, with k and b replaced by the values given."""
         alpha = ALPHA if self.alpha == "generic" else num(Q(self.alpha))
+        binding = {name: as_expr(value)
+                   for name, value in (("k", k), ("b", b))
+                   if value is not None}
+        g = substitute(coeff_form_from_text(self.g, alpha), binding)
         return PdeSpec(alpha=alpha, m=m, n=n, zeta=zeta, g=g)
 
 
 CLASSIFICATION_CASES: dict[str, ClassificationCase] = {
     case.key: case for case in (
-        ClassificationCase("1.1", "generic", CoeffTag.ARBITRARY, "arbitrary"),
-        ClassificationCase("1.2", "generic", CoeffTag.POWER, "k*t^b"),
-        ClassificationCase("1.3", "generic", CoeffTag.CONSTANT, "k"),
-        ClassificationCase("2.1", "1/2", CoeffTag.EXPONENTIAL, "k*exp(b*t)"),
-        ClassificationCase("2.2", "1/2", CoeffTag.POWER, "k*t^b"),
-        ClassificationCase("2.3", "1/2", CoeffTag.CONSTANT, "k"),
-        ClassificationCase("3.1", "1/3", CoeffTag.SHIFTED_POWER_23,
-                           "k*(t-b)^(2/3)"),
-        ClassificationCase("3.2", "1/3", CoeffTag.POWER, "k*t^b"),
-        ClassificationCase("3.3", "1/3", CoeffTag.CONSTANT, "k"),
+        ClassificationCase("1.1", "generic", "arbitrary"),
+        ClassificationCase("1.2", "generic", "k*t^b"),
+        ClassificationCase("1.3", "generic", "k"),
+        ClassificationCase("2.1", "1/2", "k*exp(b*t)"),
+        ClassificationCase("2.2", "1/2", "k*t^b"),
+        ClassificationCase("2.3", "1/2", "k"),
+        ClassificationCase("3.1", "1/3", "k*(t-b)^(2/3)"),
+        ClassificationCase("3.2", "1/3", "k*t^b"),
+        ClassificationCase("3.3", "1/3", "k"),
     )
 }
 
 # (alpha kind, g-form) -> case key: the table, plus the two further
 # g-forms that case 3.1 covers at alpha = 1/3
-_CASE_KEYS = {(case.alpha, case.tag): case.key
+_CASE_KEYS = {(case.alpha, case.spec().tag): case.key
               for case in CLASSIFICATION_CASES.values()}
 _CASE_KEYS.update({("1/3", CoeffTag.QUAD_POWER_13): "3.1",
                    ("1/3", CoeffTag.EXPONENTIAL): "3.1"})
@@ -105,7 +104,7 @@ def resolve_case_key(spec: PdeSpec) -> str | None:
     arbitrary-coefficient case 1.1, as the classification degenerates to
     the translation alone.
     """
-    tag = spec.g.tag
+    tag = spec.tag
     hit = (_CASE_KEYS.get((alpha_kind(spec.alpha), tag))
            or _CASE_KEYS.get(("generic", tag)))
     if hit is None and tag is CoeffTag.EXPONENTIAL:
@@ -132,6 +131,7 @@ def load_printed_form(section: str, spec: PdeSpec) -> Expr:
     fname = f"case_{section.replace('.', '_')}.txt"
     text = (resources.files("fracsym.data.reduced_forms") / fname).read_text()
     binding = {"alpha": spec.alpha, "zeta": num(spec.zeta)}
-    if spec.g.weight_homogeneous:
-        binding.update(k=spec.g.k, b=spec.g.power_exponent())
+    law = power_law(spec.g)
+    if law is not None:
+        binding["k"], binding["b"] = law
     return parse_printed_form(text, binding)

@@ -34,9 +34,9 @@ from .fracnum import (
 )
 from .parser import ParseError, parse_expression
 from .pde import (
-    CoeffForm, Generator, PdeSpec, PdeModelError,
-    ScalingWeights, coeff_form_from_text, scaling_invariance_check,
-    term_weights,
+    Generator, PdeSpec, PdeModelError,
+    ScalingWeights, coeff_form_from_text, power_law,
+    scaling_invariance_check, term_weights,
 )
 from .reduction import (
     ReductionError, characteristic_invariants, compare_reduced_forms,
@@ -106,12 +106,10 @@ class SessionConfig:
         except OverflowError:  # outside (0, 1) all the same
             return math.inf if value > 0 else -math.inf
 
-    def coeff_form(self) -> CoeffForm:
-        return coeff_form_from_text(self.g)
-
     def spec(self) -> PdeSpec:
-        return PdeSpec(alpha=self.alpha_expr(), m=self.m, n=self.n,
-                       zeta=self.zeta, g=self.coeff_form())
+        alpha = self.alpha_expr()
+        return PdeSpec(alpha=alpha, m=self.m, n=self.n, zeta=self.zeta,
+                       g=coeff_form_from_text(self.g, alpha))
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -167,14 +165,6 @@ def _oracle_bindings(cfg: SessionConfig, spec: PdeSpec) -> dict:
     return binding
 
 
-def _numeric_spec(spec: PdeSpec, binding: dict) -> PdeSpec:
-    alpha = binding.get("alpha", spec.alpha)
-    g = CoeffForm(spec.g.tag,
-                  k=substitute(spec.g.k, binding),
-                  b=substitute(spec.g.b, binding))
-    return PdeSpec(alpha=alpha, m=spec.m, n=spec.n, zeta=spec.zeta, g=g)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -186,7 +176,7 @@ def _check_scaling_weights(doc: ReportDoc, spec: PdeSpec, gen: Generator,
     part (e, a1 or c nonzero), a t-free one included, and a
     weight-homogeneous g."""
     nf = gen.normal_form()
-    if nf is None or not spec.g.weight_homogeneous:
+    if nf is None or power_law(spec.g) is None:
         return
     e, _, a1, c = nf
     if e == ZERO and a1 == ZERO and c == ZERO:
@@ -268,7 +258,8 @@ def run_reduce(cfg: SessionConfig, generator_index: int) -> ReportDoc:
 
     # grid oracle on a numeric specialization
     binding = _oracle_bindings(cfg, spec)
-    nspec = _numeric_spec(spec, binding)
+    nspec = replace(spec, alpha=binding.get("alpha", spec.alpha),
+                    g=substitute(spec.g, binding))
     nred = replace(
         red,
         p=substitute(red.p, binding),
@@ -302,7 +293,7 @@ def run_verify(cfg: SessionConfig, triple) -> ReportDoc:
     errors = []
     for name, src in zip(("xi_t", "xi_x", "eta"), triple):
         try:
-            parsed.append(parse_expression(src))
+            parsed.append(parse_expression(src, {"alpha": spec.alpha}))
         except ParseError as exc:
             errors.append(f"{name}: {exc}")
     if errors:

@@ -53,7 +53,7 @@ __all__ = [
     "ExprError", "SimplifyError", "EvalError", "SubstitutionError",
     "num", "sym", "add", "mul", "pow_", "func", "gammaf", "fderiv",
     "as_expr", "children", "rebuild", "rewrite", "simplify", "substitute",
-    "replace_node", "free_symbols", "contains_symbol",
+    "replace_node", "free_symbols", "contains_symbol", "power_of",
     "compile_numeric", "eval_numeric", "is_zero_exact", "clear_denominators",
     "to_text",
     "ZERO", "ONE", "MINUS_ONE",
@@ -784,6 +784,20 @@ def contains_symbol(e: Expr, names) -> bool:
     if isinstance(names, str):
         names = (names,)
     return not free_symbols(e).isdisjoint(names)
+
+
+def power_of(mono: Expr, name: str) -> Expr | None:
+    """p when ``mono`` is the symbol ``name`` to the power p, reading 1 as
+    name^0 and the bare symbol as name^1; None for anything else.  p may
+    be any expression, ``name`` itself included."""
+    if mono == ONE:
+        return ZERO
+    if isinstance(mono, Sym):
+        return ONE if mono.name == name else None
+    if (isinstance(mono, Pow) and isinstance(mono.base, Sym)
+            and mono.base.name == name):
+        return mono.exp
+    return None
 
 
 # ---------------------------------------------------------------------------

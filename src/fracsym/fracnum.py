@@ -21,9 +21,9 @@ import numpy as np
 
 from .calculus import diff
 from .expr import (
-    Expr, Num, Sym, Pow, Prod, Sum, Func, EvalError, ExprError,
+    Expr, Num, Prod, Sum, Func, EvalError, ExprError,
     mul, pow_, as_expr, compile_numeric, eval_numeric, free_symbols,
-    ZERO, ONE,
+    power_of, ZERO, ONE,
 )
 from .pde import PdeSpec
 from .special import gamma_fn
@@ -173,20 +173,16 @@ def power_profile(e: Expr, variables: tuple[str, ...]) -> list:
         exps: dict[str, Q] = {}
         coeff_parts = []
         for f in factors:
-            frees = free_symbols(f)
-            hit = frees & set(variables)
+            hit = free_symbols(f).intersection(variables)
             if not hit:
                 coeff_parts.append(f)
                 continue
-            if isinstance(f, Sym):
-                exps[f.name] = exps.get(f.name, Q(0)) + 1
-            elif (isinstance(f, Pow) and isinstance(f.base, Sym)
-                    and f.base.name in variables and isinstance(f.exp, Num)):
-                name = f.base.name
-                exps[name] = exps.get(name, Q(0)) + f.exp.value
-            else:
+            name = min(hit)
+            p = power_of(f, name) if len(hit) == 1 else None
+            if not isinstance(p, Num):
                 raise UnsupportedProfileError(
                     f"factor {f} is not a pure power of {variables}")
+            exps[name] = exps.get(name, Q(0)) + p.value
         try:
             coeff = eval_numeric(mul(*coeff_parts) if coeff_parts else ONE)
         except EvalError as exc:
@@ -238,7 +234,7 @@ def pde_residual_on_grid(spec: PdeSpec, u_closed_form: Expr,
     convect = compile_numeric(diff(pow_(u_expr, spec.m), "x", 1))
     disperse_expr = diff(pow_(u_expr, spec.n), "x", 3)
     disperse = compile_numeric(disperse_expr)
-    g = compile_numeric(spec.g.expr())
+    g = compile_numeric(spec.g)
 
     out = []
     for xv, tv in points:

@@ -2,27 +2,34 @@
 scaling-weight homogeneity check behind every scaling symmetry.
 
 The equation is  D^a_t u + zeta*(u^m)_x + g(t)*(u^n)_xxx = 0  on t > 0 with
-0 < a <= 1, zeta = +-1, n != 0, and g drawn from a closed catalog of
-coefficient forms.
+0 < a <= 1, zeta = +-1 and n != 0.  g is held as the expression written
+for it: the opaque g(t), or a member of the closed catalog
+
+    k,  k*t^b,  k*exp(b*t),  k*(t-b)^(2/3),  k*(t^2-b)^(1/3)
+
+with k and b free of t (numbers or symbols).  The catalog form's tag is
+read off the expression when a spec is built, and :func:`power_law` reads
+k and b off the weight-homogeneous forms k and k*t^b.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
 from .calculus import diff
 from .expr import (
     Expr, Num, Pow, Prod, Func, ExprError,
-    add, mul, pow_, num, sym, func, as_expr, free_symbols,
-    is_zero_exact, to_text, ZERO, ONE, MINUS_ONE,
+    add, mul, pow_, num, sym, func, as_expr, contains_symbol, free_symbols,
+    is_zero_exact, power_of, to_text, ZERO, ONE, MINUS_ONE,
 )
+from .parser import parse_expression
 
 __all__ = [
-    "CoeffTag", "CoeffForm", "PdeSpec", "Generator", "ScalingWeights",
+    "CoeffTag", "PdeSpec", "Generator", "ScalingWeights",
     "PdeModelError", "NotWeightHomogeneous",
-    "term_weights", "scaling_invariance_check",
+    "term_weights", "scaling_invariance_check", "power_law",
     "coeff_form_from_text", "T", "X", "U", "ALPHA", "B", "K",
 ]
 
@@ -32,6 +39,9 @@ U = sym("u")
 ALPHA = sym("alpha")
 B = sym("b")
 K = sym("k")
+
+# the opaque coefficient of the arbitrary form
+_G = func("g", (T,))
 
 _MAX_EXPONENT = 6
 
@@ -53,76 +63,31 @@ class CoeffTag(enum.Enum):
     QUAD_POWER_13 = "quad-power-1/3"
 
 
-@dataclass(frozen=True)
-class CoeffForm:
-    """One member of the g(t) catalog; k and b may be rationals or symbols."""
-
-    tag: CoeffTag
-    k: Expr = K
-    b: Expr = B
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", as_expr(self.k))
-        object.__setattr__(self, "b", as_expr(self.b))
-        if isinstance(self.k, Num) and self.k.value == 0:
-            raise PdeModelError("coefficient k must be nonvanishing")
-
-    def expr(self) -> Expr:
-        """g(t) as an expression; the arbitrary form is an opaque g(t)."""
-        t = T
-        if self.tag is CoeffTag.ARBITRARY:
-            return func("g", (t,))
-        if self.tag is CoeffTag.CONSTANT:
-            return self.k
-        if self.tag is CoeffTag.POWER:
-            return mul(self.k, pow_(t, self.b))
-        if self.tag is CoeffTag.EXPONENTIAL:
-            return mul(self.k, func("exp", (mul(self.b, t),)))
-        if self.tag is CoeffTag.SHIFTED_POWER_23:
-            return mul(self.k, pow_(add(t, mul(MINUS_ONE, self.b)), Q(2, 3)))
-        if self.tag is CoeffTag.QUAD_POWER_13:
-            return mul(self.k,
-                       pow_(add(pow_(t, 2), mul(MINUS_ONE, self.b)), Q(1, 3)))
-        raise PdeModelError(f"unhandled tag {self.tag}")  # pragma: no cover
-
-    @property
-    def weight_homogeneous(self) -> bool:
-        return self.tag in (CoeffTag.CONSTANT, CoeffTag.POWER)
-
-    def power_exponent(self) -> Expr:
-        """b such that g = k * t^b, for the weight-homogeneous forms."""
-        if self.tag is CoeffTag.CONSTANT:
-            return ZERO
-        if self.tag is CoeffTag.POWER:
-            return self.b
-        raise NotWeightHomogeneous(f"g-form {self.tag.value} is not "
-                                   "weight-homogeneous")
+def _outside_catalog(text: str) -> PdeModelError:
+    return PdeModelError(
+        f"coefficient {text!r} is not in the g(t) catalog "
+        "(constant, k*t^b, k*exp(b*t), k*(t-b)^(2/3), k*(t^2-b)^(1/3), "
+        "or 'arbitrary')")
 
 
-def coeff_form_from_text(src: str) -> CoeffForm:
-    """Recognize a CoeffForm from an expression string.
+def coeff_form_from_text(src: str, alpha: Expr) -> Expr:
+    """g(t) from its text, with ``alpha`` bound to the spec's order.
 
-    ``"arbitrary"`` selects the opaque form; otherwise the expression is
-    matched structurally against the catalog (k and b may be numbers or the
-    symbols k, b).
+    ``"arbitrary"`` (or ``g``, ``g(t)``) selects the opaque g(t);
+    any other text must parse to a catalog form.
     """
-    from .parser import parse_expression
-
     text = src.strip()
     if text.lower() in ("arbitrary", "g", "g(t)"):
-        return CoeffForm(CoeffTag.ARBITRARY)
-    e = parse_expression(text)
-    form = _match_coeff_form(e)
-    if form is None:
-        raise PdeModelError(
-            f"coefficient {src!r} is not in the g(t) catalog "
-            "(constant, k*t^b, k*exp(b*t), k*(t-b)^(2/3), k*(t^2-b)^(1/3), "
-            "or 'arbitrary')")
-    return form
+        return _G
+    g = parse_expression(text, {"alpha": alpha})
+    if _match_coeff_form(g) is None:
+        raise _outside_catalog(src)
+    return g
 
 
 def _split_t_factor(e: Expr):
-    """(k-part, t-part) where k-part is t-free; t-part is a single factor."""
+    """(k-part, t-parts): the product of e's t-free factors, and the list
+    of the others."""
     factors = e.factors if isinstance(e, Prod) else (e,)
     t_parts = [f for f in factors if "t" in free_symbols(f)]
     k_parts = [f for f in factors if "t" not in free_symbols(f)]
@@ -130,52 +95,71 @@ def _split_t_factor(e: Expr):
     return kk, t_parts
 
 
-def _match_coeff_form(e: Expr):
+def power_law(g: Expr):
+    """(k, b) with g = k*t^b and k, b free of t (b = 0 for a constant g);
+    None when g has no such form."""
+    kk, t_parts = _split_t_factor(g)
+    if not t_parts:
+        return kk, ZERO
+    if len(t_parts) == 1:
+        b = power_of(t_parts[0], "t")
+        if b is not None and not contains_symbol(b, "t"):
+            return kk, b
+    return None
+
+
+def _match_coeff_form(e: Expr) -> CoeffTag | None:
+    """The catalog tag of a nonzero g, or None outside the catalog."""
+    if e == _G:
+        return CoeffTag.ARBITRARY
     kk, t_parts = _split_t_factor(e)
-    if isinstance(kk, Num) and kk.value == 0:
+    if kk == ZERO or len(t_parts) > 1:
         return None
     if not t_parts:
-        return CoeffForm(CoeffTag.CONSTANT, k=kk)
-    if len(t_parts) != 1:
-        return None
+        return CoeffTag.CONSTANT
+    if power_law(e) is not None:
+        return CoeffTag.POWER
     tp = t_parts[0]
-    if tp == T:
-        return CoeffForm(CoeffTag.POWER, k=kk, b=ONE)
-    if isinstance(tp, Pow) and tp.base == T:
-        return CoeffForm(CoeffTag.POWER, k=kk, b=tp.exp)
     if isinstance(tp, Func) and tp.name == "exp" and tp.order == 0:
         arg = tp.args[0]
         bb = diff(arg, "t")
         if "t" not in free_symbols(bb) and is_zero_exact(
                 add(arg, mul(MINUS_ONE, bb, T))):
-            return CoeffForm(CoeffTag.EXPONENTIAL, k=kk, b=bb)
+            return CoeffTag.EXPONENTIAL
         return None
     if isinstance(tp, Pow) and isinstance(tp.exp, Num):
         if tp.exp.value == Q(2, 3):
-            base = tp.base
-            bb = add(T, mul(MINUS_ONE, base))
+            bb = add(T, mul(MINUS_ONE, tp.base))
             if "t" not in free_symbols(bb):
-                return CoeffForm(CoeffTag.SHIFTED_POWER_23, k=kk, b=bb)
+                return CoeffTag.SHIFTED_POWER_23
         if tp.exp.value == Q(1, 3):
-            base = tp.base
-            bb = add(pow_(T, 2), mul(MINUS_ONE, base))
+            bb = add(pow_(T, 2), mul(MINUS_ONE, tp.base))
             if "t" not in free_symbols(bb):
-                return CoeffForm(CoeffTag.QUAD_POWER_13, k=kk, b=bb)
+                return CoeffTag.QUAD_POWER_13
     return None
 
 
 @dataclass(frozen=True)
 class PdeSpec:
-    """A K(m,n) instance: order alpha, exponents m, n, sign zeta, and g."""
+    """A K(m,n) instance: order alpha, exponents m, n, sign zeta, and g;
+    ``tag`` is g's catalog form."""
 
     alpha: Expr = ALPHA
     m: int = 2
     n: int = 3
     zeta: int = 1
-    g: CoeffForm = CoeffForm(CoeffTag.ARBITRARY)
+    g: Expr = _G
+    tag: CoeffTag = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", as_expr(self.alpha))
+        object.__setattr__(self, "g", as_expr(self.g))
+        if self.g == ZERO:
+            raise PdeModelError("coefficient k must be nonvanishing")
+        tag = _match_coeff_form(self.g)
+        if tag is None:
+            raise _outside_catalog(to_text(self.g))
+        object.__setattr__(self, "tag", tag)
         if isinstance(self.alpha, Num):
             if not (0 < self.alpha.value <= 1):
                 raise PdeModelError("alpha must lie in (0, 1]")
@@ -276,7 +260,11 @@ def term_weights(spec: PdeSpec, w: ScalingWeights) -> list[Expr]:
     The fractional term scales with w_u - alpha*w_t; each d/dx lowers the
     weight by w_x; g = k*t^b contributes b*w_t.
     """
-    b = spec.g.power_exponent()  # raises NotWeightHomogeneous otherwise
+    law = power_law(spec.g)
+    if law is None:
+        raise NotWeightHomogeneous(f"g-form {spec.tag.value} is not "
+                                   "weight-homogeneous")
+    b = law[1]
     frac = add(w.w_u, mul(MINUS_ONE, spec.alpha, w.w_t))
     convect = add(mul(num(spec.m), w.w_u), mul(MINUS_ONE, w.w_x))
     disperse = add(mul(b, w.w_t), mul(num(spec.n), w.w_u),

@@ -25,9 +25,9 @@ from .calculus import diff, split_by
 from .expr import (
     Expr, Sym, Prod, Pow, Func, FDeriv, ExprError,
     add, mul, pow_, num, sym, func, gammaf, fderiv, as_expr,
-    contains_symbol, eval_numeric, is_zero_exact, substitute,
+    contains_symbol, eval_numeric, is_zero_exact, power_of, substitute,
     to_text,
-    ZERO, ONE, MINUS_ONE,
+    ZERO, MINUS_ONE,
 )
 from .fracnum import (
     fode_residual_on_grid, pde_residual_on_grid, relative_deviation,
@@ -108,15 +108,11 @@ def _group_x_power(e: Expr):
     groups = split_by(e, lambda f: contains_symbol(f, "x"))
     exponents = []
     for mono in groups:
-        if mono == ONE:
-            exponents.append(ZERO)
-        elif mono == X:
-            exponents.append(ONE)
-        elif isinstance(mono, Pow) and mono.base == X:
-            exponents.append(mono.exp)
-        else:
+        expo = power_of(mono, "x")
+        if expo is None:
             raise ReductionError(
                 f"residual term mixes x irreducibly: {to_text(mono)}")
+        exponents.append(expo)
     merged: list[tuple[Expr, list[Expr]]] = []
     for expo, (mono, coeff) in zip(exponents, groups.items()):
         for known, parts in merged:
@@ -157,7 +153,7 @@ def similarity_substitute(spec: PdeSpec,
     for _ in range(3):
         a, F = _d_x(a, F, q)
     # g carries the one explicit t: express it through r = t*x^q
-    g = substitute(spec.g.expr(),
+    g = substitute(spec.g,
                    {"t": mul(R_SYM, pow_(X, mul(MINUS_ONE, q)))})
     disperse = mul(g, pow_(X, a), F)
 

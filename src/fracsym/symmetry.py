@@ -30,7 +30,7 @@ from .calculus import JetContext, diff, is_polynomial_in, split_by
 from .expr import (
     Expr, Num, Sym, Pow, FDeriv, ExprError,
     add, mul, pow_, num, sym, gammaf, fderiv, as_expr,
-    contains_symbol, is_zero_exact, replace_node, substitute,
+    contains_symbol, is_zero_exact, power_of, replace_node, substitute,
     to_text, ZERO, ONE, MINUS_ONE,
 )
 from .pde import (
@@ -108,15 +108,11 @@ def rl_partial_t(e: Expr, alpha) -> Expr:
     groups = split_by(e, lambda f: contains_symbol(f, "t"))
     out = []
     for mono, coeff in groups.items():
-        if mono == ONE:
-            p = Q(0)
-        elif mono == T:
-            p = Q(1)
-        elif isinstance(mono, Pow) and mono.base == T and isinstance(mono.exp, Num):
-            p = mono.exp.value
-        else:
+        p = power_of(mono, "t")
+        if not isinstance(p, Num):
             raise UnsupportedAnsatzError(
                 f"t-dependence {mono} is not a rational power of t")
+        p = p.value
         if p <= -1:
             raise UnsupportedAnsatzError(
                 f"power-rule domain requires exponent > -1, got {p}")
@@ -221,7 +217,7 @@ def invariance_residual(spec: PdeSpec, gen: Generator,
     prol = eta_alpha(gen, spec.alpha, M)
 
     rest = add(mul(num(spec.zeta), diff(pow_(U, spec.m), "x", 1, _JETS)),
-               mul(spec.g.expr(), diff(pow_(U, spec.n), "x", 3, _JETS)))
+               mul(spec.g, diff(pow_(U, spec.n), "x", 3, _JETS)))
 
     applied = [prol.eta_alpha]
     coords = [
@@ -370,8 +366,8 @@ def classify(spec: PdeSpec, M: int = DEFAULT_TRUNCATION) -> list[Generator]:
     if kind == "unsupported":
         raise OutsideCatalogError(
             f"alpha = {to_text(spec.alpha)} is outside the catalog")
-    if (spec.g.tag in (CoeffTag.SHIFTED_POWER_23, CoeffTag.QUAD_POWER_13)
+    if (spec.tag in (CoeffTag.SHIFTED_POWER_23, CoeffTag.QUAD_POWER_13)
             and kind != "1/3"):
         raise OutsideCatalogError(
-            f"g-form {spec.g.tag.value} is cataloged only at alpha = 1/3")
+            f"g-form {spec.tag.value} is cataloged only at alpha = 1/3")
     return determining_system(spec, M).solve()

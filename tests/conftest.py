@@ -1,6 +1,6 @@
 """Shared test helpers: seeded random expressions, rational sampling, the
-paper's printed scaling reductions, the tree-walk numeric evaluator and the
-jet-by-jet total derivative."""
+g(t) catalog by tag, the paper's printed scaling reductions, the tree-walk
+numeric evaluator and the jet-by-jet total derivative."""
 
 import math
 import pathlib
@@ -14,8 +14,9 @@ from fracsym.cases import parse_printed_form
 from fracsym.expr import (
     EvalError, FDeriv, Func, GammaF, Num, Pow, Prod, Sum, Sym, _KNOWN_FUNCS,
     _eval_known_func, add, as_expr, children, free_symbols, mul, num, pow_,
-    sym,
+    substitute, sym,
 )
+from fracsym.pde import ALPHA, CoeffTag, coeff_form_from_text
 from fracsym.special import GammaPoleError, gamma_fn
 
 SYMBOL_POOL = ("x", "t", "u", "alpha", "b", "k")
@@ -27,6 +28,25 @@ PAPER_PRINTS = pathlib.Path(__file__).with_name("paper_prints")
 # paper section of each scaling print -> the classification case it reduces
 PAPER_SECTIONS = {"2.1": "1.2", "2.2": "1.3", "3.1": "2.2", "3.2": "2.3",
                   "4.1": "3.2", "4.2": "3.3"}
+
+
+# each catalog form of g(t) in the CLI expression grammar
+CATALOG_G = {
+    CoeffTag.ARBITRARY: "arbitrary",
+    CoeffTag.CONSTANT: "k",
+    CoeffTag.POWER: "k*t^b",
+    CoeffTag.EXPONENTIAL: "k*exp(b*t)",
+    CoeffTag.SHIFTED_POWER_23: "k*(t-b)^(2/3)",
+    CoeffTag.QUAD_POWER_13: "k*(t^2-b)^(1/3)",
+}
+
+
+def catalog_g(tag: CoeffTag, k=None, b=None):
+    """The catalog form of ``tag`` as an expression, with k and b replaced
+    by the values given."""
+    binding = {name: as_expr(value) for name, value in (("k", k), ("b", b))
+               if value is not None}
+    return substitute(coeff_form_from_text(CATALOG_G[tag], ALPHA), binding)
 
 
 def paper_print(section: str):

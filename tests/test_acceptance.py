@@ -12,7 +12,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import paper_print, random_expr, random_point, random_rational
+from conftest import (
+    catalog_g, paper_print, random_expr, random_point, random_rational,
+)
 from fracsym import fracnum as fn
 from fracsym.cases import spec_for_case
 from fracsym.expr import (
@@ -22,7 +24,7 @@ from fracsym.expr import (
 )
 from fracsym.pde import (
     ALPHA, B, K, T, U, X,
-    CoeffForm, CoeffTag, Generator, PdeSpec, ScalingWeights,
+    CoeffTag, Generator, PdeSpec, ScalingWeights,
     scaling_invariance_check,
 )
 from fracsym.reduction import (
@@ -211,7 +213,7 @@ class TestCriterion5:
             full_binding["alpha"] = num(alpha)
             from dataclasses import replace
             spec_num = PdeSpec(alpha=num(alpha), m=2, n=3, zeta=1,
-                               g=CoeffForm(spec_sym.g.tag, k=num(1), b=num(2)))
+                               g=catalog_g(spec_sym.tag, k=1, b=2))
             red_num = replace(
                 red_sym,
                 p=substitute(red_sym.p, full_binding),
@@ -239,7 +241,7 @@ class TestCriterion6:
             ks = kernel_solution(alpha, 1)
             assert ks.residual == ZERO
             spec = PdeSpec(alpha=num(alpha),
-                           g=CoeffForm(CoeffTag.CONSTANT, k=num(1)))
+                           g=catalog_g(CoeffTag.CONSTANT, k=1))
             residuals = fn.pde_residual_on_grid(spec, ks.expr, points)
             assert all(v == 0.0 for v in residuals), alpha
         print("\n[criterion 6] kernel solution annihilated symbolically and "
@@ -277,9 +279,9 @@ class TestCriterion8:
                 CoeffTag.EXPONENTIAL, CoeffTag.SHIFTED_POWER_23,
                 CoeffTag.QUAD_POWER_13]
         for _ in range(50):
-            g = CoeffForm(rng.choice(tags),
-                          k=num(random_rational(rng, nonzero=True)),
-                          b=num(random_rational(rng, nonzero=True)))
+            g = catalog_g(rng.choice(tags),
+                          k=random_rational(rng, nonzero=True),
+                          b=random_rational(rng, nonzero=True))
             spec = PdeSpec(m=rng.randint(1, 4), n=rng.randint(1, 4),
                            zeta=rng.choice((1, -1)), g=g)
             assert invariance_residual(spec, X_TRANSLATION) == ZERO

@@ -5,12 +5,13 @@ from importlib import resources
 
 import pytest
 
+from conftest import catalog_g
 from fracsym.cases import (
     CLASSIFICATION_CASES, alpha_kind, load_printed_form, parse_printed_form,
     resolve_case_key,
 )
 from fracsym.expr import mul, num, substitute, to_text
-from fracsym.pde import ALPHA, CoeffForm, CoeffTag, PdeSpec
+from fracsym.pde import ALPHA, CoeffTag, PdeSpec, power_law
 
 HALF, THIRD, OTHER = Q(1, 2), Q(1, 3), Q(3, 4)
 
@@ -41,7 +42,7 @@ CASE_KEYS = [
 
 @pytest.mark.parametrize("alpha, tag, key", CASE_KEYS)
 def test_resolve_case_key(alpha, tag, key):
-    assert resolve_case_key(PdeSpec(alpha=alpha, g=CoeffForm(tag))) == key
+    assert resolve_case_key(PdeSpec(alpha=alpha, g=catalog_g(tag))) == key
 
 
 @pytest.mark.parametrize("alpha, kind", [
@@ -58,8 +59,9 @@ def test_alpha_kind(alpha, kind):
 def test_bound_parse_equals_parse_then_substitute(case, zeta):
     spec = CLASSIFICATION_CASES[case].spec(zeta=zeta)
     binding = {"alpha": spec.alpha, "zeta": num(zeta)}
-    if spec.g.weight_homogeneous:
-        binding.update(k=spec.g.k, b=spec.g.power_exponent())
+    law = power_law(spec.g)
+    if law is not None:
+        binding["k"], binding["b"] = law
     for section in ("1", "2.1"):
         text = (resources.files("fracsym.data.reduced_forms")
                 / f"case_{section.replace('.', '_')}.txt").read_text()

@@ -548,6 +548,16 @@ class TestMainEntry:
         out, err = capsys.readouterr()
         assert "fail] parse -- unknown function 'f'" in out and err == ""
 
+    def test_oracle_k_is_not_bound_into_an_opaque_g(self, capsys):
+        """The opaque g(t) holds no k, so an oracle k of 0 leaves it as it is;
+        a g = k*t^b it would zero is refused."""
+        argv = ["reduce", "--case", "1.1", "--generator-index", "0",
+                "--oracle-k", "0"]
+        assert main(argv) == 0
+        assert main(["reduce", "--case", "1.2", "--oracle-k", "0"]) == 1
+        assert capsys.readouterr().err == \
+            "error: coefficient k must be nonvanishing\n"
+
     def test_error_exit_is_one(self, capsys):
         assert main(["report", "--in", "/no/such/file.json"]) == 1
 
@@ -555,6 +565,42 @@ class TestMainEntry:
         assert main(["reduce", "--case", "3.3", "--generator-index", "1"]) == 0
         out = capsys.readouterr().out
         assert "t*x^3" in out
+
+
+class TestAlphaInExpressions:
+    """alpha inside --g and --xi-t/--xi-x/--eta is the --alpha value."""
+
+    ARGV = ["--g", "k*t^(2*alpha)", "--alpha", "1/2"]
+
+    def test_classify(self, capsys):
+        assert main(["classify", *self.ARGV]) == 0
+        out = capsys.readouterr().out
+        assert "X2: xi_t = -t; xi_x = -1/2*x; eta = 0" in out
+
+    def test_reduce(self, capsys):
+        assert main(["reduce", *self.ARGV]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("alpha", ["alpha", "1/2"])
+    def test_verify(self, alpha, capsys):
+        argv = ["verify", "--alpha", "1/2", "--g", "k*t^b", "--xi-t", "-t",
+                "--xi-x", f"({alpha}-b)*x", "--eta", f"(2*{alpha}-b)*u"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "pass] invariance_residual" in out
+        assert "pass] scaling_weights" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["classify"], ["reduce"],
+    ["verify", "--xi-t", "0", "--xi-x", "1", "--eta", "0"],
+])
+def test_exponent_in_t_is_outside_the_catalog(command, capsys):
+    assert main([*command, "--g", "t^t"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: coefficient 't^t' is not in the g(t) "
+                          "catalog")
+    assert err.count("\n") == 1
 
 
 def test_solving_subcommands_share_the_common_flags():

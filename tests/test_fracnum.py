@@ -6,11 +6,12 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
+from conftest import catalog_g
 from fracsym import fracnum as fn
 from fracsym.expr import (
     ZERO, MINUS_ONE, EvalError, add, func, gammaf, mul, num, pow_, sym,
 )
-from fracsym.pde import CoeffForm, CoeffTag, PdeSpec
+from fracsym.pde import CoeffTag, PdeSpec
 from fracsym.special import GammaPoleError, gamma_fn
 
 t, x, r = sym("t"), sym("x"), sym("r")
@@ -231,7 +232,7 @@ class TestPointEvaluation:
 
 
 class TestGridResiduals:
-    SPEC = PdeSpec(alpha=num(Q(1, 2)), g=CoeffForm(CoeffTag.CONSTANT, k=num(1)))
+    SPEC = PdeSpec(alpha=num(Q(1, 2)), g=catalog_g(CoeffTag.CONSTANT, k=num(1)))
     POINTS = [(0.8, 1.2), (1.5, 0.6), (2.0, 2.0)]
 
     def test_kernel_solution_residual_vanishes(self):
@@ -249,7 +250,7 @@ class TestGridResiduals:
                                        rel=1e-12)
 
     def test_opaque_g_only_where_it_multiplies_a_nonzero_term(self):
-        spec = PdeSpec(alpha=num(Q(1, 2)), g=CoeffForm(CoeffTag.ARBITRARY))
+        spec = PdeSpec(alpha=num(Q(1, 2)), g=catalog_g(CoeffTag.ARBITRARY))
         # u = t^2: the dispersion term vanishes, so g(t) needs no value
         res = fn.pde_residual_on_grid(spec, pow_(t, 2), [(1.0, 1.5)])
         assert res == [fn.rl_power_rule(2, 0.5, 1.5)]
@@ -284,7 +285,7 @@ class TestGridResiduals:
         from fracsym.symmetry import classify
         from fracsym.expr import substitute
         spec = PdeSpec(alpha=num(Q(1, 4)),
-                       g=CoeffForm(CoeffTag.CONSTANT, k=num(1)))
+                       g=catalog_g(CoeffTag.CONSTANT, k=num(1)))
         red = similarity_substitute(
             spec, characteristic_invariants(classify(spec)[1]))
         xv, tv = 1.0, 1.0

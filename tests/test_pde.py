@@ -1,20 +1,29 @@
 """PDE-model tests: jet expansion of the equation, scaling weights, g-form
 catalog."""
 
+import contextlib
+import io
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import catalog_g
 from fracsym.calculus import JetContext, diff
+from fracsym.cli import main
 from fracsym.expr import (
-    ZERO, MINUS_ONE, add, fderiv, func, mul, num, pow_, sym,
+    ONE, ZERO, MINUS_ONE, add, fderiv, func, mul, num, pow_, power_of, sym,
 )
+from fracsym.parser import parse_expression
 from fracsym.pde import (
     ALPHA, B, K, T, U, X,
-    CoeffForm, CoeffTag, Generator, NotWeightHomogeneous, PdeModelError,
-    PdeSpec, ScalingWeights, coeff_form_from_text,
+    CoeffTag, Generator, NotWeightHomogeneous, PdeModelError,
+    PdeSpec, ScalingWeights, coeff_form_from_text, power_law,
     scaling_invariance_check, term_weights,
 )
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+nonzero = rationals.filter(bool)
 
 u_x, u_xx, u_xxx = (sym(n) for n in ("u_x", "u_xx", "u_xxx"))
 
@@ -26,13 +35,13 @@ def expanded(spec):
     """The equation's left-hand side, expanded in jet symbols."""
     return add(fderiv(U, T, spec.alpha),
                mul(num(spec.zeta), diff(pow_(U, spec.m), "x", 1, CTX)),
-               mul(spec.g.expr(), diff(pow_(U, spec.n), "x", 3, CTX)))
+               mul(spec.g, diff(pow_(U, spec.n), "x", 3, CTX)))
 
 
 class TestResidual:
     def test_k23_constant_coefficient(self):
         spec = PdeSpec(alpha=ALPHA, m=2, n=3, zeta=1,
-                       g=CoeffForm(CoeffTag.CONSTANT, k=K))
+                       g=catalog_g(CoeffTag.CONSTANT, k=K))
         got = expanded(spec)
         cubic = add(mul(6, pow_(u_x, 3)), mul(18, U, u_x, u_xx),
                     mul(3, pow_(U, 2), u_xxx))
@@ -40,7 +49,7 @@ class TestResidual:
         assert got == expected
 
     def test_power_coefficient_carries_tb(self):
-        spec = PdeSpec(g=CoeffForm(CoeffTag.POWER))
+        spec = PdeSpec(g=catalog_g(CoeffTag.POWER))
         got = expanded(spec)
         cubic = add(mul(6, pow_(u_x, 3)), mul(18, U, u_x, u_xx),
                     mul(3, pow_(U, 2), u_xxx))
@@ -49,13 +58,13 @@ class TestResidual:
         assert got == expected
 
     def test_n_equals_one_is_linear_dispersion(self):
-        spec = PdeSpec(m=2, n=1, g=CoeffForm(CoeffTag.CONSTANT, k=K))
+        spec = PdeSpec(m=2, n=1, g=catalog_g(CoeffTag.CONSTANT, k=K))
         got = expanded(spec)
         assert got == add(fderiv(U, T, ALPHA), mul(2, U, u_x),
                           mul(K, u_xxx))
 
     def test_zeta_minus_one(self):
-        spec = PdeSpec(zeta=-1, g=CoeffForm(CoeffTag.CONSTANT, k=num(1)))
+        spec = PdeSpec(zeta=-1, g=catalog_g(CoeffTag.CONSTANT, k=1))
         got = expanded(spec)
         assert got == add(fderiv(U, T, ALPHA), mul(-2, U, u_x),
                           mul(6, pow_(u_x, 3)), mul(18, U, u_x, u_xx),
@@ -69,12 +78,12 @@ class TestResidual:
         with pytest.raises(PdeModelError):
             PdeSpec(zeta=0)
         with pytest.raises(PdeModelError):
-            CoeffForm(CoeffTag.CONSTANT, k=num(0))
+            PdeSpec(g=catalog_g(CoeffTag.CONSTANT, k=0))
 
 
 class TestWeights:
     def test_constant_g_scaling(self):
-        spec = PdeSpec(g=CoeffForm(CoeffTag.CONSTANT))
+        spec = PdeSpec(g=catalog_g(CoeffTag.CONSTANT))
         w = ScalingWeights(-1, ALPHA, mul(2, ALPHA))
         got = term_weights(spec, w)
         three_alpha = mul(3, ALPHA)
@@ -82,7 +91,7 @@ class TestWeights:
         assert scaling_invariance_check(spec, w)
 
     def test_power_g_scaling(self):
-        spec = PdeSpec(g=CoeffForm(CoeffTag.POWER))
+        spec = PdeSpec(g=catalog_g(CoeffTag.POWER))
         w = ScalingWeights(-1, add(ALPHA, mul(-1, B)),
                            add(mul(2, ALPHA), mul(-1, B)))
         expected = add(mul(3, ALPHA), mul(-1, B))
@@ -90,24 +99,24 @@ class TestWeights:
         assert scaling_invariance_check(spec, w)
 
     def test_inhomogeneous_weights(self):
-        spec = PdeSpec(g=CoeffForm(CoeffTag.CONSTANT))
+        spec = PdeSpec(g=catalog_g(CoeffTag.CONSTANT))
         w = ScalingWeights(0, 1, 0)
         assert term_weights(spec, w) == [ZERO, MINUS_ONE, num(-3)]
         assert not scaling_invariance_check(spec, w)
 
     def test_mismatched_scaling_rejected(self):
-        spec = PdeSpec(g=CoeffForm(CoeffTag.CONSTANT))
+        spec = PdeSpec(g=catalog_g(CoeffTag.CONSTANT))
         assert not scaling_invariance_check(
             spec, ScalingWeights(-1, ALPHA, ALPHA))
 
     def test_non_homogeneous_form_errors(self):
-        spec = PdeSpec(g=CoeffForm(CoeffTag.EXPONENTIAL))
+        spec = PdeSpec(g=catalog_g(CoeffTag.EXPONENTIAL))
         with pytest.raises(NotWeightHomogeneous):
             term_weights(spec, ScalingWeights(-1, 1, 1))
 
     @pytest.mark.parametrize("scale", [Q(2), Q(-1, 3), Q(7, 5)])
     def test_boolean_invariant_under_weight_rescale(self, scale):
-        spec = PdeSpec(g=CoeffForm(CoeffTag.POWER))
+        spec = PdeSpec(g=catalog_g(CoeffTag.POWER))
         w = ScalingWeights(-1, add(ALPHA, mul(-1, B)),
                            add(mul(2, ALPHA), mul(-1, B)))
         rescaled = ScalingWeights(mul(scale, w.w_t), mul(scale, w.w_x),
@@ -129,7 +138,7 @@ class TestWeights:
             ("3.3", num(Q(1, 3)), CoeffTag.CONSTANT, (-3, 1, 2)),
         ]
         for case, alpha, tag, (wt, wx, wu) in rows:
-            spec = PdeSpec(alpha=alpha, g=CoeffForm(tag))
+            spec = PdeSpec(alpha=alpha, g=catalog_g(tag))
             assert scaling_invariance_check(
                 spec, ScalingWeights(wt, wx, wu)), case
 
@@ -148,17 +157,108 @@ class TestCoeffForms:
         ("arbitrary", CoeffTag.ARBITRARY),
     ])
     def test_recognition(self, text, tag):
-        assert coeff_form_from_text(text).tag is tag
+        assert PdeSpec(g=coeff_form_from_text(text, ALPHA)).tag is tag
 
     def test_rejection(self):
         with pytest.raises(PdeModelError):
-            coeff_form_from_text("t + 1")
+            coeff_form_from_text("t + 1", ALPHA)
         with pytest.raises(PdeModelError):
-            coeff_form_from_text("0")
+            coeff_form_from_text("0", ALPHA)
 
     def test_expr_emission(self):
-        assert CoeffForm(CoeffTag.ARBITRARY).expr() == func("g", (T,))
-        assert CoeffForm(CoeffTag.POWER).expr() == mul(K, pow_(T, B))
+        assert coeff_form_from_text("arbitrary", ALPHA) == func("g", (T,))
+        assert PdeSpec().g == func("g", (T,))
+        assert coeff_form_from_text("k*t^b", ALPHA) == mul(K, pow_(T, B))
+
+    def test_alpha_in_the_text_is_the_order(self):
+        g = coeff_form_from_text("k*t^(2*alpha)", num(Q(1, 2)))
+        assert g == mul(K, T)
+        g = coeff_form_from_text("k*t^alpha", ALPHA)
+        assert g == mul(K, pow_(T, ALPHA))
+
+    @given(tag=st.sampled_from(list(CoeffTag)), k=nonzero, b=nonzero)
+    @settings(max_examples=150, deadline=None)
+    def test_tag_of_each_catalog_text(self, tag, k, b):
+        assert PdeSpec(g=catalog_g(tag, k=k, b=b)).tag is tag
+
+    @pytest.mark.parametrize("tag, collapsed", [
+        (CoeffTag.POWER, CoeffTag.CONSTANT),
+        (CoeffTag.EXPONENTIAL, CoeffTag.CONSTANT),
+        (CoeffTag.SHIFTED_POWER_23, CoeffTag.POWER),
+        (CoeffTag.QUAD_POWER_13, CoeffTag.POWER),
+    ])
+    def test_tag_at_b_zero(self, tag, collapsed):
+        """At b = 0 a form is read as the simpler form it equals."""
+        assert PdeSpec(g=catalog_g(tag, k=3, b=0)).tag is collapsed
+
+    def test_rejections_carry_the_cli_messages(self):
+        """PdeSpec raises the line the CLI prints for the same g."""
+        def cli_error(*argv):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                assert main(list(argv)) == 1
+            return err.getvalue()
+
+        with pytest.raises(PdeModelError) as outside:
+            PdeSpec(g=parse_expression("t^t"))
+        assert "is not in the g(t) catalog" in str(outside.value)
+        assert cli_error("classify", "--g", "t^t") \
+            == f"error: {outside.value}\n"
+        with pytest.raises(PdeModelError) as zero:
+            PdeSpec(g=ZERO)
+        assert str(zero.value) == "coefficient k must be nonvanishing"
+        assert cli_error("reduce", "--case", "1.2", "--oracle-k", "0") \
+            == f"error: {zero.value}\n"
+
+
+class TestPowerLaw:
+    @given(k=nonzero, b=rationals)
+    @settings(max_examples=200, deadline=None)
+    def test_reads_k_and_b(self, k, b):
+        assert power_law(mul(num(k), pow_(T, num(b)))) == (num(k), num(b))
+
+    @given(k=nonzero, b=nonzero)
+    @settings(max_examples=100, deadline=None)
+    def test_symbolic_parts(self, k, b):
+        assert power_law(catalog_g(CoeffTag.POWER)) == (K, B)
+        assert power_law(catalog_g(CoeffTag.CONSTANT, k=k)) == (num(k), ZERO)
+        g = catalog_g(CoeffTag.POWER, k=mul(k, ALPHA), b=add(b, ALPHA))
+        assert power_law(g) == (mul(k, ALPHA), add(b, ALPHA))
+
+    @given(tag=st.sampled_from([CoeffTag.ARBITRARY, CoeffTag.EXPONENTIAL,
+                                CoeffTag.SHIFTED_POWER_23,
+                                CoeffTag.QUAD_POWER_13]),
+           k=nonzero, b=nonzero)
+    @settings(max_examples=100, deadline=None)
+    def test_none_off_the_power_laws(self, tag, k, b):
+        assert power_law(catalog_g(tag, k=k, b=b)) is None
+
+    @pytest.mark.parametrize("text", ["t^t", "k*t^(b*t)", "1 + t",
+                                      "t*exp(t)", "x^t"])
+    def test_none_for_exponents_or_factors_in_t(self, text):
+        assert power_law(parse_expression(text)) is None
+
+
+class TestPowerOf:
+    @given(name=st.sampled_from(["t", "x", "r"]), p=rationals)
+    @settings(max_examples=200, deadline=None)
+    def test_reads_the_exponent(self, name, p):
+        assert power_of(pow_(sym(name), num(p)), name) == num(p)
+
+    def test_one_and_the_bare_symbol(self):
+        assert power_of(ONE, "t") == ZERO
+        assert power_of(T, "t") == ONE
+        assert power_of(pow_(T, B), "t") == B
+        assert power_of(pow_(T, T), "t") == T
+
+    @given(p=nonzero, c=nonzero.filter(lambda c: c != 1))
+    @settings(max_examples=100, deadline=None)
+    def test_none_for_anything_else(self, p, c):
+        for mono in (num(c), X, pow_(X, num(p)), mul(num(c), pow_(T, num(p))),
+                     mul(X, T), add(T, num(c)),
+                     pow_(add(T, ONE), Q(1, 3)), func("exp", (T,))):
+            assert power_of(mono, "t") is None
 
 
 class TestGenerator:

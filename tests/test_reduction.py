@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import test_symmetry
 from conftest import (
-    PAPER_PRINTS, PAPER_SECTIONS, paper_print, subtrees, tree_walk_eval,
+    PAPER_PRINTS, PAPER_SECTIONS, catalog_g, paper_print, subtrees,
+    tree_walk_eval,
 )
 from fracsym.calculus import diff, split_by
 from fracsym.cases import (
@@ -27,7 +28,7 @@ from fracsym.fracnum import (
     power_profile, relative_deviation, rl_power_rule,
 )
 from fracsym.pde import (
-    ALPHA, B, K, T, U, X, CoeffForm, CoeffTag, Generator, PdeModelError,
+    ALPHA, B, K, T, U, X, CoeffTag, Generator, PdeModelError,
     PdeSpec,
 )
 from fracsym.reduction import (
@@ -293,7 +294,7 @@ class TestSpecializedPrintedForms:
                                             (5, 1, 1), (1, 6, -1)])
     def test_translation_form_holds_for_every_m_n_zeta(self, m, n, zeta):
         spec = PdeSpec(alpha=num(Q(1, 3)), m=m, n=n, zeta=zeta,
-                       g=CoeffForm(CoeffTag.ARBITRARY))
+                       g=catalog_g(CoeffTag.ARBITRARY))
         red = similarity_substitute(
             spec, characteristic_invariants(Generator(0, 1, 0)))
         printed = load_printed_form("1", spec)
@@ -306,7 +307,7 @@ class TestIdentityCheck:
 
     def test_translation_power_rule_closed_form(self):
         spec = PdeSpec(alpha=num(Q(1, 2)),
-                       g=CoeffForm(CoeffTag.CONSTANT, k=num(1)))
+                       g=catalog_g(CoeffTag.CONSTANT, k=num(1)))
         red = similarity_substitute(
             spec, characteristic_invariants(Generator(0, 1, 0)))
         dev = reduced_residual_identity_check(spec, red, pow_(r, 2), self.PTS)
@@ -320,7 +321,7 @@ class TestIdentityCheck:
         rng = random.Random(4321)
         pts = [(rng.uniform(0.5, 2), rng.uniform(0.5, 2)) for _ in range(20)]
         spec = PdeSpec(alpha=num(Q(1, 4)),
-                       g=CoeffForm(CoeffTag.CONSTANT, k=num(1)))
+                       g=catalog_g(CoeffTag.CONSTANT, k=num(1)))
         red = similarity_substitute(
             spec, characteristic_invariants(classify(spec)[1]))
         dev = reduced_residual_identity_check(spec, red, r, pts)
@@ -328,7 +329,7 @@ class TestIdentityCheck:
 
     def test_zero_profile(self):
         spec = PdeSpec(alpha=num(Q(1, 2)),
-                       g=CoeffForm(CoeffTag.CONSTANT, k=num(1)))
+                       g=catalog_g(CoeffTag.CONSTANT, k=num(1)))
         red = similarity_substitute(
             spec, characteristic_invariants(classify(spec)[1]))
         assert reduced_residual_identity_check(spec, red, ZERO, self.PTS) == 0
@@ -485,7 +486,7 @@ def chain_rule_substitute(spec, red):
     frac = _chain_rule_rescale_fd_nodes(
         _chain_rule_pull_x_factor(fderiv(u_sub, T, spec.alpha)))
     convect = mul(num(spec.zeta), diff(pow_(u_sub, spec.m), "x", 1))
-    disperse = mul(spec.g.expr(), diff(pow_(u_sub, spec.n), "x", 3))
+    disperse = mul(spec.g, diff(pow_(u_sub, spec.n), "x", 3))
     total = substitute(add(frac, convect, disperse),
                        {"t": mul(r, pow_(X, mul(MINUS_ONE, red.q)))})
     s, reduced = _group_x_power(total)
@@ -584,7 +585,7 @@ def tree_walk_pde_residual(spec, u_expr, points):
         value = (_power_rule_sum(profile, "t", alpha, point)
                  + spec.zeta * tree_walk_eval(convect, point))
         if disperse != ZERO:
-            value += (tree_walk_eval(spec.g.expr(), point)
+            value += (tree_walk_eval(spec.g, point)
                       * tree_walk_eval(disperse, point))
         out.append(value)
     return out
@@ -642,7 +643,7 @@ class TestCompiledGridResiduals:
         assert fode_residual_on_grid(unresolvable, r, []) == []
         with pytest.raises(EvalError, match="constant out of float range"):
             fode_residual_on_grid(unresolvable, r, [1.0])
-        spec = PdeSpec(alpha=num(Q(1, 2)), g=CoeffForm(CoeffTag.ARBITRARY))
+        spec = PdeSpec(alpha=num(Q(1, 2)), g=catalog_g(CoeffTag.ARBITRARY))
         assert pde_residual_on_grid(spec, mul(X, T), []) == []
         with pytest.raises(EvalError, match="cannot evaluate function 'g'"):
             pde_residual_on_grid(spec, mul(X, T), [(1.0, 1.0)])

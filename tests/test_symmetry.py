@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import random_rational, subtrees
+from conftest import catalog_g, random_rational, subtrees
 from fracsym.calculus import JetContext, diff, split_by
 from fracsym.cases import CLASSIFICATION_CASES
 from fracsym.expr import (
@@ -17,7 +17,7 @@ from fracsym.expr import (
 )
 from fracsym.pde import (
     ALPHA, B, T, U, X,
-    CoeffForm, CoeffTag, Generator, PdeSpec, ScalingWeights, term_weights,
+    CoeffTag, Generator, PdeSpec, ScalingWeights, term_weights,
 )
 from fracsym.symmetry import (
     OutsideCatalogError, UnsupportedAnsatzError,
@@ -185,17 +185,17 @@ class TestInvarianceResidual:
         CoeffTag.QUAD_POWER_13,
     ])
     def test_translation_is_always_a_symmetry(self, tag):
-        spec = PdeSpec(g=CoeffForm(tag))
+        spec = PdeSpec(g=catalog_g(tag))
         assert invariance_residual(spec, X_TRANSLATION) == ZERO
 
     def test_case_12_generator_is_symmetry(self):
-        spec = PdeSpec(g=CoeffForm(CoeffTag.POWER))
+        spec = PdeSpec(g=catalog_g(CoeffTag.POWER))
         gen = scaling_generator(-1, add(ALPHA, mul(-1, B)),
                                 add(mul(2, ALPHA), mul(-1, B)))
         assert invariance_residual(spec, gen) == ZERO
 
     def test_t_scaling_alone_is_not(self):
-        spec = PdeSpec(g=CoeffForm(CoeffTag.CONSTANT))
+        spec = PdeSpec(g=catalog_g(CoeffTag.CONSTANT))
         assert invariance_residual(spec, Generator(T, 0, 0)) != ZERO
 
     def test_translation_universality_seeded(self):
@@ -205,7 +205,7 @@ class TestInvarianceResidual:
                 CoeffTag.QUAD_POWER_13]
         for _ in range(50):
             tag = rng.choice(tags)
-            g = CoeffForm(tag, k=num(random_rational(rng, nonzero=True)),
+            g = catalog_g(tag, k=num(random_rational(rng, nonzero=True)),
                           b=num(random_rational(rng, nonzero=True)))
             m = rng.randint(1, 4)
             n = rng.randint(1, 4)
@@ -222,7 +222,7 @@ def rows_annihilate(ds, a0, a1, e, c) -> bool:
 
 class TestDeterminingSystem:
     def test_constant_g_solution_pattern(self):
-        spec = PdeSpec(g=CoeffForm(CoeffTag.CONSTANT))
+        spec = PdeSpec(g=catalog_g(CoeffTag.CONSTANT))
         ds = determining_system(spec)
         # the proof's solution: a0 free, a1 = alpha*s, e = -s, c = 2*alpha*s
         assert rows_annihilate(ds, ONE, ZERO, ZERO, ZERO)
@@ -230,7 +230,7 @@ class TestDeterminingSystem:
         assert not rows_annihilate(ds, ZERO, ALPHA, MINUS_ONE, mul(3, ALPHA))
 
     def test_power_g_solution_pattern(self):
-        spec = PdeSpec(g=CoeffForm(CoeffTag.POWER))
+        spec = PdeSpec(g=catalog_g(CoeffTag.POWER))
         ds = determining_system(spec)
         assert rows_annihilate(ds, ZERO, add(ALPHA, mul(-1, B)), MINUS_ONE,
                                add(mul(2, ALPHA), mul(-1, B)))
@@ -245,7 +245,7 @@ class TestDeterminingSystem:
             return real(spec, gen, M)
 
         monkeypatch.setattr(symmetry, "invariance_residual", spy)
-        spec = PdeSpec(g=CoeffForm(CoeffTag.POWER))
+        spec = PdeSpec(g=catalog_g(CoeffTag.POWER))
         gens = classify(spec, M=2)
         assert len(gens) == 2
         # one call builds the system; candidates are verified on its residual
@@ -255,14 +255,14 @@ class TestDeterminingSystem:
         assert ds.residual == real(spec, Generator.from_coeffs(e, a0, a1, c), 2)
 
     def test_arbitrary_g_only_translation(self):
-        spec = PdeSpec(g=CoeffForm(CoeffTag.ARBITRARY))
+        spec = PdeSpec(g=catalog_g(CoeffTag.ARBITRARY))
         ds = determining_system(spec)
         gens = ds.solve()
         assert len(gens) == 1
         assert gens[0].proportional_to(X_TRANSLATION)
 
     def test_equations_are_linear_homogeneous(self):
-        spec = PdeSpec(g=CoeffForm(CoeffTag.POWER))
+        spec = PdeSpec(g=catalog_g(CoeffTag.POWER))
         ds = determining_system(spec)
         assert ds.equations
         assert rows_annihilate(ds, ZERO, ZERO, ZERO, ZERO)
@@ -363,7 +363,7 @@ class TestDegenerateSpecs:
             assert invariance_residual(spec, gen) == ZERO
 
     def test_power_at_b_equal_two_alpha_has_three(self):
-        spec = PdeSpec(m=2, n=4, g=CoeffForm(CoeffTag.POWER, b=mul(2, ALPHA)))
+        spec = PdeSpec(m=2, n=4, g=catalog_g(CoeffTag.POWER, b=mul(2, ALPHA)))
         got = classify(spec)
         assert got == [X_TRANSLATION,
                        Generator(mul(-1, T), mul(-1, ALPHA, X), 0),
@@ -375,7 +375,7 @@ class TestDegenerateSpecs:
                                      CoeffTag.QUAD_POWER_13])
     def test_special_form_at_b_zero_is_a_power(self, tag):
         # b = 0 makes g = k*t^(2/3): the power form at b = 2*alpha
-        spec = PdeSpec(alpha=Q(1, 3), g=CoeffForm(tag, b=0))
+        spec = PdeSpec(alpha=Q(1, 3), g=catalog_g(tag, b=0))
         got = classify(spec)
         assert got == [X_TRANSLATION,
                        Generator(mul(-1, T), mul(Q(-1, 3), X), 0)]
@@ -384,31 +384,31 @@ class TestDegenerateSpecs:
 
 
 EXPECTED_BASES = {
-    "1.1": (PdeSpec(g=CoeffForm(CoeffTag.ARBITRARY)),
+    "1.1": (PdeSpec(g=catalog_g(CoeffTag.ARBITRARY)),
             [Generator(0, 1, 0)]),
-    "1.2": (PdeSpec(g=CoeffForm(CoeffTag.POWER)),
+    "1.2": (PdeSpec(g=catalog_g(CoeffTag.POWER)),
             [Generator(0, 1, 0),
              Generator(mul(-1, T), mul(add(ALPHA, mul(-1, B)), X),
                        mul(add(mul(2, ALPHA), mul(-1, B)), U))]),
-    "1.3": (PdeSpec(g=CoeffForm(CoeffTag.CONSTANT)),
+    "1.3": (PdeSpec(g=catalog_g(CoeffTag.CONSTANT)),
             [Generator(0, 1, 0),
              Generator(mul(-1, T), mul(ALPHA, X), mul(2, ALPHA, U))]),
-    "2.1": (PdeSpec(alpha=Q(1, 2), g=CoeffForm(CoeffTag.EXPONENTIAL)),
+    "2.1": (PdeSpec(alpha=Q(1, 2), g=catalog_g(CoeffTag.EXPONENTIAL)),
             [Generator(0, 1, 0)]),
-    "2.2": (PdeSpec(alpha=Q(1, 2), g=CoeffForm(CoeffTag.POWER)),
+    "2.2": (PdeSpec(alpha=Q(1, 2), g=catalog_g(CoeffTag.POWER)),
             [Generator(0, 1, 0),
              Generator(mul(2, T), mul(add(mul(2, B), -1), X),
                        mul(2, add(B, -1), U))]),
-    "2.3": (PdeSpec(alpha=Q(1, 2), g=CoeffForm(CoeffTag.CONSTANT)),
+    "2.3": (PdeSpec(alpha=Q(1, 2), g=catalog_g(CoeffTag.CONSTANT)),
             [Generator(0, 1, 0),
              Generator(mul(-2, T), X, mul(2, U))]),
-    "3.1": (PdeSpec(alpha=Q(1, 3), g=CoeffForm(CoeffTag.SHIFTED_POWER_23)),
+    "3.1": (PdeSpec(alpha=Q(1, 3), g=catalog_g(CoeffTag.SHIFTED_POWER_23)),
             [Generator(0, 1, 0)]),
-    "3.2": (PdeSpec(alpha=Q(1, 3), g=CoeffForm(CoeffTag.POWER)),
+    "3.2": (PdeSpec(alpha=Q(1, 3), g=catalog_g(CoeffTag.POWER)),
             [Generator(0, 1, 0),
              Generator(mul(3, T), mul(add(mul(3, B), -1), X),
                        mul(add(mul(3, B), -2), U))]),
-    "3.3": (PdeSpec(alpha=Q(1, 3), g=CoeffForm(CoeffTag.CONSTANT)),
+    "3.3": (PdeSpec(alpha=Q(1, 3), g=catalog_g(CoeffTag.CONSTANT)),
             [Generator(0, 1, 0),
              Generator(mul(-3, T), X, mul(2, U))]),
 }
@@ -424,14 +424,14 @@ class TestClassify:
             assert mine.proportional_to(printed), (case, mine.as_text_triple())
 
     def test_quad_power_form(self):
-        spec = PdeSpec(alpha=Q(1, 3), g=CoeffForm(CoeffTag.QUAD_POWER_13))
+        spec = PdeSpec(alpha=Q(1, 3), g=catalog_g(CoeffTag.QUAD_POWER_13))
         got = classify(spec)
         assert len(got) == 1 and got[0].proportional_to(X_TRANSLATION)
 
     def test_special_forms_rejected_off_one_third(self):
         with pytest.raises(OutsideCatalogError):
             classify(PdeSpec(alpha=Q(1, 2),
-                             g=CoeffForm(CoeffTag.SHIFTED_POWER_23)))
+                             g=catalog_g(CoeffTag.SHIFTED_POWER_23)))
 
     def test_classify_output_is_verified(self):
         for case, (spec, _) in EXPECTED_BASES.items():
