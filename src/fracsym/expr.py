@@ -44,8 +44,6 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .special import GammaPoleError, gamma_fn
-
 Q = Fraction
 
 __all__ = [
@@ -939,7 +937,8 @@ def compile_numeric(e: Expr, *, funcs: Mapping | None = None,
     Each node becomes one closure and each ``Num`` one float, converted
     here; a failure is raised when the failing node is evaluated, so a
     compiled tree that is never called never fails.  Sums go through
-    ``math.fsum`` and products multiply left to right from 1.0.
+    ``math.fsum``, products multiply left to right from 1.0 and ``Gamma`` is
+``math.gamma``: a pole or an overflow is an :class:`EvalError`.
 
     ``funcs`` may supply callables ``f(x, order) -> float`` for opaque named
     functions; ``fd_handler(node, point) -> float`` resolves
@@ -992,9 +991,9 @@ def compile_numeric(e: Expr, *, funcs: Mapping | None = None,
             def gamma(point):
                 x = arg(point)
                 try:
-                    return gamma_fn(x)
-                except GammaPoleError as exc:
-                    raise EvalError(str(exc)) from exc
+                    return math.gamma(x)
+                except ValueError as exc:
+                    raise EvalError(f"gamma pole at {x}") from exc
                 except OverflowError as exc:
                     raise EvalError(f"gamma overflows a float at {x}") from exc
             return gamma

@@ -13,6 +13,7 @@ of samples, in NumPy.  The sum always covers the full history from t = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import repeat
@@ -26,11 +27,10 @@ from .expr import (
     power_of, ZERO, ONE,
 )
 from .pde import PdeSpec
-from .special import gamma_fn
 
 __all__ = [
     "Grid", "FracConfig", "FracDomainError", "UnsupportedProfileError",
-    "gamma_fn", "rl_power_rule", "gl_weights", "gl_rl_derivative",
+    "rl_power_rule", "gl_weights", "gl_rl_derivative",
     "sample_power_sum", "power_profile", "pde_residual_on_grid",
     "fode_residual_on_grid", "GL_BACKEND", "relative_deviation",
 ]
@@ -98,7 +98,7 @@ def rl_power_rule(p, alpha: float, t: float) -> float:
         shifted_f = float(p) + 1.0 - float(alpha)
         if shifted_f < 1e-12 and abs(shifted_f - round(shifted_f)) < 1e-12:
             return 0.0
-        return (gamma_fn(float(p) + 1.0) / gamma_fn(shifted_f)
+        return (math.gamma(float(p) + 1.0) / math.gamma(shifted_f)
                 * float(t) ** (float(p) - float(alpha)))
     except OverflowError:  # p or the value beyond the float range
         raise FracDomainError(

@@ -17,7 +17,6 @@ from fracsym.expr import (
     substitute, sym,
 )
 from fracsym.pde import ALPHA, CoeffTag, coeff_form_from_text
-from fracsym.special import GammaPoleError, gamma_fn
 
 SYMBOL_POOL = ("x", "t", "u", "alpha", "b", "k")
 
@@ -131,10 +130,13 @@ def tree_walk_eval(e, point=None, *, funcs=None, fd_handler=None) -> float:
             except (ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise EvalError(f"power evaluation failed: {b}**{x}") from exc
         if isinstance(node, GammaF):
+            x = ev(node.arg)
             try:
-                return gamma_fn(ev(node.arg))
-            except GammaPoleError as exc:
-                raise EvalError(str(exc)) from exc
+                return math.gamma(x)
+            except ValueError as exc:
+                raise EvalError(f"gamma pole at {x}") from exc
+            except OverflowError as exc:
+                raise EvalError(f"gamma overflows a float at {x}") from exc
         if isinstance(node, Func):
             if funcs and node.name in funcs:
                 if len(node.args) != 1:

@@ -9,57 +9,65 @@ import pytest
 from conftest import catalog_g
 from fracsym import fracnum as fn
 from fracsym.expr import (
-    ZERO, MINUS_ONE, EvalError, add, func, gammaf, mul, num, pow_, sym,
+    ZERO, MINUS_ONE, EvalError, GammaF, add, compile_numeric, func, gammaf,
+    mul, num, pow_, sym,
 )
 from fracsym.pde import CoeffTag, PdeSpec
-from fracsym.special import GammaPoleError, gamma_fn
 
-t, x, r = sym("t"), sym("x"), sym("r")
+t, x, r, z = sym("t"), sym("x"), sym("r"), sym("z")
 
 
 class TestGamma:
+    """The Gamma the program evaluates: a raw GammaF node, compiled."""
+
+    @staticmethod
+    def gamma(v):
+        return compile_numeric(GammaF(z))({"z": v})
+
     def test_factorials(self):
-        assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-14)
-        assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-14)
+        assert self.gamma(1.0) == 1.0
+        assert self.gamma(5.0) == 24.0
 
     def test_half_by_reflection(self):
-        g = gamma_fn(0.5)
-        assert g * g == pytest.approx(math.pi, rel=1e-13)
-        assert g == pytest.approx(1.77245385090552, abs=1e-12)
+        g = self.gamma(0.5)
+        assert g * g == pytest.approx(math.pi, rel=1e-15)
+        assert g == pytest.approx(1.77245385090552, abs=1e-14)
 
     def test_duplication_identity(self):
-        # Gamma(2z) = Gamma(z) Gamma(z+1/2) 2^(2z-1) / sqrt(pi)
-        for z in (0.3, 0.85, 1.7, 3.2):
-            lhs = gamma_fn(2 * z)
-            rhs = (gamma_fn(z) * gamma_fn(z + 0.5) * 2 ** (2 * z - 1)
+        # Gamma(2v) = Gamma(v) Gamma(v+1/2) 2^(2v-1) / sqrt(pi)
+        for v in (0.3, 0.85, 1.7, 3.2):
+            lhs = self.gamma(2 * v)
+            rhs = (self.gamma(v) * self.gamma(v + 0.5) * 2 ** (2 * v - 1)
                    / math.sqrt(math.pi))
-            assert lhs == pytest.approx(rhs, rel=1e-12)
+            assert lhs == pytest.approx(rhs, rel=1e-14)
 
     def test_twelve_digits_against_stdlib(self):
         for v in np.linspace(0.05, 12.0, 97):
-            assert gamma_fn(float(v)) == pytest.approx(math.gamma(float(v)),
-                                                       rel=1e-12)
+            assert self.gamma(float(v)) == math.gamma(float(v))
 
     def test_reflection_negative_arguments(self):
+        # Gamma(v) Gamma(1-v) = pi / sin(pi v)
         for v in (-0.5, -1.3, -2.7):
-            assert gamma_fn(v) == pytest.approx(math.gamma(v), rel=1e-11)
+            assert self.gamma(v) * self.gamma(1 - v) == pytest.approx(
+                math.pi / math.sin(math.pi * v), rel=1e-13)
 
     def test_poles(self):
         for v in (0.0, -1.0, -4.0):
-            with pytest.raises(GammaPoleError):
-                gamma_fn(v)
+            with pytest.raises(EvalError, match=f"gamma pole at {v}"):
+                self.gamma(v)
 
     def test_finite_up_to_the_float_range(self):
-        # t^(z+1/2) alone overflows from x ~ 142.2; Gamma itself only past
-        # x ~ 171.6
+        # Gamma(v) = (v-1) Gamma(v-1) up to the last finite value, v ~ 171.6
         for v in np.linspace(140.0, 171.6, 317):
-            assert gamma_fn(float(v)) == pytest.approx(math.gamma(float(v)),
-                                                       rel=1e-12)
+            got = self.gamma(float(v))
+            assert math.isfinite(got)
+            assert got == pytest.approx((v - 1) * self.gamma(float(v) - 1),
+                                        rel=1e-14)
 
     @pytest.mark.parametrize("v", [171.7, 200.0, 1e6, 1e300])
     def test_overflow_raises_past_the_float_range(self, v):
-        with pytest.raises(OverflowError):
-            gamma_fn(v)
+        with pytest.raises(EvalError, match="gamma overflows a float"):
+            self.gamma(v)
 
 
 class TestPowerRule:
@@ -86,6 +94,22 @@ class TestPowerRule:
     def test_overflow_is_a_domain_error(self, p, t):
         with pytest.raises(fn.FracDomainError, match="overflows a float"):
             fn.rl_power_rule(p, 0.5, t)
+
+    @pytest.mark.parametrize("a", [0.25, 1 / 3, 0.5, 0.75])
+    def test_accuracy_against_mpmath(self, a):
+        # Gamma(p+1)/Gamma(p+1-a) at the float inputs the rule is given,
+        # for p = -0.99 .. 5 in steps of 0.01
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for i in range(-99, 501):
+                p = i / 100
+                want = (mpmath.gamma(mpmath.mpf(p) + 1)
+                        * mpmath.rgamma(mpmath.mpf(p) + 1 - mpmath.mpf(a)))
+                got = fn.rl_power_rule(p, a, 1.0)
+                if want == 0:
+                    assert got == 0.0
+                else:
+                    assert abs((got - want) / want) < 2.5e-15, (p, a)
 
     def test_classical_limit(self):
         for p in (1, 2, 3):

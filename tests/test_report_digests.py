@@ -120,15 +120,15 @@ DIGESTS = {
     'reduce --case 3.3 --generator-index 0':
         '6199dd563245db7ed32e8d89bd6865c1605b37ea48653c0c6a6736010dcddd6d',
     'reduce --case 1.2':
-        'aa65d2fa1fecc81b57f2fa4d7b6e94c9433ddfd918abf88f00253822118a5815',
+        '3fa030d0fa12ee3f41c070350775d1036a89cdd59fe064e9b04e6e499dd1279c',
     'reduce --case 1.3':
         '5de3529b6c59b38052b8f82a5d0f52dffced8c50cdd308d355ab8d31967111f8',
     'reduce --case 2.2':
-        '9f911caddf9294d6b62c22e1a9fa92d6586c37f54903fecc560b94a58ffb575f',
+        'fa22132e8da35946b7bd2df8e7b309209e1394c1ff2fd36ae914c58b37ebc19f',
     'reduce --case 2.3':
         'e6c28b88750cabae1ee1404d5cd795e3e5e5b901f15d5c6a59ee15893806d0b0',
     'reduce --case 3.2':
-        '75095a59ed15ecd99661c96692fd596299b9772a20daf78eb484eb44a3ecd6b2',
+        '8d6ae8b541d567459a2608a5fc6cc1913d275ea9d3aae79dd507b664e812dc7f',
     'reduce --case 3.3':
         'c3c3338a6c52ac4c58c1d49dfaff01268cdadbb44ba353349e54348db6dfc2e5',
     'verify --m 2 --n 3 --alpha generic --g k*t^b --xi-t -t --xi-x ((1)*(2*alpha - b)/(1) - alpha)*x --eta ((2*alpha - b)/(1))*u':
@@ -148,7 +148,7 @@ DIGESTS = {
     'classify --m 1 --n 1 --g k':
         'dc528e6f6ffe3664decffb33b29f3fd05dcc62174da0f38296b7b19fb66814af',
     'reduce --case 1.2 --oracle-b 1/3 --oracle-k 2':
-        '0182e2e71cb1d5c8ea84a95cfecb1c154b0d276895fd200a8f820719f3ad81aa',
+        '15f695b1df2427a8faaf4288374a970a9c2fc19b1ab28ecff92c4f9e6d11dfbd',
     'reduce --case 2.1 --generator-index 0 --oracle-b -1/2 --oracle-k 3':
         '9947c6d96ec9047b5d5fba08d22ed69259e57cde3403df753f6901c53d596af1',
     'classify --alpha 1/3 --g k*(t^2-b)^(1/3)':
@@ -158,26 +158,26 @@ DIGESTS = {
     'reduce --g 3*t^2 --alpha 1/4':
         '0a091eb9a4727263a9727856cba15ce025b7b328218784559934ce964e3a17c9',
     'reduce --g t --alpha 1/3':
-        '92051165e848d56449108a55df1ffb7dc38fb6d2ea10768a69cb1744da6f45ad',
+        '1ce735b909c79e8d886f0b7ac518f2b14c57c2ab453a77f007b1b7788f19dda4',
     'reduce --case 2.2 --zeta -1':
-        '2d3a8d4944f011f7f95d527d96bb79bc993aff8eea26b27512a3ded3e7915b8d',
+        'dc25db22e03fefe95d66ec7d8484f90723d852bdc0c6b0f0af4e8ca88dc90f17',
     'reduce --case 1.3 --m 3 --n 5':
         'a0021e74742b758feabfe40d0deec6ceb901aa21db8a0587ff6c4ec4fd01575e',
 }
 
 FRAC_DERIV_DIGESTS = {
     'frac-deriv --expr 3/2*t^(1) --alpha 1/4 --at 0.5':
-        '4ec4617a0442a1c11e5ef2c369978d8556888c8452e2b639139d453212187c06',
+        'd2914b23657f4132a7e9f726bd6c4d3e2622e2fc44a89f6482afa8d8c85ea60b',
     'frac-deriv --expr 2*t^(3/2) + 5/7*t^(3) --alpha 1/2 --at 0.5':
-        '0f1ff8858b965d9a410048e8a48d6211c5bae685b49179e5d18c225921719330',
+        '6f674af10c728209a296abeb1aec85498f6bc3707609ad19bbb1519400785a05',
     'frac-deriv --expr 9/4*t^(1) + 1/3*t^(2) + 8/5*t^(5/2) --alpha 3/4 --at 1':
         '7de9a659c0e973609158f837df42968a48d540e49fae4b23f65745c158369620',
     'frac-deriv --expr 4/3*t^(5/2) --alpha 1/2 --at 1':
-        'ddfab9aa4666e505137c1d4bf9f4535ac9486986a743ca6e89305d2ed53270f2',
+        '8c05ed774549281fb7cdf876d01085ff79d86ac44871c055c74a4aca911f25cb',
     'frac-deriv --expr 6/7*t^(2) + 1*t^(3) --alpha 1/4 --at 1.5':
-        'a6202ee26453a939c6023cb2b29ee4a3a3ebcf60204da938b55e19ed830e5aaa',
+        '4eb7e37ace1ae7f2fdc45923b9fbebe4ebe4a4b9476a150fe8c870ff0988ae1e',
     'frac-deriv --expr 7/2*t^(3/2) + 2/5*t^(2) + 1/6*t^(3) --alpha 3/4 --at 2':
-        'a82228508bd7fca01e386bc63437427e0dd13ba12154d558643793582b3d7770',
+        '2ee3388df45ba36b3effb95bf266d304c310d29f70a9ed610defa2a5cd04ddb7',
 }
 
 
