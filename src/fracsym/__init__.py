@@ -18,8 +18,8 @@ from .expr import (
     substitute, sym, to_text,
 )
 from .fracnum import (
-    FracConfig, GL_BACKEND, Grid, gl_rl_derivative,
-    fode_residual_on_grid, pde_residual_on_grid, rl_power_rule,
+    GL_BACKEND, Grid, fode_residual_on_grid, gl_rl_derivative,
+    pde_residual_on_grid, rl_power_rule,
 )
 from .parser import parse_expression
 from .pde import (
@@ -54,6 +54,6 @@ __all__ = [
     "similarity_substitute", "compare_reduced_forms",
     "reduced_residual_identity_check", "kernel_solution",
     # numerics
-    "Grid", "FracConfig", "GL_BACKEND", "rl_power_rule",
+    "Grid", "GL_BACKEND", "rl_power_rule",
     "gl_rl_derivative", "pde_residual_on_grid", "fode_residual_on_grid",
 ]

@@ -28,9 +28,8 @@ from .expr import (
     is_zero_exact, mul, num, sym, substitute, to_text,
 )
 from .fracnum import (
-    FracConfig, _power_rule_sum, gl_rl_derivative, power_profile,
-    relative_deviation, sample_power_sum, UnsupportedProfileError,
-    GL_BACKEND,
+    _power_rule_sum, gl_rl_derivative, power_profile, relative_deviation,
+    sample_power_sum, UnsupportedProfileError, GL_BACKEND,
 )
 from .parser import ParseError, parse_expression
 from .pde import (
@@ -376,7 +375,7 @@ def run_fracderiv(cfg: SessionConfig, expr_text: str, at: float) -> ReportDoc:
         return doc
     steps = max(int(round(at / cfg.dt)) + 1, 2)
     grid = sample_power_sum(profile, at, steps)
-    gl = gl_rl_derivative(grid, FracConfig(alpha=alpha))
+    gl = gl_rl_derivative(grid, alpha)
     dev = relative_deviation(exact, gl)
     status = STATUS_PASS if dev < GL_CHECK_TOLERANCE else STATUS_FAIL
     doc.add_check("power_rule_vs_gl", status, deviation=dev,

@@ -2,9 +2,10 @@
 claim.
 
 Division of labor: closed-form power sums are differentiated exactly with
-the Riemann-Liouville power rule; the Grünwald-Letnikov history sum handles
-everything else (and cross-checks the power rule at first order in the grid
-spacing).  The RL lower terminal is fixed at 0 throughout.
+the Riemann-Liouville power rule, its Gamma values from ``math.gamma``; the
+Grünwald-Letnikov history sum handles everything else (and cross-checks the
+power rule at first order in the grid spacing).  The RL lower terminal is
+0 throughout: a :class:`Grid` samples [0, t1] and has no other start.
 
 The GL value is taken at the last grid node only: one extended-precision
 dot product of the weights with the reversed history, O(N) in the number
@@ -29,7 +30,7 @@ from .expr import (
 from .pde import PdeSpec
 
 __all__ = [
-    "Grid", "FracConfig", "FracDomainError", "UnsupportedProfileError",
+    "Grid", "FracDomainError", "UnsupportedProfileError",
     "rl_power_rule", "gl_weights", "gl_rl_derivative",
     "sample_power_sum", "power_profile", "pde_residual_on_grid",
     "fode_residual_on_grid", "GL_BACKEND", "relative_deviation",
@@ -49,9 +50,8 @@ class UnsupportedProfileError(ExprError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniformly sampled function values on [t0, t1]."""
+    """Uniformly sampled function values on [0, t1]."""
 
-    t0: float
     t1: float
     values: np.ndarray
 
@@ -60,8 +60,8 @@ class Grid:
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.shape[0] < 2:
             raise FracDomainError("grid needs at least 2 samples")
-        if not self.t1 > self.t0:
-            raise FracDomainError("grid requires t1 > t0")
+        if not self.t1 > 0:
+            raise FracDomainError("grid requires t1 > 0")
 
     @property
     def steps(self) -> int:
@@ -69,21 +69,12 @@ class Grid:
 
     @property
     def dt(self) -> float:
-        return (self.t1 - self.t0) / (self.steps - 1)
+        return self.t1 / (self.steps - 1)
 
     @classmethod
-    def sample(cls, fn, t0: float, t1: float, steps: int) -> "Grid":
-        ts = np.linspace(t0, t1, steps)
-        return cls(t0, t1, np.array([fn(t) for t in ts], dtype=np.float64))
-
-
-@dataclass(frozen=True)
-class FracConfig:
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise FracDomainError("alpha must lie in (0, 1)")
+    def sample(cls, fn, t1: float, steps: int) -> "Grid":
+        ts = np.linspace(0.0, t1, steps)
+        return cls(t1, np.array([fn(t) for t in ts], dtype=np.float64))
 
 
 def rl_power_rule(p, alpha: float, t: float) -> float:
@@ -118,22 +109,19 @@ def gl_weights(alpha: float, n: int) -> np.ndarray:
     return out
 
 
-def gl_rl_derivative(samples: Grid, cfg: FracConfig) -> float:
+def gl_rl_derivative(samples: Grid, alpha: float) -> float:
     """Grünwald-Letnikov approximation of the RL derivative at samples.t1.
 
     (D^a f)(t_j) ~ dt^-a * sum_{i<=j} w_i f(t_{j-i}), evaluated at the last
     node j = N-1 as one long-double dot product over the full history;
-    first-order accurate for smooth f with f(0) = 0.  The samples must
-    start at the lower terminal (samples.t0 == 0).
+    first-order accurate for smooth f with f(0) = 0.
     """
-    if abs(samples.t0) > 1e-12:
-        raise FracDomainError(
-            "samples must start at the RL lower terminal "
-            f"({samples.t0} != 0.0)")
-    w = gl_weights(cfg.alpha, samples.steps).astype(np.longdouble)
+    if not 0.0 < alpha < 1.0:
+        raise FracDomainError("alpha must lie in (0, 1)")
+    w = gl_weights(alpha, samples.steps).astype(np.longdouble)
     history = samples.values[::-1].astype(np.longdouble)
     value = np.float64(np.dot(w, history))
-    return float(value * samples.dt ** (-cfg.alpha))
+    return float(value * samples.dt ** (-alpha))
 
 
 def sample_power_sum(profile: list, t1: float, steps: int) -> Grid:
@@ -148,7 +136,7 @@ def sample_power_sum(profile: list, t1: float, steps: int) -> Grid:
         p = float(exps.get("t", Q(0)))
         values += coeff * np.fromiter(map(pow, nodes.tolist(), repeat(p)),
                                       float, steps)
-    return Grid(0.0, t1, values)
+    return Grid(t1, values)
 
 
 # ---------------------------------------------------------------------------
