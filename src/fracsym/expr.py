@@ -77,6 +77,8 @@ class SubstitutionError(ExprError):
 
 _MAX_SUM_POWER_EXPANSION = 16
 _GAMMA_FOLD_LIMIT = 64
+# the largest exact power folded, in bits of its numerator or denominator
+_MAX_FOLD_BITS = 65536
 
 
 class Expr:
@@ -254,7 +256,16 @@ def as_expr(x) -> Expr:
 
 def _ipow(c, k: int):
     """c ** k for a coefficient c and an int k; a negative k goes through
-    Fraction, so an int base never yields a float."""
+    Fraction, so an int base never yields a float.
+
+    The size is estimated before computing: a result past
+    ``_MAX_FOLD_BITS`` bits raises :class:`SimplifyError`, where computing
+    it could take minutes or exhaust memory.  0 and +-1 fold at any k, and
+    c^+-1 is never larger than c.
+    """
+    if abs(k) > 1 and abs(k) * (max(abs(c.numerator), c.denominator)
+                                .bit_length() - 1) > _MAX_FOLD_BITS:
+        raise SimplifyError(f"exact power too large to fold: ({c})^{k}")
     return c ** k if k >= 0 else Q(c) ** k
 
 
@@ -539,6 +550,8 @@ def _nth_root_exact(n: int, d: int):
     """Integer d-th root of n >= 0, or None if inexact."""
     if n in (0, 1):
         return n
+    if d >= n.bit_length():  # 2^d > n: no integer root above 1
+        return None
     if d == 2:
         r = math.isqrt(n)
     else:
@@ -569,7 +582,7 @@ def _fold_num_power(b, e):
     root_d = _nth_root_exact(b.denominator, e.denominator)
     if root_n is None or root_d is None:
         return None
-    return Q(root_n, root_d) ** e.numerator
+    return _ipow(Q(root_n, root_d), e.numerator)
 
 
 def _monic_sum(s: Sum):

@@ -3,11 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fracsym
 from fracsym import cases, cli
 from fracsym.cli import (
     SessionConfig, _build_parser, main, run_classify, run_fracderiv,
@@ -291,6 +296,7 @@ class TestRunFracDeriv:
         (1.0, float("nan"), {"dt"}),
         (1.0, float("inf"), {"dt"}),
         (1.0, 1e-320, {"dt"}),
+        (1.0, 1e-13, {"dt"}),
         (float("inf"), 1.0, {"at"}),
         (float("nan"), 1e-4, {"at"}),
         (0.0, 1e-4, {"at"}),
@@ -304,7 +310,8 @@ class TestRunFracDeriv:
 
     @pytest.mark.parametrize("flags, name", [
         (["--dt", "0"], "dt"), (["--at", "inf", "--dt", "1"], "at"),
-        (["--at", "nan"], "at"), (["--dt", "-0.0001"], "dt")])
+        (["--at", "nan"], "at"), (["--dt", "-0.0001"], "dt"),
+        (["--dt", "1e-13"], "dt")])
     def test_grid_inputs_exit_1_with_a_report(self, flags, name, capsys):
         argv = ["frac-deriv", "--expr", "t", "--alpha", "1/2", "--at", "1"]
         assert main(argv + flags) == 1
@@ -368,6 +375,44 @@ class TestHugeConstants:
         out = tmp_path / "r.json"
         assert main(argv + ["--out", str(out)]) == code
         assert check in statuses(read_report(str(out)))
+
+
+class TestHugeExactPowers:
+    """Exact powers too large to compute end at once: in one error line, or
+    in a report when the power is kept unevaluated.  Each input runs in a
+    child process with an address-space limit and a timeout, because a
+    signal cannot interrupt long integer work in C."""
+
+    @staticmethod
+    def _limit_memory():
+        import resource
+        limit = 3 << 29  # 1.5 GiB
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    @pytest.mark.parametrize("argv, code", [
+        (["classify", "--g", "3^(10^9)"], 1),
+        (["frac-deriv", "--expr", "3^(10^9)", "--alpha", "1/2", "--at", "1"],
+         1),
+        (["classify", "--g", "k*2^(1/1000000000)"], 0),
+        (["classify", "--g", "k*(2+t)^(10^9)"], 1),
+    ], ids=["classify", "frac-deriv", "root", "sum-lead"])
+    def test_ends_within_the_timeout(self, argv, code, tmp_path):
+        pytest.importorskip("resource")
+        src = str(pathlib.Path(fracsym.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracsym.cli", *argv,
+             "--out", str(tmp_path / "r.json")],
+            capture_output=True, text=True, timeout=10, env=env,
+            preexec_fn=self._limit_memory)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.count("error:") <= 1
+        assert "Traceback" not in proc.stderr
+        if code:
+            assert proc.stderr.startswith(
+                "error: exact power too large to fold")
 
 
 BIG = 10 ** 400

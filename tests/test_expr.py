@@ -124,6 +124,24 @@ class TestExactCoefficients:
         inexact = pow_(num(10 ** 400 + 1), Q(1, 2))
         assert isinstance(inexact, Pow) and inexact.base == num(10 ** 400 + 1)
 
+    def test_exact_power_folding_is_capped(self):
+        assert pow_(2, 65536) == num(2 ** 65536)
+        with pytest.raises(SimplifyError, match="too large to fold"):
+            pow_(2, 65537)
+        with pytest.raises(SimplifyError, match="too large to fold"):
+            pow_(num(Q(1, 3)), -10 ** 9)
+        # the root of a fractional power is raised through the same cap
+        with pytest.raises(SimplifyError, match="too large to fold"):
+            pow_(4, Q(10 ** 9 + 1, 2))
+        assert pow_(1, 10 ** 9) == ONE
+        assert pow_(-1, 10 ** 9 + 1) == MINUS_ONE
+        assert pow_(0, 10 ** 9) == ZERO
+
+    def test_root_of_index_past_the_bit_length_stays_a_power(self):
+        got = pow_(2, Q(1, 10 ** 9))
+        assert isinstance(got, Pow) and got.base == num(2)
+        assert pow_(2 ** 64, Q(1, 64)) == num(2)
+
     @pytest.mark.parametrize("value", [10 ** 400, Q(10 ** 400, 3)],
                              ids=["int", "fraction"])
     def test_constant_beyond_float_range_is_an_eval_error(self, value):
