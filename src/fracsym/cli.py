@@ -351,12 +351,11 @@ def run_fracderiv(cfg: SessionConfig, expr_text: str, at: float) -> ReportDoc:
         doc.add_check("dt", STATUS_FAIL,
                       detail=f"--dt {cfg.dt!r} is too small for --at {at!r}: "
                              "the grid would need infinitely many steps")
-    elif at_ok and round(at / cfg.dt) + 1 > MAX_GRID_STEPS:
+    elif at_ok and (steps := round(at / cfg.dt) + 1) > MAX_GRID_STEPS:
         doc.add_check("dt", STATUS_FAIL,
                       detail=f"--dt {cfg.dt!r} is too small for --at {at!r}: "
-                             f"the grid would need {round(at / cfg.dt) + 1} "
-                             f"steps, more than the limit of "
-                             f"{MAX_GRID_STEPS}")
+                             f"the grid would need {steps} steps, more than "
+                             f"the limit of {MAX_GRID_STEPS}")
     if doc.checks:
         return doc
     try:

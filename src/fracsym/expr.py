@@ -951,7 +951,7 @@ def compile_numeric(e: Expr, *, funcs: Mapping | None = None,
     here; a failure is raised when the failing node is evaluated, so a
     compiled tree that is never called never fails.  Sums go through
     ``math.fsum``, products multiply left to right from 1.0 and ``Gamma`` is
-``math.gamma``: a pole or an overflow is an :class:`EvalError`.
+    ``math.gamma``: a pole or an overflow is an :class:`EvalError`.
 
     ``funcs`` may supply callables ``f(x, order) -> float`` for opaque named
     functions; ``fd_handler(node, point) -> float`` resolves

@@ -296,12 +296,12 @@ class TestRunFracDeriv:
         (1.0, float("nan"), {"dt"}),
         (1.0, float("inf"), {"dt"}),
         (1.0, 1e-320, {"dt"}),
-        (1.0, 1e-13, {"dt"}),
         (float("inf"), 1.0, {"at"}),
         (float("nan"), 1e-4, {"at"}),
         (0.0, 1e-4, {"at"}),
         (-1.0, 1e-4, {"at"}),
         (float("nan"), -1.0, {"at", "dt"}),
+        (1.0, 1e-13, {"dt"}),
     ])
     def test_grid_inputs_fail_by_name(self, at, dt, failing):
         doc = run_fracderiv(SessionConfig(alpha="1/2", dt=dt), "t", at)
