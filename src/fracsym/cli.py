@@ -55,7 +55,8 @@ __all__ = ["SessionConfig", "run_classify", "run_reduce", "run_verify",
 
 GL_CHECK_TOLERANCE = 1e-3
 # the most GL grid points frac-deriv samples, N = at/dt + 1: at the limit
-# a run takes about 2 s and 570 MB (Xeon, NumPy 2)
+# a run takes about 2 s and peaks at 415 MB resident, most of it the
+# long-double weights and history of the GL sum (Xeon, NumPy 2)
 MAX_GRID_STEPS = 10_000_001
 
 

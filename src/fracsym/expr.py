@@ -665,7 +665,8 @@ def gammaf(arg) -> Expr:
 
     Positive integer arguments fold to factorials; arguments whose constant
     part is >= 1 are shifted down so that e.g. Gamma(2-a) and Gamma(1-a)
-    share the atom Gamma(-a) and cancel exactly in ratios.
+    share the atom Gamma(-a) and cancel exactly in ratios.  Both stop at
+    ``_GAMMA_FOLD_LIMIT``: a larger argument or shift stays unfolded.
     """
     arg = as_expr(arg)
     const = 0
@@ -682,7 +683,7 @@ def gammaf(arg) -> Expr:
         if rest is None:
             const = first
     shift = math.floor(const)
-    if shift >= 1:
+    if 1 <= shift <= _GAMMA_FOLD_LIMIT:
         small = add(arg, num(-shift))
         prefactor = mul(*(add(small, num(j)) for j in range(shift)))
         return mul(prefactor, GammaF(small))

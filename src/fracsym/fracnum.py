@@ -10,6 +10,10 @@ power rule at first order in the grid spacing).  The RL lower terminal is
 The GL value is taken at the last grid node only: one extended-precision
 dot product of the weights with the reversed history, O(N) in the number
 of samples, in NumPy.  The sum always covers the full history from t = 0.
+
+NumPy is imported only inside the GL kernel and the sampler (:class:`Grid`,
+:func:`gl_weights`, :func:`gl_rl_derivative`, :func:`sample_power_sum`),
+so the symbolic commands, which never reach them, do not load it.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import repeat
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .calculus import diff
 from .expr import (
@@ -28,6 +31,9 @@ from .expr import (
     power_of, ZERO, ONE,
 )
 from .pde import PdeSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Grid", "FracDomainError", "UnsupportedProfileError",
@@ -38,6 +44,8 @@ __all__ = [
 
 # the one GL implementation; run reports stamp it
 GL_BACKEND = "python"
+# nodes sampled per list of Python floats (about 2 MB)
+_SAMPLE_BLOCK = 1 << 16
 
 
 class FracDomainError(ExprError):
@@ -56,6 +64,7 @@ class Grid:
     values: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.shape[0] < 2:
@@ -73,6 +82,7 @@ class Grid:
 
     @classmethod
     def sample(cls, fn, t1: float, steps: int) -> "Grid":
+        import numpy as np
         ts = np.linspace(0.0, t1, steps)
         return cls(t1, np.array([fn(t) for t in ts], dtype=np.float64))
 
@@ -100,12 +110,16 @@ def gl_weights(alpha: float, n: int) -> np.ndarray:
     """First n GL weights via the multiplicative recurrence (no Gamma calls).
 
     w_0 = 1, w_i = w_{i-1} * (1 - (alpha+1)/i), accumulated in long double
-    and rounded to float64.
+    and rounded to float64.  The ratios and their running product are built
+    in place in one long-double array.
     """
+    import numpy as np
+    ratios = np.arange(1, n, dtype=np.longdouble)
+    np.divide(np.longdouble(float(alpha)) + 1.0, ratios, out=ratios)
+    np.subtract(1.0, ratios, out=ratios)
+    np.cumprod(ratios, out=ratios)
     out = np.ones(n, dtype=np.float64)
-    ratios = 1.0 - (np.longdouble(float(alpha)) + 1.0) / np.arange(
-        1, n, dtype=np.longdouble)
-    out[1:] = np.cumprod(ratios)
+    out[1:] = ratios
     return out
 
 
@@ -118,6 +132,7 @@ def gl_rl_derivative(samples: Grid, alpha: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise FracDomainError("alpha must lie in (0, 1)")
+    import numpy as np
     w = gl_weights(alpha, samples.steps).astype(np.longdouble)
     history = samples.values[::-1].astype(np.longdouble)
     value = np.float64(np.dot(w, history))
@@ -128,14 +143,19 @@ def sample_power_sum(profile: list, t1: float, steps: int) -> Grid:
     """Sample sum(c * t^p) on [0, t1] from a power_profile in t.
 
     Each term goes through Python's pow, node by node, so the samples are
-    bitwise those of float(t) ** p (NumPy's vectorized power is not).
+    bitwise those of float(t) ** p (NumPy's vectorized power is not).  The
+    nodes go to Python floats in blocks of ``_SAMPLE_BLOCK``, never all N
+    at once.
     """
+    import numpy as np
     nodes = np.linspace(0.0, t1, steps)
     values = np.zeros(steps)
     for coeff, exps in profile:
         p = float(exps.get("t", Q(0)))
-        values += coeff * np.fromiter(map(pow, nodes.tolist(), repeat(p)),
-                                      float, steps)
+        for lo in range(0, steps, _SAMPLE_BLOCK):
+            block = nodes[lo:lo + _SAMPLE_BLOCK]
+            values[lo:lo + block.size] += coeff * np.fromiter(
+                map(pow, block.tolist(), repeat(p)), float, block.size)
     return Grid(t1, values)
 
 

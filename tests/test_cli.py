@@ -377,17 +377,33 @@ class TestHugeConstants:
         assert check in statuses(read_report(str(out)))
 
 
+def _limit_memory():
+    import resource
+    limit = 3 << 29  # 1.5 GiB
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def _child_env():
+    src = str(pathlib.Path(fracsym.__file__).resolve().parents[1])
+    return {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _run_bounded(argv, tmp_path):
+    """Run the CLI in a child process with an address-space limit and a
+    timeout, because a signal cannot interrupt long integer work in C."""
+    pytest.importorskip("resource")
+    return subprocess.run(
+        [sys.executable, "-m", "fracsym.cli", *argv,
+         "--out", str(tmp_path / "r.json")],
+        capture_output=True, text=True, timeout=10, env=_child_env(),
+        preexec_fn=_limit_memory)
+
+
 class TestHugeExactPowers:
     """Exact powers too large to compute end at once: in one error line, or
-    in a report when the power is kept unevaluated.  Each input runs in a
-    child process with an address-space limit and a timeout, because a
-    signal cannot interrupt long integer work in C."""
-
-    @staticmethod
-    def _limit_memory():
-        import resource
-        limit = 3 << 29  # 1.5 GiB
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    in a report when the power is kept unevaluated."""
 
     @pytest.mark.parametrize("argv, code", [
         (["classify", "--g", "3^(10^9)"], 1),
@@ -397,22 +413,66 @@ class TestHugeExactPowers:
         (["classify", "--g", "k*(2+t)^(10^9)"], 1),
     ], ids=["classify", "frac-deriv", "root", "sum-lead"])
     def test_ends_within_the_timeout(self, argv, code, tmp_path):
-        pytest.importorskip("resource")
-        src = str(pathlib.Path(fracsym.__file__).resolve().parents[1])
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "fracsym.cli", *argv,
-             "--out", str(tmp_path / "r.json")],
-            capture_output=True, text=True, timeout=10, env=env,
-            preexec_fn=self._limit_memory)
+        proc = _run_bounded(argv, tmp_path)
         assert proc.returncode == code, proc.stderr
         assert proc.stderr.count("error:") <= 1
         assert "Traceback" not in proc.stderr
         if code:
             assert proc.stderr.startswith(
                 "error: exact power too large to fold")
+
+
+class TestHugeGammaShift:
+    """A Gamma argument with a huge constant part stays unshifted instead of
+    becoming a product of that many factors, so g ends in the catalog
+    error like any other Gamma coefficient."""
+
+    @pytest.mark.parametrize("g", ["k*Gamma(t+10^9)", "k*Gamma(t+10^9+1/2)"])
+    def test_ends_in_the_catalog_error(self, g, tmp_path):
+        proc = _run_bounded(["classify", "--g", g], tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(
+            f"error: coefficient '{g}' is not in the g(t) catalog")
+        assert proc.stderr.count("\n") == 1
+
+
+class TestNumpyStaysUnloaded:
+    """Only the GL kernel and the sampler need NumPy, so a fresh interpreter
+    running the symbolic commands never loads it; frac-deriv does."""
+
+    CHILD = """
+import contextlib, io, json, sys
+from fracsym.cli import main
+seen = {"import": "numpy" in sys.modules}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    seen[" ".join(argv)] = [code, "numpy" in sys.modules]
+import fracsym
+seen["exports"] = [fracsym.Grid.__name__, fracsym.gl_rl_derivative.__name__]
+print(json.dumps(seen))
+"""
+    SYMBOLIC = [
+        ["classify", "--case", "1.2"],
+        ["reduce", "--case", "3.3"],
+        ["reduce", "--case", "2.1", "--generator-index", "0"],
+        ["verify", "--alpha", "1/2", "--g", "k", "--xi-t", "0",
+         "--xi-x", "1", "--eta", "0"],
+    ]
+    GL = ["frac-deriv", "--expr", "t^2", "--alpha", "1/2", "--at", "1"]
+
+    def test_only_frac_deriv_loads_numpy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD,
+             json.dumps(self.SYMBOLIC + [self.GL])],
+            capture_output=True, text=True, timeout=60, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        assert seen.pop("import") is False
+        assert seen.pop("exports") == ["Grid", "gl_rl_derivative"]
+        runs = list(seen.values())
+        assert runs[:-1] == [[0, False]] * len(self.SYMBOLIC), seen
+        assert runs[-1] == [0, True], seen
 
 
 BIG = 10 ** 400
