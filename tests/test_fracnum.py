@@ -204,6 +204,15 @@ class TestGrunwaldLetnikov:
         fine = abs(gl_value_at_1(p, a, 2001) - exact)
         assert 1.7 <= coarse / fine <= 2.3
 
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+    def test_weights_equal_the_scalar_recurrence(self, a):
+        # w_i = w_{i-1} * (1 - (a+1)/i), one long-double product at a time
+        w, want = np.longdouble(1.0), [1.0]
+        for i in range(1, 2000):
+            w *= 1.0 - (np.longdouble(a) + 1.0) / np.longdouble(i)
+            want.append(float(np.float64(w)))
+        assert fn.gl_weights(a, 2000).tolist() == want
+
     def test_weights_tail_behavior(self):
         w = fn.gl_weights(0.5, 100_000)
         partial = np.cumsum(w)
@@ -243,13 +252,15 @@ class TestPointEvaluation:
     def test_power_sum_sampler_matches_per_node_lambda(self):
         e = add(mul(num(Q(3, 2)), pow_(t, num(Q(3, 2)))),
                 mul(num(Q(-5, 7)), pow_(t, 3)), mul(-2, t))
-        for profile in (fn.power_profile(e, ("t",)), []):
-            got = fn.sample_power_sum(profile, 1.7, 20001)
-            want = fn.Grid.sample(lambda tv: sum(
-                c * float(tv) ** float(p.get("t", Q(0))) for c, p in profile)
-                if profile else 0.0, 1.7, 20001)
-            assert got.t1 == want.t1
-            assert got.values.tobytes() == want.values.tobytes()
+        # the second size spans three sampling blocks
+        for steps in (20001, 2 * fn._SAMPLE_BLOCK + 3):
+            for profile in (fn.power_profile(e, ("t",)), []):
+                got = fn.sample_power_sum(profile, 1.7, steps)
+                want = fn.Grid.sample(lambda tv: sum(
+                    c * float(tv) ** float(p.get("t", Q(0)))
+                    for c, p in profile) if profile else 0.0, 1.7, steps)
+                assert got.t1 == want.t1
+                assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestGridResiduals:
