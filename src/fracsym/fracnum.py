@@ -11,6 +11,12 @@ The GL value is taken at the last grid node only: one extended-precision
 dot product of the weights with the reversed history, O(N) in the number
 of samples, in NumPy.  The sum always covers the full history from t = 0.
 
+Power sums are sampled with ``np.float_power``, one pass per term.  Its
+float64 loop calls the C library's ``pow`` once per element, as Python's
+``float ** float`` does, so each sample is bitwise the value of the
+per-node Python expression; ``np.power`` is dispatched to SIMD code on
+some hosts and differs from ``pow`` in the last bit.
+
 NumPy is imported only inside the GL kernel and the sampler (:class:`Grid`,
 :func:`gl_weights`, :func:`gl_rl_derivative`, :func:`sample_power_sum`),
 so the symbolic commands, which never reach them, do not load it.
@@ -21,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .calculus import diff
@@ -44,8 +49,6 @@ __all__ = [
 
 # the one GL implementation; run reports stamp it
 GL_BACKEND = "python"
-# nodes sampled per list of Python floats (about 2 MB)
-_SAMPLE_BLOCK = 1 << 16
 
 
 class FracDomainError(ExprError):
@@ -99,11 +102,14 @@ def rl_power_rule(p, alpha: float, t: float) -> float:
         shifted_f = float(p) + 1.0 - float(alpha)
         if shifted_f < 1e-12 and abs(shifted_f - round(shifted_f)) < 1e-12:
             return 0.0
-        return (math.gamma(float(p) + 1.0) / math.gamma(shifted_f)
-                * float(t) ** (float(p) - float(alpha)))
+        value = (math.gamma(float(p) + 1.0) / math.gamma(shifted_f)
+                 * float(t) ** (float(p) - float(alpha)))
     except OverflowError:  # p or the value beyond the float range
+        value = math.inf
+    if math.isinf(value):  # a float product past the range is inf, silently
         raise FracDomainError(
-            f"power rule value overflows a float at t = {t!r}") from None
+            f"power rule value overflows a float at t = {t!r}")
+    return value
 
 
 def gl_weights(alpha: float, n: int) -> np.ndarray:
@@ -133,29 +139,41 @@ def gl_rl_derivative(samples: Grid, alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise FracDomainError("alpha must lie in (0, 1)")
     import numpy as np
+    try:
+        scale = samples.dt ** (-alpha)
+    except OverflowError:
+        raise FracDomainError(
+            f"GL scale dt^-alpha overflows a float at dt = {samples.dt!r}"
+        ) from None
     w = gl_weights(alpha, samples.steps).astype(np.longdouble)
     history = samples.values[::-1].astype(np.longdouble)
-    value = np.float64(np.dot(w, history))
-    return float(value * samples.dt ** (-alpha))
+    # a Python float product: inf on overflow, and no NumPy warning
+    return float(np.float64(np.dot(w, history))) * scale
 
 
 def sample_power_sum(profile: list, t1: float, steps: int) -> Grid:
     """Sample sum(c * t^p) on [0, t1] from a power_profile in t.
 
-    Each term goes through Python's pow, node by node, so the samples are
-    bitwise those of float(t) ** p (NumPy's vectorized power is not).  The
-    nodes go to Python floats in blocks of ``_SAMPLE_BLOCK``, never all N
-    at once.
+    Each term is one ``np.float_power`` pass over the nodes, scaled by its
+    coefficient and added in profile order, so every sample is bitwise
+    ``sum(c * float(t) ** p)``: ``float_power`` calls the C library's pow
+    per element, as Python's float power does, where ``np.power`` may take
+    a SIMD path that is not bitwise equal to it.  A sample beyond the float
+    range raises :class:`FracDomainError` naming the first node it reaches.
     """
     import numpy as np
     nodes = np.linspace(0.0, t1, steps)
     values = np.zeros(steps)
-    for coeff, exps in profile:
-        p = float(exps.get("t", Q(0)))
-        for lo in range(0, steps, _SAMPLE_BLOCK):
-            block = nodes[lo:lo + _SAMPLE_BLOCK]
-            values[lo:lo + block.size] += coeff * np.fromiter(
-                map(pow, block.tolist(), repeat(p)), float, block.size)
+    term = np.empty(steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for coeff, exps in profile:
+            np.float_power(nodes, float(exps.get("t", Q(0))), out=term)
+            term *= coeff
+            values += term
+    finite = np.isfinite(values)
+    if not finite.all():
+        at = float(nodes[finite.argmin()])
+        raise FracDomainError(f"sampled value overflows a float at t = {at!r}")
     return Grid(t1, values)
 
 

@@ -7,10 +7,11 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fracsym
 from fracsym import cases, cli
@@ -18,7 +19,7 @@ from fracsym.cli import (
     SessionConfig, _build_parser, main, run_classify, run_fracderiv,
     run_reduce, run_verify,
 )
-from fracsym.expr import mul
+from fracsym.expr import add, func, mul, pow_, sym
 from fracsym.pde import Generator, U, X
 from fracsym.report import (
     STATUS_ADJUDICATED, STATUS_FAIL, STATUS_PASS, STATUS_SKIPPED, ReportDoc,
@@ -133,6 +134,24 @@ class TestRunReduce:
         assert doc.invariants == {"r": "t", "z": "u"}
         assert doc.reduced_ode == "fdiff(h(r), r, alpha)"
         assert statuses(doc)["kernel_solution"] == STATUS_PASS
+
+    @pytest.mark.parametrize("alpha, g", [("generic", "k"), ("1/3", "k"),
+                                          ("1/2", "k*exp(t)")])
+    def test_kernel_check_reads_the_derived_ode(self, alpha, g, monkeypatch):
+        # an extra h(r)^2 in the derived translation ODE fails the check
+        derive = cli.similarity_substitute
+
+        def mutated(spec, red):
+            red = derive(spec, red)
+            return replace(red, reduced_ode=add(
+                red.reduced_ode, pow_(func("h", (sym("r"),)), 2)))
+
+        assert statuses(run_reduce(SessionConfig(alpha=alpha, g=g), 0))[
+            "kernel_solution"] == STATUS_PASS
+        monkeypatch.setattr(cli, "similarity_substitute", mutated)
+        doc = run_reduce(SessionConfig(alpha=alpha, g=g), 0)
+        assert statuses(doc)["kernel_solution"] == STATUS_FAIL
+        assert doc.checks[-1].detail.startswith("h(t) = ")
 
     def test_scaling_reduction_case_12(self):
         doc = run_reduce(SessionConfig(alpha="generic", g="k*t^b"), 1)
@@ -496,10 +515,21 @@ class TestFloatRange:
          "error: power rule value overflows a float"),
         (["--expr", "t^(-10^400)", "--alpha", "1/2"], 1,
          "error: power rule value overflows a float"),
+        # the Gamma ratio and t^(169.5) fit in a float, their product not
+        (["--expr", "t^(170)", "--alpha", "1/2", "--at", "65"], 1,
+         "error: power rule value overflows a float at t = 65.0"),
+        # the power rule at t^(119.5) fits in a float, the samples do not
+        (["--expr", "t^(120)", "--alpha", "1/2", "--at", "372"], 1,
+         "error: sampled value overflows a float at t = 370.5"),
+        (["--expr", "t", "--alpha", "0.999", "--at", "5e-324",
+          "--dt", "5e-324"], 1,
+         "error: GL scale dt^-alpha overflows a float at dt = 5e-324"),
     ], ids=["huge-alpha", "t^142", "Gamma(150)", "Gamma(172)", "t^200",
-            "t^(10^400)", "t^(-10^400)"])
+            "t^(10^400)", "t^(-10^400)", "t^170-at-65", "t^120-at-372",
+            "subnormal-dt"])
     def test_frac_deriv(self, flags, code, cause, capsys):
-        assert main(["frac-deriv", *flags, "--at", "1"]) == code
+        # a row's own --at overrides the default point t = 1
+        assert main(["frac-deriv", "--at", "1", *flags]) == code
         out, err = capsys.readouterr()
         assert cause in out + err
         assert err == "" or (err.startswith("error: ") and out == ""
@@ -510,7 +540,10 @@ class TestFloatRange:
         st.one_of(st.integers(1, 7), st.integers(1, BIG)),
         st.one_of(st.fractions(0, 1, max_denominator=10),
                   st.builds(Q, st.integers(-BIG, BIG), st.integers(1, BIG))),
-        st.floats(0.01, 2.0))
+        # up to 400: t^p overflows a sample before its power rule overflows
+        # only for t > p, so 2.0 never reached the sampler's overflow
+        st.one_of(st.floats(0.01, 2.0), st.floats(2.0, 400.0)))
+    @example(120, 1, Q(1, 2), 372.0)
     @settings(max_examples=60, deadline=None)
     def test_frac_deriv_never_raises(self, num, den, alpha, at):
         argv = ["frac-deriv", "--expr", f"t^({num}/{den}) + t",
@@ -520,6 +553,7 @@ class TestFloatRange:
             code = main(argv)
         assert code in (0, 1, 2)
         assert err.getvalue().count("\n") <= 1
+        assert "Warning" not in err.getvalue()
 
 
 DELETE = object()

@@ -1,6 +1,7 @@
 """Numeric fractional-calculus tests: gamma, power rule, GL scheme, grids."""
 
 import math
+import warnings
 from fractions import Fraction as Q
 
 import numpy as np
@@ -250,10 +251,25 @@ class TestPointEvaluation:
             == convolution_reference(grid, a)[-1]
 
     def test_power_sum_sampler_matches_per_node_lambda(self):
+        # the oracle workload's grids and exponents, plus fractional ones:
+        # the sampler relies on np.float_power calling the C library's pow
+        for t1, steps in ((0.5, 5001), (1.0, 10001), (1.5, 15001),
+                          (2.0, 20001)):
+            nodes = np.linspace(0.0, t1, steps).tolist()
+            for p in (Q(1), Q(3, 2), Q(2), Q(5, 2), Q(3),
+                      Q(1, 3), Q(3, 4), Q(7, 4)):
+                got = fn.sample_power_sum([(1.0, {"t": p})], t1, steps)
+                want = np.array([tv ** float(p) for tv in nodes])
+                bad = np.flatnonzero(
+                    got.values.view(np.int64) != want.view(np.int64))
+                assert bad.size == 0, (
+                    f"np.float_power(t, {p}) differs from Python's pow on "
+                    f"{bad.size} of {steps} nodes (first t = "
+                    f"{nodes[bad[0]]!r}); this NumPy build does not send "
+                    "it to the C library's pow")
         e = add(mul(num(Q(3, 2)), pow_(t, num(Q(3, 2)))),
                 mul(num(Q(-5, 7)), pow_(t, 3)), mul(-2, t))
-        # the second size spans three sampling blocks
-        for steps in (20001, 2 * fn._SAMPLE_BLOCK + 3):
+        for steps in (20001, 131075):
             for profile in (fn.power_profile(e, ("t",)), []):
                 got = fn.sample_power_sum(profile, 1.7, steps)
                 want = fn.Grid.sample(lambda tv: sum(
@@ -261,6 +277,19 @@ class TestPointEvaluation:
                     for c, p in profile) if profile else 0.0, 1.7, steps)
                 assert got.t1 == want.t1
                 assert got.values.tobytes() == want.values.tobytes()
+
+    def test_sample_overflow_is_a_domain_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fn.FracDomainError,
+                               match=r"sampled value overflows a float at "
+                                     r"t = 370\.5"):
+                fn.sample_power_sum([(1.0, {"t": Q(120)})], 372.0, 372001)
+
+    def test_scale_overflow_is_a_domain_error(self):
+        with pytest.raises(fn.FracDomainError,
+                           match=r"dt\^-alpha overflows a float at dt = 5e-324"):
+            fn.gl_rl_derivative(fn.Grid(5e-324, np.zeros(2)), 0.999)
 
 
 class TestGridResiduals:
