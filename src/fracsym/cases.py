@@ -8,6 +8,11 @@ reduced forms are named by their paper section: 1 for the translation and
 scaling case of K(2,3) once alpha, b, k and zeta are bound.  They live in
 ``data/reduced_forms`` in the CLI expression grammar, one expression per
 file with '#' comment lines.
+
+:func:`outside_catalog` is the one coverage rule: alpha = 1 is outside the
+table, and so is a g-form with no case at the spec's alpha.  The CLI refuses
+such a spec with a failing ``classification`` check; the symmetry engine
+itself derives a basis for any spec.
 """
 
 from __future__ import annotations
@@ -16,14 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from importlib import resources
 
-from .expr import Expr, Num, Sym, as_expr, num, substitute, sym
+from .expr import Expr, Num, Sym, as_expr, num, substitute, sym, to_text
 from .parser import parse_expression
 from .pde import CoeffTag, PdeSpec, coeff_form_from_text, power_law
 
 __all__ = [
     "ClassificationCase", "CLASSIFICATION_CASES", "alpha_kind",
-    "classification_case", "spec_for_case", "parse_printed_form",
-    "load_printed_form",
+    "classification_case", "spec_for_case", "outside_catalog",
+    "parse_printed_form", "load_printed_form",
 ]
 
 ALPHA = sym("alpha")
@@ -110,6 +115,16 @@ def resolve_case_key(spec: PdeSpec) -> str | None:
     if hit is None and tag is CoeffTag.EXPONENTIAL:
         return "1.1"
     return hit
+
+
+def outside_catalog(spec: PdeSpec) -> str | None:
+    """Why the table does not cover a spec, or None when it does: alpha = 1
+    is outside it, and so is a g-form with no case at the spec's alpha."""
+    if alpha_kind(spec.alpha) == "unsupported":
+        return f"alpha = {to_text(spec.alpha)} is outside the catalog"
+    if resolve_case_key(spec) is None:
+        return f"g-form {spec.tag.value} is cataloged only at alpha = 1/3"
+    return None
 
 
 def parse_printed_form(text: str,

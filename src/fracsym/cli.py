@@ -21,7 +21,7 @@ from fractions import Fraction as Q
 from . import __version__
 from .cases import (
     CLASSIFICATION_CASES, classification_case, load_printed_form,
-    resolve_case_key,
+    outside_catalog, resolve_case_key,
 )
 from .expr import (
     Expr, Num, ExprError, ZERO,
@@ -46,8 +46,8 @@ from .report import (
     ReportDoc, emit_report, read_report,
 )
 from .symmetry import (
-    DEFAULT_TRUNCATION, OutsideCatalogError, SymmetryError,
-    UnsupportedAnsatzError, classify, invariance_residual,
+    DEFAULT_TRUNCATION, SymmetryError, UnsupportedAnsatzError, classify,
+    invariance_residual,
 )
 
 __all__ = ["SessionConfig", "run_classify", "run_reduce", "run_verify",
@@ -192,21 +192,29 @@ def _check_scaling_weights(doc: ReportDoc, spec: PdeSpec, gen: Generator,
                       to_text(w) for w in term_weights(spec, weights)))
 
 
+def _classified(cfg: SessionConfig):
+    """(spec, report, basis) of a config.  The basis is None, and the
+    report carries a failing ``classification`` check naming why, when the
+    spec is outside the catalog or its derivation fails."""
+    spec = cfg.spec()
+    doc = ReportDoc(case=resolve_case_key(spec) or "-", config=cfg.as_dict())
+    detail = outside_catalog(spec)
+    if detail is None:
+        try:
+            return spec, doc, classify(spec, M=cfg.truncation)
+        except (SymmetryError, PdeModelError) as exc:
+            detail = str(exc)
+    doc.add_check("classification", STATUS_FAIL, detail=detail)
+    return spec, doc, None
+
+
 def run_classify(cfg: SessionConfig) -> ReportDoc:
     """Classify, then check the scaling weights of every generator.
 
     ``classify`` keeps only generators whose invariance residual is zero,
     so the residual is not recomputed here."""
-    spec = cfg.spec()
-    case_key = resolve_case_key(spec) or "-"
-    doc = ReportDoc(case=case_key, config=cfg.as_dict())
-    try:
-        gens = classify(spec, M=cfg.truncation)
-    except (OutsideCatalogError, SymmetryError, PdeModelError) as exc:
-        doc.add_check("classification", STATUS_FAIL, detail=str(exc))
-        return doc
-
-    for i, gen in enumerate(gens):
+    spec, doc, gens = _classified(cfg)
+    for i, gen in enumerate(gens or ()):
         doc.generators.append(dict(zip(("xi_t", "xi_x", "eta"),
                                        gen.as_text_triple())))
         _check_scaling_weights(doc, spec, gen, f"scaling_weights[X{i + 1}]")
@@ -215,13 +223,8 @@ def run_classify(cfg: SessionConfig) -> ReportDoc:
 
 def run_reduce(cfg: SessionConfig, generator_index: int) -> ReportDoc:
     """Invariants, derived reduced ODE, stored-form comparison, grid oracle."""
-    spec = cfg.spec()
-    case_key = resolve_case_key(spec) or "-"
-    doc = ReportDoc(case=case_key, config=cfg.as_dict())
-    try:
-        gens = classify(spec, M=cfg.truncation)
-    except (OutsideCatalogError, SymmetryError, PdeModelError) as exc:
-        doc.add_check("classification", STATUS_FAIL, detail=str(exc))
+    spec, doc, gens = _classified(cfg)
+    if gens is None:
         return doc
     if not 0 <= generator_index < len(gens):
         doc.add_check("generator-index", STATUS_FAIL,
@@ -282,15 +285,15 @@ def run_reduce(cfg: SessionConfig, generator_index: int) -> ReportDoc:
                   detail=f"h in {{r, r^2, r^3}} at {len(points)} points")
 
     if red.translation_case:
-        # the derived ODE at h(r) = kappa*r^(alpha-1)/Gamma(alpha); r = t
-        ks = kernel_solution(nspec.alpha.value, 1)
+        # the derived ODE at h(r) = r^(alpha-1)/Gamma(alpha); r = t
+        kernel = kernel_solution(nspec.alpha.value)
         residuals = fode_residual_on_grid(
-            nred.reduced_ode, substitute(ks.expr, {"t": r}),
+            nred.reduced_ode, substitute(kernel, {"t": r}),
             [tv for _, tv in points])
         ok = max(map(abs, residuals)) <= cfg.tol_rel
         doc.add_check(
             "kernel_solution", STATUS_PASS if ok else STATUS_FAIL,
-            detail=f"h(t) = {to_text(ks.expr)} (kappa = 1)")
+            detail=f"h(t) = {to_text(kernel)} (kappa = 1)")
     return doc
 
 

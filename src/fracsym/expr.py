@@ -350,61 +350,59 @@ def mul(*factors) -> Expr:
         else:
             flat.append(f)
 
-    for _ in range(32):
-        coeff = 1
-        powers: dict[Expr, list] = {}
-        for f in flat:
-            if isinstance(f, Num):
-                coeff *= f.c
-                continue
-            base, exp = _base_exp(f)
-            # f, the factor node itself, is reused when its base occurs once
-            # (f = None: resolve through pow_).  The raw atoms of
-            # clear_denominators are not canonical: Pow(s, k) must expand
-            # and Pow(b, 1) collapse, so they go through pow_.
-            if (isinstance(base, Sum)
-                    and isinstance(exp, Num) and type(exp.c) is int):
-                # key sum bases by their monic form (integer exponents only)
-                # so e.g. (b-a) and (a-b)^-1 cancel structurally
-                lead, monic = _monic_sum(base)
-                if lead != 1:
-                    coeff *= _ipow(lead, exp.c)
-                    base = monic
-                    f = None
-                elif f is not base and exp.c > 0:
-                    f = None
-            elif f is not base and exp == ONE:
+    coeff = 1
+    powers: dict[Expr, list] = {}
+    for f in flat:
+        if isinstance(f, Num):
+            coeff *= f.c
+            continue
+        base, exp = _base_exp(f)
+        # f, the factor node itself, is reused when its base occurs once
+        # (f = None: resolve through pow_).  The raw atoms of
+        # clear_denominators are not canonical: Pow(s, k) must expand
+        # and Pow(b, 1) collapse, so they go through pow_.
+        if (isinstance(base, Sum)
+                and isinstance(exp, Num) and type(exp.c) is int):
+            # key sum bases by their monic form (integer exponents only)
+            # so e.g. (b-a) and (a-b)^-1 cancel structurally
+            lead, monic = _monic_sum(base)
+            if lead != 1:
+                coeff *= _ipow(lead, exp.c)
+                base = monic
                 f = None
-            entry = powers.get(base)
-            if entry is None:
-                powers[base] = [base, [exp], f]
-            else:
-                entry[1].append(exp)
-        if coeff == 0:
-            return ZERO
-        pieces: list[Expr] = []
-        reflatten = False
-        for base, exps, f in powers.values():
-            if len(exps) > 1:
-                resolved = pow_(base, add(*exps))
-            elif f is not None:
-                resolved = f
-            else:
-                resolved = pow_(base, exps[0])
-            if isinstance(resolved, Num):
-                coeff *= resolved.c
-                if coeff == 0:
-                    return ZERO
-            elif isinstance(resolved, Prod):
-                pieces.extend(resolved.factors)
-                reflatten = True
-            else:
-                pieces.append(resolved)
-        if not reflatten:
-            break
-        flat = ([num(coeff)] if coeff != 1 else []) + pieces
-    else:  # pragma: no cover - merge loop is strictly reducing
-        raise SimplifyError("product canonicalization did not converge")
+            elif f is not base and exp.c > 0:
+                f = None
+        elif f is not base and exp == ONE:
+            f = None
+        entry = powers.get(base)
+        if entry is None:
+            powers[base] = [base, [exp], f]
+        else:
+            entry[1].append(exp)
+    if coeff == 0:
+        return ZERO
+    pieces: list[Expr] = []
+    reflatten = False
+    for base, exps, f in powers.values():
+        if len(exps) > 1:
+            resolved = pow_(base, add(*exps))
+        elif f is not None:
+            resolved = f
+        else:
+            resolved = pow_(base, exps[0])
+        if isinstance(resolved, Num):
+            coeff *= resolved.c
+            if coeff == 0:
+                return ZERO
+        elif isinstance(resolved, Prod):
+            pieces.extend(resolved.factors)
+            reflatten = True
+        else:
+            pieces.append(resolved)
+    if reflatten:
+        # a merged power resolved to a product, as (-2*x)^(1/2) twice
+        # gives -2*x: merge its factors with the rest once more
+        return mul(num(coeff), *pieces)
 
     sums = [p for p in pieces if isinstance(p, Sum)]
     if sums:

@@ -7,9 +7,11 @@ for it: the opaque g(t), or a member of the closed catalog
 
     k,  k*t^b,  k*exp(b*t),  k*(t-b)^(2/3),  k*(t^2-b)^(1/3)
 
-with k and b free of t (numbers or symbols).  The catalog form's tag is
-read off the expression when a spec is built, and :func:`power_law` reads
-k and b off the weight-homogeneous forms k and k*t^b.
+with k and b free of t (numbers or symbols).  g names none of the
+equation's other variables: x, u and its derivatives, and the reductions'
+similarity variable r.  The catalog form's tag is read off the expression
+when a spec is built, and :func:`power_law` reads k and b off the
+weight-homogeneous forms k and k*t^b.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
-from .calculus import diff
+from .calculus import JetContext, diff
 from .expr import (
     Expr, Num, Pow, Prod, Func, ExprError,
     add, mul, pow_, num, sym, func, as_expr, contains_symbol, free_symbols,
@@ -44,6 +46,11 @@ K = sym("k")
 _G = func("g", (T,))
 
 _MAX_EXPONENT = 6
+
+# x and the reductions' similarity variable r; u and its jets are read by
+# JetContext.parse_jet
+_VARIABLES = ("x", "r")
+_JETS = JetContext()
 
 
 class PdeModelError(ExprError):
@@ -156,6 +163,12 @@ class PdeSpec:
         object.__setattr__(self, "g", as_expr(self.g))
         if self.g == ZERO:
             raise PdeModelError("coefficient k must be nonvanishing")
+        named = sorted(name for name in free_symbols(self.g)
+                       if name in _VARIABLES
+                       or _JETS.parse_jet(name) is not None)
+        if named:
+            raise PdeModelError("g(t) may not name the equation's "
+                                f"variables: {', '.join(named)}")
         tag = _match_coeff_form(self.g)
         if tag is None:
             raise _outside_catalog(to_text(self.g))

@@ -1,6 +1,7 @@
 """Similarity reductions: invariants by the method of characteristics, the
-group-invariant substitution, reduced fractional ODEs, and the adjudication
-of stored reduced forms against the derivation and the grid oracle.
+group-invariant substitution, reduced fractional ODEs, the adjudication
+of stored reduced forms against the derivation and the grid oracle, and the
+kernel solution that the translation reduction's ODE is checked at.
 
 For a scaling generator e*t d/dt + a1*x d/dx + c*u d/du the invariants are
 r = t*x^(-e/a1) and z = u*x^(-c/a1); substituting u = x^p h(r) with
@@ -33,11 +34,10 @@ from .fracnum import (
     fode_residual_on_grid, pde_residual_on_grid, relative_deviation,
 )
 from .pde import Generator, PdeSpec, T, U, X
-from .symmetry import rl_partial_t
 
 __all__ = [
     "ReductionError", "SimilarityReduction", "CoefficientComparison",
-    "ComparisonReport", "KernelSolution",
+    "ComparisonReport",
     "characteristic_invariants", "similarity_substitute",
     "compare_reduced_forms", "reduced_residual_identity_check",
     "kernel_solution", "R_SYM",
@@ -287,35 +287,11 @@ def reduced_residual_identity_check(spec: PdeSpec, red: SimilarityReduction,
 # kernel solution
 
 
-@dataclass(frozen=True)
-class KernelSolution:
-    """h(t) = kappa * t^(alpha-1) / Gamma(alpha), the RL null-space element.
-
-    ``residual`` is the symbolic image of ``expr`` under the RL power rule
-    (:func:`fracsym.symmetry.rl_partial_t`): Gamma(alpha)/Gamma(0) * t^-1
-    with 1/Gamma(0) = 0, hence exact 0 when the kernel matches its order.
-    At alpha = 1 the operator degenerates to the classical derivative and
-    the kernel is the constant solution instead (``classical`` is set).
-    """
-
-    expr: Expr
-    residual: Expr
-    classical: bool = False
-
-    @property
-    def annihilated(self) -> bool:
-        return self.residual == ZERO
-
-
-def kernel_solution(alpha, kappa) -> KernelSolution:
+def kernel_solution(alpha) -> Expr:
+    """h(t) = t^(alpha-1) / Gamma(alpha), the RL null-space element of
+    order alpha in (0, 1]; at alpha = 1 it is the constant 1, the kernel of
+    the classical derivative."""
     alpha = Q(alpha)
-    kappa = Q(kappa)
     if not 0 < alpha <= 1:
         raise ReductionError("kernel solution needs alpha in (0, 1]")
-    if alpha == 1:
-        return KernelSolution(expr=num(kappa), residual=ZERO, classical=True)
-    if kappa == 0:
-        return KernelSolution(expr=ZERO, residual=ZERO)
-    expr = mul(num(kappa), pow_(T, num(alpha - 1)),
-               pow_(gammaf(alpha), MINUS_ONE))
-    return KernelSolution(expr=expr, residual=rl_partial_t(expr, num(alpha)))
+    return mul(pow_(T, num(alpha - 1)), pow_(gammaf(alpha), MINUS_ONE))

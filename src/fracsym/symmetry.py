@@ -17,6 +17,9 @@ Riemann-Liouville power rule (so it maps a u-independent constant c to
 c*t^-a/Gamma(1-a), not to zero).  Under that convention the two explicit
 terms cancel exactly for eta = c*u, and every series term vanishes for the
 affine/scaling ansatz xi_t = e*t, xi_x = a0 + a1*x, eta = c*u.
+
+``classify`` derives the basis of any spec; the case table is the front
+end's, and this module imports nothing of it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import ClassVar
 
-from .cases import alpha_kind
 from .calculus import JetContext, diff, is_polynomial_in, split_by
 from .expr import (
     Expr, Num, Sym, Pow, FDeriv, ExprError,
@@ -33,12 +35,10 @@ from .expr import (
     contains_symbol, is_zero_exact, power_of, replace_node, substitute,
     to_text, ZERO, ONE, MINUS_ONE,
 )
-from .pde import (
-    T, U, X, CoeffTag, Generator, PdeSpec,
-)
+from .pde import T, U, X, Generator, PdeSpec
 
 __all__ = [
-    "SymmetryError", "UnsupportedAnsatzError", "OutsideCatalogError",
+    "SymmetryError", "UnsupportedAnsatzError",
     "ProlongationResult", "DeterminingSystem",
     "generalized_binomial", "rl_partial_t",
     "eta_alpha", "integer_prolongations", "invariance_residual",
@@ -67,10 +67,6 @@ class SymmetryError(ExprError):
 
 class UnsupportedAnsatzError(SymmetryError):
     """Infinitesimals outside the polynomial class handled symbolically."""
-
-
-class OutsideCatalogError(SymmetryError):
-    """(alpha, g) combination not covered by the classification catalog."""
 
 
 def _binomial(binom: list, alpha: Expr, m: int) -> Expr:
@@ -355,19 +351,11 @@ def determining_system(spec: PdeSpec,
 
 
 def classify(spec: PdeSpec, M: int = DEFAULT_TRUNCATION) -> list[Generator]:
-    """Symmetry-algebra basis for a catalog (alpha, g) combination, solved
-    from its determining system.
+    """Symmetry-algebra basis of any spec, solved from its determining
+    system.
 
     The basis lists the x-translation first; a t-scaling, when present, is
-    normalized to coefficient -1 on t*d/dt.  The two special g-forms are
-    accepted only at alpha = 1/3.
+    normalized to coefficient -1 on t*d/dt.  Which specs the paper's table
+    covers is decided by :func:`fracsym.cases.outside_catalog`, not here.
     """
-    kind = alpha_kind(spec.alpha)
-    if kind == "unsupported":
-        raise OutsideCatalogError(
-            f"alpha = {to_text(spec.alpha)} is outside the catalog")
-    if (spec.tag in (CoeffTag.SHIFTED_POWER_23, CoeffTag.QUAD_POWER_13)
-            and kind != "1/3"):
-        raise OutsideCatalogError(
-            f"g-form {spec.tag.value} is cataloged only at alpha = 1/3")
     return determining_system(spec, M).solve()

@@ -1,5 +1,6 @@
 """Case-key resolution: every table entry and every fallback, pinned."""
 
+import ast
 from fractions import Fraction as Q
 from importlib import resources
 
@@ -68,3 +69,26 @@ def test_bound_parse_equals_parse_then_substitute(case, zeta):
         want = substitute(parse_printed_form(text), binding)
         got = load_printed_form(section, spec)
         assert got == want and to_text(got) == to_text(want), section
+
+
+def _imported_modules(module: str) -> set[str]:
+    """The fracsym modules a source file imports, by their short names."""
+    src = (resources.files("fracsym") / f"{module}.py").read_text()
+    names = set()
+    for node in ast.walk(ast.parse(src)):
+        if isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module.removeprefix("fracsym."))
+            else:   # from . import x
+                names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.removeprefix("fracsym.")
+                         for alias in node.names)
+    return names
+
+
+def test_the_engine_imports_no_front_end():
+    """The case table is the front end's: the engine derives without it."""
+    assert "cases" not in _imported_modules("symmetry")
+    assert "cases" not in _imported_modules("reduction")
+    assert "symmetry" not in _imported_modules("reduction")

@@ -34,6 +34,28 @@ SCALING_CONFIGS = {
 }
 
 
+# the six g-forms of the catalog, and per alpha the (case, classification
+# detail) of each: a detail is the catalog's refusal, None its acceptance
+CATALOG_GS = ("arbitrary", "k", "k*t^b", "k*exp(b*t)", "k*(t-b)^(2/3)",
+              "k*(t^2-b)^(1/3)")
+_ONLY_THIRD = "g-form {} is cataloged only at alpha = 1/3"
+_OFF_THIRD = [("-", _ONLY_THIRD.format("shifted-power-2/3")),
+              ("-", _ONLY_THIRD.format("quad-power-1/3"))]
+_ALPHA_ONE = "alpha = 1 is outside the catalog"
+COVERAGE = {
+    "generic": [("1.1", None), ("1.3", None), ("1.2", None), ("1.1", None),
+                *_OFF_THIRD],
+    "1/4": [("1.1", None), ("1.3", None), ("1.2", None), ("1.1", None),
+            *_OFF_THIRD],
+    "1/2": [("1.1", None), ("2.3", None), ("2.2", None), ("2.1", None),
+            *_OFF_THIRD],
+    "1/3": [("1.1", None), ("3.3", None), ("3.2", None), ("3.1", None),
+            ("3.1", None), ("3.1", None)],
+    "1": [(case, _ALPHA_ONE)
+          for case in ("1.1", "1.3", "1.2", "1.1", "-", "-")],
+}
+
+
 def statuses(doc):
     return {c.name: c.status for c in doc.checks}
 
@@ -127,6 +149,16 @@ class TestRunClassify:
         assert doc.worst_status == STATUS_FAIL
         assert "1/3" in doc.checks[0].detail
 
+    @pytest.mark.parametrize("g", CATALOG_GS)
+    @pytest.mark.parametrize("alpha", sorted(COVERAGE))
+    def test_coverage_of_every_alpha_kind_and_g_form(self, alpha, g):
+        case, detail = COVERAGE[alpha][CATALOG_GS.index(g)]
+        doc = run_classify(SessionConfig(alpha=alpha, g=g))
+        assert doc.case == case
+        got = [c.detail for c in doc.checks if c.name == "classification"]
+        assert got == ([detail] if detail else [])
+        assert bool(doc.generators) == (detail is None)
+
 
 class TestRunReduce:
     def test_translation_reduction(self):
@@ -152,6 +184,13 @@ class TestRunReduce:
         doc = run_reduce(SessionConfig(alpha=alpha, g=g), 0)
         assert statuses(doc)["kernel_solution"] == STATUS_FAIL
         assert doc.checks[-1].detail.startswith("h(t) = ")
+
+    def test_kernel_at_oracle_alpha_one_is_the_constant(self):
+        # t^(alpha-1)/Gamma(alpha) at alpha = 1 is 1, the classical kernel
+        doc = run_reduce(SessionConfig(oracle_alpha="1"), 0)
+        rec = [c for c in doc.checks if c.name == "kernel_solution"][0]
+        assert rec.status == STATUS_PASS
+        assert rec.detail == "h(t) = 1 (kappa = 1)"
 
     def test_scaling_reduction_case_12(self):
         doc = run_reduce(SessionConfig(alpha="generic", g="k*t^b"), 1)
@@ -740,6 +779,17 @@ def test_exponent_in_t_is_outside_the_catalog(command, capsys):
     assert err.startswith("error: coefficient 't^t' is not in the g(t) "
                           "catalog")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("g, named", [
+    ("k*exp(x*t)", "x"), ("x", "x"), ("u", "u"), ("u_x", "u_x"), ("r", "r"),
+])
+@pytest.mark.parametrize("command", ["classify", "reduce"])
+def test_g_naming_a_variable_is_a_one_line_error(command, g, named, capsys):
+    assert main([command, "--g", g]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: g(t) may not name the equation's variables: {named}\n"
 
 
 def test_solving_subcommands_share_the_common_flags():

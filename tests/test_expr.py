@@ -157,6 +157,11 @@ class TestSimplify:
     def test_power_merge(self):
         assert mul(pow_(x, 1), pow_(x, 2)) == pow_(x, 3)
 
+    def test_merged_power_that_is_a_product_is_merged_again(self):
+        root = pow_(mul(-2, x), num(Q(1, 2)))
+        assert mul(root, root) == mul(-2, x)
+        assert mul(3, root, t, root) == mul(-6, x, t)
+
     def test_opposite_coefficients_cancel(self, rng):
         # oracle first: the two terms are numeric negatives of each other
         lhs = mul(add(alpha, mul(-1, b)), x)

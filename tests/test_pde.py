@@ -212,6 +212,28 @@ class TestCoeffForms:
             == f"error: {zero.value}\n"
 
 
+    @pytest.mark.parametrize("text, named", [
+        ("k*exp(x*t)", "x"), ("x", "x"), ("u", "u"), ("u_x", "u_x"),
+        ("r", "r"), ("x*u_xt*t^b", "u_xt, x"),
+    ])
+    def test_g_may_not_name_the_equations_variables(self, text, named):
+        with pytest.raises(PdeModelError) as refused:
+            PdeSpec(g=parse_expression(text))
+        assert str(refused.value) == \
+            f"g(t) may not name the equation's variables: {named}"
+        for command in ("classify", "reduce"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                assert main([command, "--g", text]) == 1
+            assert err.getvalue() == f"error: {refused.value}\n"
+
+    def test_other_symbols_are_constants(self):
+        spec = PdeSpec(g=parse_expression("c*t^d"))
+        assert spec.tag is CoeffTag.POWER
+        assert power_law(spec.g) == (sym("c"), sym("d"))
+
+
 class TestPowerLaw:
     @given(k=nonzero, b=rationals)
     @settings(max_examples=200, deadline=None)
