@@ -1,7 +1,8 @@
 """Command-line interface: classify / reduce / verify / frac-deriv / report.
 
 Exit codes: 0 when every check passes, 2 when an adjudicated mismatch was
-found, 1 on errors (including failed verification).
+found, 1 on errors (including failed verification and usage errors, which
+end in one ``error:`` line).
 
 A config file of ``key = value`` lines may preset any flag; flags override
 the file.  Rational values are written as ``p/q`` strings and stay exact;
@@ -25,7 +26,7 @@ from .cases import (
 )
 from .expr import (
     Expr, Num, ExprError, ZERO,
-    is_zero_exact, mul, num, sym, substitute, to_text,
+    free_symbols, is_zero_exact, mul, num, sym, substitute, to_text,
 )
 from .fracnum import (
     _power_rule_sum, fode_residual_on_grid, gl_rl_derivative, power_profile,
@@ -46,8 +47,7 @@ from .report import (
     ReportDoc, emit_report, read_report,
 )
 from .symmetry import (
-    DEFAULT_TRUNCATION, SymmetryError, UnsupportedAnsatzError, classify,
-    invariance_residual,
+    SymmetryError, classify, invariance_residual,
 )
 
 __all__ = ["SessionConfig", "run_classify", "run_reduce", "run_verify",
@@ -83,7 +83,6 @@ class SessionConfig:
     m: int = 2
     n: int = 3
     zeta: int = 1
-    truncation: int = DEFAULT_TRUNCATION
     seed: int = 1234
     tol_rel: float = 1e-8
     out: str = ""
@@ -201,7 +200,7 @@ def _classified(cfg: SessionConfig):
     detail = outside_catalog(spec)
     if detail is None:
         try:
-            return spec, doc, classify(spec, M=cfg.truncation)
+            return spec, doc, classify(spec)
         except (SymmetryError, PdeModelError) as exc:
             detail = str(exc)
     doc.add_check("classification", STATUS_FAIL, detail=detail)
@@ -274,6 +273,16 @@ def run_reduce(cfg: SessionConfig, generator_index: int) -> ReportDoc:
         normalization_power=substitute(red.normalization_power, binding),
         reduced_ode=substitute(red.reduced_ode, binding),
     )
+    # a parameter the binding leaves symbolic fails the check by name, not
+    # in an evaluation error
+    unbound = sorted(frozenset().union(*(
+        free_symbols(e) for e in (nred.p, nred.q, nred.normalization_power,
+                                  nred.reduced_ode))) - {"r"})
+    if unbound:
+        doc.add_check("grid_identity", STATUS_FAIL,
+                      detail=f"no oracle value for {', '.join(unbound)}: "
+                             "the grid oracle binds only alpha, b and k")
+        return doc
     points = _seeded_points(cfg)
     worst = 0.0
     r = sym("r")
@@ -319,8 +328,8 @@ def run_verify(cfg: SessionConfig, triple) -> ReportDoc:
     doc.generators.append(dict(zip(("xi_t", "xi_x", "eta"),
                                    gen.as_text_triple())))
     try:
-        residual = invariance_residual(spec, gen, M=cfg.truncation)
-    except (UnsupportedAnsatzError, SymmetryError) as exc:
+        residual = invariance_residual(spec, gen)
+    except SymmetryError as exc:
         doc.add_check("invariance_residual", STATUS_FAIL, detail=str(exc))
         return doc
     if residual == ZERO:
@@ -406,10 +415,19 @@ def run_fracderiv(cfg: SessionConfig, expr_text: str, at: float) -> ReportDoc:
 # argument handling
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise CliError, so they end in
+    one error line at exit 1; argparse's own exit 2 is the code of an
+    adjudicated mismatch.  Its subparsers are of this class too."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def _common_flags() -> argparse.ArgumentParser:
     """The flags of every solving subcommand, as an argparse parent: the
     subparsers share its actions instead of each building its own."""
-    p = argparse.ArgumentParser(prog="fracsym", add_help=False)
+    p = _Parser(prog="fracsym", add_help=False)
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--case", choices=sorted(CLASSIFICATION_CASES),
                    help="preset (alpha, g) from the classification table")
@@ -438,7 +456,7 @@ def _config_from_args(args) -> SessionConfig:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracsym",
         description="Lie symmetry classification and similarity reduction "
                     "of the time-fractional K(m,n) equation, with numerical "
@@ -515,8 +533,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _parse_args(list(argv))
     try:
+        args = _parse_args(list(argv))
         if args.command == "report":
             doc = read_report(args.path)
             emit_report(doc, path=None)

@@ -8,15 +8,24 @@ built from the Leibniz-expanded form
             + sum_{m>=1} [C(a,m) d^m(eta_u)/dt^m - C(a,m+1) D_t^{m+1} xi_t] * D^{a-m} u
             - sum_{m>=1} C(a,m) * D^{a-m} u_x * D_t^m xi_x
 
-truncated at a configurable order M.  Each surviving series term stays in
-eta_a, as its coefficient times a ``fderiv(u, t, a - m)`` or
-``fderiv(u_x, t, a - m)`` node.  D_x and D_t are ``diff`` under the one
-module jet context.  The fractional d^a/dt^a acts on the explicit
-t-dependence with u held as a t-independent indeterminate, through the
-Riemann-Liouville power rule (so it maps a u-independent constant c to
-c*t^-a/Gamma(1-a), not to zero).  Under that convention the two explicit
-terms cancel exactly for eta = c*u, and every series term vanishes for the
-affine/scaling ansatz xi_t = e*t, xi_x = a0 + a1*x, eta = c*u.
+summed to its own end.  The form is exact for xi_t and xi_x free of u and
+of its jets and for eta linear in u and free of the jets (Gazizov,
+Kasatkin & Lukashchuk, Physica Scripta T136, 2009): the mu-term of the
+fractional prolongation, which the form omits, vanishes only for such an
+eta, and on such a generator D_t is the partial d/dt.  Each infinitesimal
+is polynomial in t, so the series stops at the first m at which
+D_t^(m+1) xi_t, D_t^m xi_x and d^m(eta_u)/dt^m all vanish.  ``eta_alpha``
+refuses any other generator, and one whose series runs past
+``MAX_SERIES_ORDER`` orders, with ``UnsupportedAnsatzError`` instead of
+cutting the series.  Each series term stays in eta_a, as its coefficient
+times a ``fderiv(u, t, a - m)`` or ``fderiv(u_x, t, a - m)`` node.  D_x is
+``diff`` under the one module jet context.  The fractional d^a/dt^a acts
+on the explicit t-dependence with u held as a t-independent indeterminate,
+through the Riemann-Liouville power rule (so it maps a u-independent
+constant c to c*t^-a/Gamma(1-a), not to zero).  Under that convention the
+two explicit terms cancel exactly for eta = c*u, and every series term
+vanishes for the affine/scaling ansatz xi_t = e*t, xi_x = a0 + a1*x,
+eta = c*u.
 
 ``classify`` derives the basis of any spec; the case table is the front
 end's, and this module imports nothing of it.
@@ -32,8 +41,8 @@ from .calculus import JetContext, diff, is_polynomial_in, split_by
 from .expr import (
     Expr, Num, Sym, Pow, FDeriv, ExprError,
     add, mul, pow_, num, sym, gammaf, fderiv, as_expr,
-    contains_symbol, is_zero_exact, power_of, replace_node, substitute,
-    to_text, ZERO, ONE, MINUS_ONE,
+    contains_symbol, free_symbols, is_zero_exact, power_of, replace_node,
+    substitute, to_text, ZERO, ONE, MINUS_ONE,
 )
 from .pde import T, U, X, Generator, PdeSpec
 
@@ -45,15 +54,19 @@ __all__ = [
     "determining_system", "classify",
 ]
 
-DEFAULT_TRUNCATION = 5
+# the most Leibniz-series orders eta_alpha sums: an input guard, since a
+# generator of t-degree 10^6 would otherwise run 10^6 orders
+MAX_SERIES_ORDER = 16
 
 # the jet coordinates (u, u_x, u_t, ...) of every total derivative here
 _JETS = JetContext()
 
-_A0 = sym("_a0")
-_A1 = sym("_a1")
-_E = sym("_e")
-_C = sym("_c")
+# the ansatz coefficients: '@' is no character of a parsed symbol, so a g
+# written by the user cannot name one
+_A0 = sym("@a0")
+_A1 = sym("@a1")
+_E = sym("@e")
+_C = sym("@c")
 _UNKNOWNS = (_A0, _A1, _E, _C)
 # column indices into _UNKNOWNS: the elimination pivots on a1, c, e, a0;
 # the basis is read off the free columns as a0, e, c, a1
@@ -127,10 +140,26 @@ class ProlongationResult:
 
 
 def _check_polynomial_gen(gen: Generator):
+    """Refuse, naming the component, a generator for which the Leibniz
+    form of eta_alpha is not exact (see the module docstring)."""
     for name, e in (("xi_t", gen.xi_t), ("xi_x", gen.xi_x), ("eta", gen.eta)):
         if not is_polynomial_in(e, ("t", "x", "u")):
             raise UnsupportedAnsatzError(
                 f"{name} = {to_text(e)} is not polynomial in (t, x, u)")
+        jets = sorted(s for s in free_symbols(e)
+                      if _JETS.parse_jet(s) is not None
+                      and not (name == "eta" and s == "u"))
+        if jets:
+            free_of = ("the derivatives of u" if name == "eta"
+                       else "u and of its derivatives")
+            raise UnsupportedAnsatzError(
+                f"{name} = {to_text(e)} names {', '.join(jets)}: the "
+                f"fractional prolongation needs {name} free of {free_of}")
+    if diff(gen.eta, "u", 2) != ZERO:
+        raise UnsupportedAnsatzError(
+            f"eta = {to_text(gen.eta)} is not linear in u: the fractional "
+            "prolongation omits its mu-term, which vanishes only for eta "
+            "linear in u")
 
 
 def integer_prolongations(gen: Generator):
@@ -149,12 +178,9 @@ def integer_prolongations(gen: Generator):
     return tuple(out)
 
 
-def eta_alpha(gen: Generator, alpha,
-              M: int = DEFAULT_TRUNCATION) -> ProlongationResult:
+def eta_alpha(gen: Generator, alpha) -> ProlongationResult:
     """Prolongation coefficient on the D^alpha_t u coordinate, plus the
-    integer prolongations, with the Leibniz series truncated at order M."""
-    if M < 1:
-        raise ValueError("series truncation must be >= 1")
+    integer prolongations, with the Leibniz series summed to its end."""
     _check_polynomial_gen(gen)
     alpha = as_expr(alpha)
     # C(alpha, m) is built only for an m whose derivative is nonzero; the
@@ -162,7 +188,7 @@ def eta_alpha(gen: Generator, alpha,
     binom = [ONE]
 
     eta_u = diff(gen.eta, "u")
-    dt_xi_t = diff(gen.xi_t, "t", 1, _JETS)
+    dt_xi_t = diff(gen.xi_t, "t")
 
     fd_u = fderiv(U, T, alpha)
     head = add(
@@ -174,12 +200,21 @@ def eta_alpha(gen: Generator, alpha,
     tail = []
     dtk_xi_t = dt_xi_t
     dtk_xi_x = gen.xi_x
-    for m in range(1, M + 1):
-        dtk_xi_t = diff(dtk_xi_t, "t", 1, _JETS)  # D_t^{m+1} xi_t
-        dtk_xi_x = diff(dtk_xi_x, "t", 1, _JETS)  # D_t^m xi_x
-        dtk_eta_u = diff(eta_u, "t", m)
+    dtk_eta_u = eta_u
+    for m in range(1, MAX_SERIES_ORDER + 2):
+        dtk_xi_t = diff(dtk_xi_t, "t")  # D_t^{m+1} xi_t
+        dtk_xi_x = diff(dtk_xi_x, "t")  # D_t^m xi_x
+        dtk_eta_u = diff(dtk_eta_u, "t")  # d^m(eta_u)/dt^m
         if dtk_eta_u == ZERO and dtk_xi_t == ZERO and dtk_xi_x == ZERO:
             break  # every higher derivative is zero too
+        if m > MAX_SERIES_ORDER:
+            live = [name for name, d in (("xi_t", dtk_xi_t),
+                                         ("xi_x", dtk_xi_x),
+                                         ("eta", dtk_eta_u)) if d != ZERO]
+            raise UnsupportedAnsatzError(
+                f"the Leibniz series of eta_alpha runs past its bound of "
+                f"{MAX_SERIES_ORDER} orders: the t-degree of "
+                f"{' and '.join(live)} is too high")
         coeff_u = add(
             mul(_binomial(binom, alpha, m), dtk_eta_u)
             if dtk_eta_u != ZERO else ZERO,
@@ -202,15 +237,14 @@ def eta_alpha(gen: Generator, alpha,
     )
 
 
-def invariance_residual(spec: PdeSpec, gen: Generator,
-                        M: int = DEFAULT_TRUNCATION) -> Expr:
+def invariance_residual(spec: PdeSpec, gen: Generator) -> Expr:
     """Apply the prolonged generator to the PDE on its solution set.
 
-    Returns the canonical residual: exactly zero iff gen is a symmetry to
-    truncation M.  Surviving D^(alpha-m) obstruction terms stay in the
-    result rather than being dropped.
+    Returns the canonical residual: exactly zero iff gen is a symmetry.
+    Surviving D^(alpha-m) obstruction terms stay in the result rather than
+    being dropped.
     """
-    prol = eta_alpha(gen, spec.alpha, M)
+    prol = eta_alpha(gen, spec.alpha)
 
     rest = add(mul(num(spec.zeta), diff(pow_(U, spec.m), "x", 1, _JETS)),
                mul(spec.g, diff(pow_(U, spec.n), "x", 3, _JETS)))
@@ -244,8 +278,8 @@ def invariance_residual(spec: PdeSpec, gen: Generator,
 class DeterminingSystem:
     """Linear homogeneous system on the ansatz coefficients (a0, a1, e, c)
     of xi_x = a0 + a1*x, xi_t = e*t, eta = c*u, collected from
-    ``residual``, the invariance residual of the generic ansatz generator
-    at the Leibniz truncation it was built with.  ``rows`` is the
+    ``residual``, the invariance residual of the generic ansatz generator.
+    ``rows`` is the
     coefficient matrix of ``equations`` in the order of ``unknowns``."""
 
     equations: list[Expr]
@@ -294,8 +328,7 @@ class DeterminingSystem:
 
         The coefficients do not depend on (t, x, u), and the prolonged
         generator is linear in the infinitesimals, so the substituted
-        residual is the vector's own invariance residual at the same
-        truncation.  The equations were collected from that residual, so
+        residual is the vector's own invariance residual.  The equations were collected from that residual, so
         this check guards the elimination against them; the build of the
         residual itself is checked against a fresh ``invariance_residual``
         by the test suite, not at run time."""
@@ -309,13 +342,12 @@ def _ansatz_binding(a0, a1, e, c) -> dict:
     return {u.name: as_expr(v) for u, v in zip(_UNKNOWNS, (a0, a1, e, c))}
 
 
-def determining_system(spec: PdeSpec,
-                       M: int = DEFAULT_TRUNCATION) -> DeterminingSystem:
+def determining_system(spec: PdeSpec) -> DeterminingSystem:
     """Build the determining equations for the affine/scaling ansatz by
     collecting the invariance residual over jet monomials and explicit
     t-structure."""
     gen = Generator.from_coeffs(_E, _A0, _A1, _C)
-    residual = invariance_residual(spec, gen, M)
+    residual = invariance_residual(spec, gen)
 
     def is_state_factor(f: Expr) -> bool:
         if isinstance(f, FDeriv):
@@ -350,7 +382,7 @@ def determining_system(spec: PdeSpec,
 # classification
 
 
-def classify(spec: PdeSpec, M: int = DEFAULT_TRUNCATION) -> list[Generator]:
+def classify(spec: PdeSpec) -> list[Generator]:
     """Symmetry-algebra basis of any spec, solved from its determining
     system.
 
@@ -358,4 +390,4 @@ def classify(spec: PdeSpec, M: int = DEFAULT_TRUNCATION) -> list[Generator]:
     normalized to coefficient -1 on t*d/dt.  Which specs the paper's table
     covers is decided by :func:`fracsym.cases.outside_catalog`, not here.
     """
-    return determining_system(spec, M).solve()
+    return determining_system(spec).solve()

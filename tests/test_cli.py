@@ -77,8 +77,7 @@ def perturb_printed_forms(monkeypatch, old, new):
 class TestSessionConfig:
     def test_round_trip(self):
         cfg = SessionConfig(alpha="1/2", g="k*t^b", m=2, n=3, zeta=-1,
-                            truncation=7, seed=99, tol_rel=1e-9,
-                            out="report.json")
+                            seed=99, tol_rel=1e-9, out="report.json")
         again = SessionConfig.from_file_text(cfg.to_file_text())
         assert again == cfg
 
@@ -138,7 +137,7 @@ class TestRunClassify:
 
     def test_t_free_weight_check_can_fail(self, monkeypatch):
         # x d/dx + 2u d/du is no symmetry at (2, 4): its term weights differ
-        monkeypatch.setattr(cli, "classify", lambda spec, M: [
+        monkeypatch.setattr(cli, "classify", lambda spec: [
             Generator(0, 1, 0), Generator(0, X, mul(2, U))])
         doc = run_classify(SessionConfig(g="k", m=2, n=4))
         assert statuses(doc) == {"scaling_weights[X2]": STATUS_FAIL}
@@ -191,6 +190,22 @@ class TestRunReduce:
         rec = [c for c in doc.checks if c.name == "kernel_solution"][0]
         assert rec.status == STATUS_PASS
         assert rec.detail == "h(t) = 1 (kappa = 1)"
+
+    @pytest.mark.parametrize("g, named", [
+        ("c*t^d", "c, d"), ("_c*t", "_c"), ("c", "c"),
+    ])
+    def test_oracle_names_the_parameters_it_cannot_bind(self, g, named,
+                                                         tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["reduce", "--g", g, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        doc = read_report(str(out))
+        assert doc.reduced_ode
+        assert doc.checks[-1].name == "grid_identity"
+        assert doc.checks[-1].status == STATUS_FAIL
+        assert doc.checks[-1].detail == (
+            f"no oracle value for {named}: the grid oracle binds only "
+            "alpha, b and k")
 
     def test_scaling_reduction_case_12(self):
         doc = run_reduce(SessionConfig(alpha="generic", g="k*t^b"), 1)
@@ -310,6 +325,26 @@ class TestRunVerify:
         doc = run_verify(SessionConfig(g="k", m=m, n=n), ("0", "0", "u"))
         assert statuses(doc)["scaling_weights"] == status
         assert statuses(doc)["invariance_residual"] == status
+
+    @pytest.mark.parametrize("triple, component", [
+        (("u", "0", "0"), "xi_t"), (("0", "u", "0"), "xi_x"),
+        (("u_x", "0", "0"), "xi_t"), (("0", "1", "u^2"), "eta"),
+        (("0", "1", "u_t"), "eta"),
+    ], ids=["xi_t-u", "xi_x-u", "xi_t-u_x", "eta-u^2", "eta-u_t"])
+    def test_generator_outside_the_exact_prolongation_is_refused(
+            self, triple, component, tmp_path, capsys):
+        # a xi naming u or a jet, or an eta naming a jet or nonlinear in u:
+        # the Leibniz form of eta_alpha would not be exact
+        xi_t, xi_x, eta = triple
+        out = tmp_path / "r.json"
+        assert main(["verify", "--xi-t", xi_t, "--xi-x", xi_x, "--eta", eta,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        rec = [c for c in read_report(str(out)).checks
+               if c.name == "invariance_residual"][0]
+        assert rec.status == STATUS_FAIL
+        assert rec.detail.startswith(f"{component} = ")
+        assert "fractional prolongation" in rec.detail
 
     def test_moving_the_lower_terminal_is_flagged(self):
         # constant time translation formally passes the expanded criterion
@@ -457,6 +492,21 @@ def _run_bounded(argv, tmp_path):
          "--out", str(tmp_path / "r.json")],
         capture_output=True, text=True, timeout=10, env=_child_env(),
         preexec_fn=_limit_memory)
+
+
+def test_series_past_its_bound_ends_in_a_named_check(tmp_path):
+    # without the bound, eta_alpha would sum 10^6 series orders
+    from fracsym.symmetry import MAX_SERIES_ORDER
+    proc = _run_bounded(["verify", "--xi-t", "t^(10^6)", "--xi-x", "0",
+                         "--eta", "0"], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    rec = [c for c in read_report(str(tmp_path / "r.json")).checks
+           if c.name == "invariance_residual"][0]
+    assert rec.status == STATUS_FAIL
+    assert rec.detail == (
+        "the Leibniz series of eta_alpha runs past its bound of "
+        f"{MAX_SERIES_ORDER} orders: the t-degree of xi_t is too high")
 
 
 class TestHugeExactPowers:
@@ -739,6 +789,26 @@ class TestMainEntry:
     def test_error_exit_is_one(self, capsys):
         assert main(["report", "--in", "/no/such/file.json"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--truncation", "5"], ["verify"],
+        ["classify", "--zeta", "2"], ["bogus"],
+    ], ids=["removed-flag", "missing-flags", "bad-choice", "unknown-command"])
+    def test_usage_error_is_a_one_line_error(self, argv, capsys):
+        # exit 2 is the code of an adjudicated mismatch, never of a usage
+        # error
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: fracsym")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
     def test_reduce_cli(self, capsys):
         assert main(["reduce", "--case", "3.3", "--generator-index", "1"]) == 0
         out = capsys.readouterr().out
@@ -790,6 +860,15 @@ def test_g_naming_a_variable_is_a_one_line_error(command, g, named, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: g(t) may not name the equation's variables: {named}\n"
+
+
+def test_g_cannot_name_an_ansatz_unknown(capsys):
+    # the unknowns of the determining system are no parsable symbols, so a
+    # parameter _c of g is one more constant
+    assert main(["classify", "--g", "_c*t"]) == 0
+    named = capsys.readouterr()
+    assert main(["classify", "--g", "k*t"]) == 0
+    assert named == capsys.readouterr()
 
 
 def test_solving_subcommands_share_the_common_flags():

@@ -84,100 +84,100 @@ FRAC_DERIV_ARGV = [
 
 DIGESTS = {
     'classify --case 1.1':
-        '19834e547e52039bf222ec6ee27783c7da4c382844d7746542d77c64b19c86bd',
+        'efd576d734236806bfcd84c2d155879d3224e364cb9cd4b9dee66d5deda3a12b',
     'classify --case 1.2':
-        'be6af36ab2c9ade5e3f013390912a328c9840ab01a0f5d9590a6adc279189b37',
+        '716c087eff83db1778da730444fb42a39718d3908a8ddc6a9c626e2fb1f5b3b4',
     'classify --case 1.3':
-        '1e4de74f38dffb3ff1f9dc7270b993c75a7409158f1a584bd2f73bfab8dc48fb',
+        'a41e3c177913a64174404ce3452931019522e02415d2b3ee20b5208694d31319',
     'classify --case 2.1':
-        '7b20438acc8f3dc076197b183929e147d8cb09859d93da72db53663760211176',
+        '2ab8f05f45acdfc2ac51c0a8d34b5ab16881f3db81426f11f852bcd606ba42b6',
     'classify --case 2.2':
-        '0d03ba882780c6f0dd8184f22ca6f8ee4671f573e83053400f1b3fc6704460d2',
+        '3351104ee1d031edcaed2f7ef168d934ecf485d4ea8255bc4640d5b27d7bc312',
     'classify --case 2.3':
-        '0bd0525797ae6aa1b4c50cd6c7ca9d0a0e6d0985addb451e047eb209fd7012bf',
+        '3dab95852bea7886f5daf030b88133c80abd088c5a05bac2b4bd6ef8f6360e81',
     'classify --case 3.1':
-        '102f597c2af41599d42ef6a0d3b7f188c6c09317e84b50802370befdcf1f9630',
+        '3be4a585d5515cbdc710aff99404a12c00e6ae7d2be017f1af5fa2aa91a22504',
     'classify --case 3.2':
-        'd37f3497a7202a7d205292f8a97dc204f0be7d5e8633a4b6817695795aa68897',
+        'e18ce60f04f13c646f5dc4341d4194deb68b3c8f54d3be717587dabbb62c2998',
     'classify --case 3.3':
-        '7af20b6b4049745708c7347e6a1f6d7321e8f426e4553a7d92b1a497cdeb96a8',
+        'ab7b054c8d2e98dd796e6d15208fed7e321c079409a6102fe2f1447abddc6917',
     'reduce --case 1.1 --generator-index 0':
-        '6dec322764f5b666f4ed4bf1a4aca9717e1e15a691d4816e2099e4c14c19fcaa',
+        '173e602b39df0e01c12a202fe1675b3b48f83163620f1a7742b1b0417046f77f',
     'reduce --case 1.2 --generator-index 0':
-        'e313f2cc0bb0f116da5459721e2441560fd32ae95c6d9f85301ae1c5271c7b20',
+        '66a99c4e4bd43bee1bf9b710631526bcb6fa4f82cc7b189ad7c0055e69c31fda',
     'reduce --case 1.3 --generator-index 0':
-        '895b310044247f3816f00a46c0714eba713d62436ba3179875229da5f218d7ab',
+        '5a55e530e2459bc1301e6e7be734c8ca3951518ba25e31d6dab370405a83fbbe',
     'reduce --case 2.1 --generator-index 0':
-        '0d844548e3ef4ad0167f194921a6b68a842b79a98550f8a9142387b8ba291d32',
+        '6b3896af51f6d598be69c35cb3eac08b1656edb959f80e7b7638fe6b8347532d',
     'reduce --case 2.2 --generator-index 0':
-        '835af9a0f1a12e4c0dc7ff15d5e81e1d852de619ef748e4ef751a222c3f60c4f',
+        '123aec6bdaba74284fc69609d18ecee24f6e84aeb44ce6ad57bc6b079da5cb16',
     'reduce --case 2.3 --generator-index 0':
-        '8be3c03e8a31882ce7c6218059f46b615b3e737cae6ff9a1dc06617d99547625',
+        'eabcce2c620b13cca5a58bc36029873c55f0d142d00056bc0640f7a2a7c5c582',
     'reduce --case 3.1 --generator-index 0':
-        '2d1a373124df1bc5f5017fd7736f36ad7619a7d6fd78cad045bda4d0e6cd21dc',
+        'c363f306f7fe2555e567ab2b7ed4968ce215c9105267904b6bbafac7721c2bea',
     'reduce --case 3.2 --generator-index 0':
-        '5b2e76ebee58c2339ff04a170cb5509196f2a502cc58117a51c36b572ca833d7',
+        '4eccd62f4895a5f40898ef8d9b63892e65c3e96d3a87abc91dd182e2c3ddb15e',
     'reduce --case 3.3 --generator-index 0':
-        '6199dd563245db7ed32e8d89bd6865c1605b37ea48653c0c6a6736010dcddd6d',
+        '4b65a94e53af7a6404f28ac1c2a2c8acef04369c80371a161f0a65777bab064b',
     'reduce --case 1.2':
-        '3fa030d0fa12ee3f41c070350775d1036a89cdd59fe064e9b04e6e499dd1279c',
+        '2680e671e42691495ff190de8bc799b0e70604bf5435b321d51fba9538ae7eaa',
     'reduce --case 1.3':
-        '5de3529b6c59b38052b8f82a5d0f52dffced8c50cdd308d355ab8d31967111f8',
+        'e6f7af8cc9fff393e5b45714fcbcac82556bdb204f1c1fddf349655e6eeb2969',
     'reduce --case 2.2':
-        'fa22132e8da35946b7bd2df8e7b309209e1394c1ff2fd36ae914c58b37ebc19f',
+        '0de4a0e5107639235fbecb53772792a97075cbe35edf3983596204a52aaac70c',
     'reduce --case 2.3':
-        'e6c28b88750cabae1ee1404d5cd795e3e5e5b901f15d5c6a59ee15893806d0b0',
+        '0bbb0055ffd36873fde882aa17485c41d00fe6bbf17ef42007a04493689ca9d0',
     'reduce --case 3.2':
-        '8d6ae8b541d567459a2608a5fc6cc1913d275ea9d3aae79dd507b664e812dc7f',
+        '84e13a9ed91b5d8d3ae583ad44beabd113b6f9cbc76abe4fccffb935a4608cf2',
     'reduce --case 3.3':
-        'c3c3338a6c52ac4c58c1d49dfaff01268cdadbb44ba353349e54348db6dfc2e5',
+        'a0a476f75259d0c51fce9cc16af02d647421bee51fd7b6bb5f0422cc38c62e98',
     'verify --m 2 --n 3 --alpha generic --g k*t^b --xi-t -t --xi-x ((1)*(2*alpha - b)/(1) - alpha)*x --eta ((2*alpha - b)/(1))*u':
-        '0843abda2995ac8bc3f68ffb573689b5e3beacc0fa95dccaa9c037e2201fa812',
+        'a2468e63aa12ee8096648dce6b176f80d8772e823f8f94e9669247eeb2e8c16b',
     'verify --m 5 --n 1 --alpha generic --g k*t^b --xi-t -t --xi-x ((4)*(2*alpha - b)/(12) - alpha)*x --eta ((2*alpha - b)/(12) + (3))*u':
-        'd0d3f28c3c5b164cdb81e9d1e38b319c6824ab566bc9429f3b48943634a403a1',
+        'caabc188813d01de8f3f0164c31d69fd4a9f0e9401d845387a703ae73aff78bf',
     'verify --m 2 --n 1 --alpha 1/2 --g k --xi-t -t --xi-x ((1)*(2*(1/2))/(3) - (1/2) + (-5))*x --eta ((2*(1/2))/(3))*u':
-        '0d661b9a09f641f18b36b7b9cca0210d5dc4f00ed2465df38c7b3747305b8a53',
+        '052216600e5478135a21f6ba65424b3d909298df5a4e4faff1073f3529cf7be8',
     'verify --m 3 --n 4 --alpha 3/4 --g k*t^b --xi-t -t + (-3/4) --xi-x ((2)*(2*(3/4) - b)/(3) - (3/4))*x --eta ((2*(3/4) - b)/(3))*u':
-        'f3d48f4575bbd2495e82175a76b89c3b4a50e636ee4636aec693c818f29d6ed4',
+        '11ab54de4175dd6145c5bd1c69b3493ab86d30e7060ed49554dbd2fba0233221',
     'verify --m 5 --n 4 --alpha 1/4 --g k*t^b --xi-t 0 --xi-x 1 --eta 0':
-        '527581048227d9adca8e2c773d0648eabd4cc65b020257540f62eaaa12e66368',
+        '01c69662c6eca0d71e454541fb40be5ede044325c9882fb8c7102d92f89f0d57',
     'verify --m 3 --n 2 --alpha 1/3 --g k --xi-t -t + (1/4) --xi-x ((2)*(2*(1/3))/(5) - (1/3))*x --eta ((2*(1/3))/(5))*u':
-        '09af3940a24aff148478aacefd875494b04fdcb45678c0a136504bcbfe3daf3a',
+        'ac2508b555192386b9d48f32e200af4503a9be9e826996daa57c5f7f7cccc0a2',
     'classify --m 2 --n 4 --g k':
-        'c4b674ef94ecc03fbcae845c381832227f5deabe43adfe07aa93c759b1e2387a',
+        '27cf12ffe39d2e978bd3df80f8b9214c0c0f7eb9a8364aa7ecde3f07ad57c2e8',
     'classify --m 1 --n 1 --g k':
-        'dc528e6f6ffe3664decffb33b29f3fd05dcc62174da0f38296b7b19fb66814af',
+        '1e498f16e8eee450ecd6ceaf3431d10c7d06d707285ef341a1dbce1f66048caf',
     'reduce --case 1.2 --oracle-b 1/3 --oracle-k 2':
-        '15f695b1df2427a8faaf4288374a970a9c2fc19b1ab28ecff92c4f9e6d11dfbd',
+        'e04a99f5fce47e5c80f7b4bcc886c34dcb0557ba8c42be91577bfab6eb2ed988',
     'reduce --case 2.1 --generator-index 0 --oracle-b -1/2 --oracle-k 3':
-        '9947c6d96ec9047b5d5fba08d22ed69259e57cde3403df753f6901c53d596af1',
+        '2c17e9d0da5a4307c5ec9833279acf1370d73bb77c9ee4f83a772123db0dd44f',
     'classify --alpha 1/3 --g k*(t^2-b)^(1/3)':
-        'd2b9078b9d6e4347d502cfda1221e6555d59368bf7efde4f7acc8130611cdb40',
+        '59086653456d51594585192d124a2cf0ec915eec571b29da2cab162783505b9b',
     'classify --alpha 1/3 --g 2*exp(3*t)':
-        '713e5b7596d6fcb07cb17623d483614fec2c1961ba446c6111cc34c68af4583e',
+        '4e9c6c78f3909d2be65831a3336cefdfedbb11bc08f86bf1058d802d127a5ab1',
     'reduce --g 3*t^2 --alpha 1/4':
-        '0a091eb9a4727263a9727856cba15ce025b7b328218784559934ce964e3a17c9',
+        '9ff9156fb87ce8bffbfeab3ecea7740c1952397da10c640fd1ea21fc28e0b419',
     'reduce --g t --alpha 1/3':
-        '1ce735b909c79e8d886f0b7ac518f2b14c57c2ab453a77f007b1b7788f19dda4',
+        '2abbd2c3cf474124593e696da25d579fc6b82bdd802a80b070c9d2344efcb5b1',
     'reduce --case 2.2 --zeta -1':
-        'dc25db22e03fefe95d66ec7d8484f90723d852bdc0c6b0f0af4e8ca88dc90f17',
+        '7241e3d757a45d11aa2d4abbf35d84ae61078fd24bd5adbf503da3db4c92c3b3',
     'reduce --case 1.3 --m 3 --n 5':
-        'a0021e74742b758feabfe40d0deec6ceb901aa21db8a0587ff6c4ec4fd01575e',
+        'c4f401207845fd05021dd725f366a18151949d6a030b4bf9ee75b5e264d57b8e',
 }
 
 FRAC_DERIV_DIGESTS = {
     'frac-deriv --expr 3/2*t^(1) --alpha 1/4 --at 0.5':
-        'd2914b23657f4132a7e9f726bd6c4d3e2622e2fc44a89f6482afa8d8c85ea60b',
+        'f0b1ff6c7d33b32738bad24deb256587234f403fb22b7162574cfcf30b94f42c',
     'frac-deriv --expr 2*t^(3/2) + 5/7*t^(3) --alpha 1/2 --at 0.5':
-        '6f674af10c728209a296abeb1aec85498f6bc3707609ad19bbb1519400785a05',
+        '5b7e6311ad3a43080a0b72136f3c7233b8276d3e28b1142d952ef38cf3e57905',
     'frac-deriv --expr 9/4*t^(1) + 1/3*t^(2) + 8/5*t^(5/2) --alpha 3/4 --at 1':
-        '7de9a659c0e973609158f837df42968a48d540e49fae4b23f65745c158369620',
+        '00f7e677648ad2f8698370e0ee249eb60e3170f4e2187f59fa0101b3c97524e0',
     'frac-deriv --expr 4/3*t^(5/2) --alpha 1/2 --at 1':
-        '8c05ed774549281fb7cdf876d01085ff79d86ac44871c055c74a4aca911f25cb',
+        '01b3a1c74e178583f7b577e74f8b4b0d412cb813b164e66b858f570387a4bb40',
     'frac-deriv --expr 6/7*t^(2) + 1*t^(3) --alpha 1/4 --at 1.5':
-        '4eb7e37ace1ae7f2fdc45923b9fbebe4ebe4a4b9476a150fe8c870ff0988ae1e',
+        'c2927387a3b7a8b107a32be91df5058dd192a1727b2256429599ab5d1d796ed6',
     'frac-deriv --expr 7/2*t^(3/2) + 2/5*t^(2) + 1/6*t^(3) --alpha 3/4 --at 2':
-        '2ee3388df45ba36b3effb95bf266d304c310d29f70a9ed610defa2a5cd04ddb7',
+        '20658cc32aff3cd09a35e16b742f0cbf4433c532da0d1e103232254d2fe89e56',
 }
 
 

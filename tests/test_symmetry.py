@@ -117,41 +117,57 @@ class TestEtaAlpha:
             pr = eta_alpha(gen, num(a))
             assert pr.eta_alpha == mul(num(c), fderiv(U, T, num(a)))
 
-    def test_truncation_changes_nothing_for_ansatz(self):
-        gen = scaling_generator(-1, ALPHA, mul(2, ALPHA))
-        assert eta_alpha(gen, ALPHA, M=1).eta_alpha \
-            == eta_alpha(gen, ALPHA, M=8).eta_alpha
-
     def test_series_terms_survive_for_t_dependent_xi_x(self):
         gen = Generator(0, T, U)  # xi_x = t, eta = u
-        pr = eta_alpha(gen, ALPHA, M=3)
+        pr = eta_alpha(gen, ALPHA)
         assert (1, "u_x") in series_terms(pr.eta_alpha)
         assert fderiv(CTX.jet(1, 0), T, add(ALPHA, num(-1))) \
             in subtrees(pr.eta_alpha)
 
     def test_lazy_binomials_match_the_eager_series(self):
         # the series as built before the binomials were made lazy: every
-        # C(alpha, 0..M+1) up front, both coefficients at every order
-        gen = Generator(pow_(T, 2), mul(pow_(T, 2), X), mul(pow_(T, 2), U))
-        M = 4
-        eta_u = diff(gen.eta, "u")
-        want = {}
-        dk_xi_t = diff(gen.xi_t, "t", 1, CTX)
-        dk_xi_x = gen.xi_x
-        for m in range(1, M + 1):
-            dk_xi_t = diff(dk_xi_t, "t", 1, CTX)
-            dk_xi_x = diff(dk_xi_x, "t", 1, CTX)
-            coeff_u = add(
-                mul(generalized_binomial(ALPHA, m), diff(eta_u, "t", m)),
-                mul(MINUS_ONE, generalized_binomial(ALPHA, m + 1), dk_xi_t))
-            if coeff_u != ZERO:
-                want[(m, "u")] = coeff_u
-            coeff_ux = mul(MINUS_ONE, generalized_binomial(ALPHA, m), dk_xi_x)
-            if coeff_ux != ZERO:
-                want[(m, "u_x")] = coeff_ux
-        got = series_terms(eta_alpha(gen, ALPHA, M=M).eta_alpha)
-        assert got == want
-        assert {m for m, _ in got} == {1, 2}
+        # C(alpha, 0..M+1) up front, both coefficients at every order up to
+        # an M past the generator's t-degree; the series ends by itself
+        cases = [
+            (Generator(pow_(T, 2), mul(pow_(T, 2), X), mul(pow_(T, 2), U)),
+             {1, 2}),
+            (Generator(pow_(T, 9), 0, 0), set(range(1, 9))),
+        ]
+        M = 12
+        for gen, orders in cases:
+            eta_u = diff(gen.eta, "u")
+            want = {}
+            dk_xi_t = diff(gen.xi_t, "t", 1, CTX)
+            dk_xi_x = gen.xi_x
+            for m in range(1, M + 1):
+                dk_xi_t = diff(dk_xi_t, "t", 1, CTX)
+                dk_xi_x = diff(dk_xi_x, "t", 1, CTX)
+                coeff_u = add(
+                    mul(generalized_binomial(ALPHA, m), diff(eta_u, "t", m)),
+                    mul(MINUS_ONE, generalized_binomial(ALPHA, m + 1),
+                        dk_xi_t))
+                if coeff_u != ZERO:
+                    want[(m, "u")] = coeff_u
+                coeff_ux = mul(MINUS_ONE, generalized_binomial(ALPHA, m),
+                               dk_xi_x)
+                if coeff_ux != ZERO:
+                    want[(m, "u_x")] = coeff_ux
+            got = series_terms(eta_alpha(gen, ALPHA).eta_alpha)
+            assert got == want
+            assert {m for m, _ in got} == orders
+
+    def test_series_ends_within_its_bound_or_is_refused(self):
+        from fracsym.symmetry import MAX_SERIES_ORDER
+        top = MAX_SERIES_ORDER + 1  # D_t^(m+1) xi_t is nonzero to m = MAX
+        got = series_terms(eta_alpha(Generator(pow_(T, top), 0, 0),
+                                     ALPHA).eta_alpha)
+        assert {m for m, _ in got} == set(range(1, top))
+        with pytest.raises(UnsupportedAnsatzError, match="xi_t is too high"):
+            eta_alpha(Generator(pow_(T, top + 1), 0, 0), ALPHA)
+        with pytest.raises(UnsupportedAnsatzError,
+                           match="xi_x and eta is too high"):
+            eta_alpha(Generator(0, pow_(T, top), mul(pow_(T, top), U)),
+                      ALPHA)
 
     def test_non_polynomial_rejected(self):
         gen = Generator(0, pow_(T, num(Q(1, 2))), U)
@@ -233,24 +249,26 @@ class TestDeterminingSystem:
         assert rows_annihilate(ds, ZERO, add(ALPHA, mul(-1, B)), MINUS_ONE,
                                add(mul(2, ALPHA), mul(-1, B)))
 
-    def test_solve_reverifies_at_the_configured_truncation(self, monkeypatch):
+    def test_solve_reverifies_on_the_one_residual_it_built(self,
+                                                           monkeypatch):
         import fracsym.symmetry as symmetry
         seen = []
         real = symmetry.invariance_residual
 
-        def spy(spec, gen, M=symmetry.DEFAULT_TRUNCATION):
-            seen.append(M)
-            return real(spec, gen, M)
+        def spy(spec, gen):
+            seen.append(gen)
+            return real(spec, gen)
 
         monkeypatch.setattr(symmetry, "invariance_residual", spy)
         spec = PdeSpec(g=catalog_g(CoeffTag.POWER))
-        gens = classify(spec, M=2)
+        gens = classify(spec)
         assert len(gens) == 2
         # one call builds the system; candidates are verified on its residual
-        assert seen == [2]
-        ds = determining_system(spec, M=2)
-        a0, a1, e, c = ds.unknowns
-        assert ds.residual == real(spec, Generator.from_coeffs(e, a0, a1, c), 2)
+        a0, a1, e, c = symmetry.DeterminingSystem.unknowns
+        ansatz = Generator.from_coeffs(e, a0, a1, c)
+        assert seen == [ansatz]
+        ds = determining_system(spec)
+        assert ds.residual == real(spec, ansatz)
 
     def test_arbitrary_g_only_translation(self):
         spec = PdeSpec(g=catalog_g(CoeffTag.ARBITRARY))
@@ -264,15 +282,14 @@ class TestDeterminingSystem:
         ds = determining_system(spec)
         assert ds.equations
         assert rows_annihilate(ds, ZERO, ZERO, ZERO, ZERO)
+        names = tuple(unknown.name for unknown in ds.unknowns)
         for eq in ds.equations:
             for unknown in ds.unknowns:
-                assert not contains_symbol(diff(eq, unknown),
-                                           ("_a0", "_a1", "_e", "_c"))
+                assert not contains_symbol(diff(eq, unknown), names)
         for eq in ds.equations:
             # zero ansatz annihilates every equation (homogeneity)
             from fracsym.expr import substitute
-            assert substitute(eq, {"_a0": ZERO, "_a1": ZERO,
-                                   "_e": ZERO, "_c": ZERO}) == ZERO
+            assert substitute(eq, dict.fromkeys(names, ZERO)) == ZERO
 
 
 class TestStoredResidual:
@@ -292,7 +309,8 @@ class TestStoredResidual:
                                     for _ in range(4)))
             candidates.append((ALPHA, num(2), add(B, 1), mul(3, sym("k"))))
             for e, a0, a1, c in candidates:
-                binding = {"_e": e, "_a0": a0, "_a1": a1, "_c": c}
+                binding = {u.name: v for u, v in
+                           zip(ds.unknowns, (a0, a1, e, c))}
                 rebuilt = invariance_residual(
                     spec, Generator.from_coeffs(e, a0, a1, c))
                 assert substitute(ds.residual, binding) == rebuilt, \
