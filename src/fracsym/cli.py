@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every check passes, 2 when an adjudicated mismatch was
 found, 1 on errors (including failed verification and usage errors, which
-end in one ``error:`` line).
+end in one ``error:`` line).  A call builds only the argparse parser of the
+command it names; its help and usage errors are those of the full tree.
 
 A config file of ``key = value`` lines may preset any flag; flags override
 the file.  Rational values are written as ``p/q`` strings and stay exact;
@@ -424,17 +425,46 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    """The flags of every solving subcommand, as an argparse parent: the
-    subparsers share its actions instead of each building its own."""
-    p = _Parser(prog="fracsym", add_help=False)
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--case", choices=sorted(CLASSIFICATION_CASES),
-                   help="preset (alpha, g) from the classification table")
-    for name, kind in _KINDS.items():
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind,
-                       choices=(1, -1) if name == "zeta" else None)
-    return p
+# each command: its line in the root parser's listing, and the flags it
+# adds to the shared settings, as (option, add_argument keywords)
+_COMMANDS = {
+    "classify": ("symmetry classification", []),
+    "reduce": ("similarity reduction", [
+        ("--generator-index", dict(
+            type=int, default=1, dest="generator_index",
+            help="index into the classified basis (0 = translation; "
+                 "default 1, the scaling)"))]),
+    "verify": ("check explicit infinitesimals", [
+        ("--xi-t", dict(required=True, dest="xi_t")),
+        ("--xi-x", dict(required=True, dest="xi_x")),
+        ("--eta", dict(required=True))]),
+    "frac-deriv": ("numeric RL derivative of an expression", [
+        ("--expr", dict(required=True)),
+        ("--at", dict(type=float, required=True))]),
+    "report": ("re-read and summarize a report", [
+        ("--in", dict(dest="path", required=True))]),
+}
+
+# every option of any command that takes a value
+_VALUE_FLAGS = frozenset(
+    ["--config", "--case", *(f"--{k.replace('_', '-')}" for k in _KINDS)]
+    + [flag for _, own in _COMMANDS.values() for flag, _ in own])
+
+
+def _add_flags(parser: _Parser, command: str) -> _Parser:
+    """Add to parser the flags of command: the settings that every command
+    but report shares, then its own."""
+    add = parser.add_argument
+    if command != "report":
+        add("--config", help="key = value config file")
+        add("--case", choices=sorted(CLASSIFICATION_CASES),
+            help="preset (alpha, g) from the classification table")
+        for name, kind in _KINDS.items():
+            add(f"--{name.replace('_', '-')}", dest=name, type=kind,
+                choices=(1, -1) if name == "zeta" else None)
+    for flag, kwargs in _COMMANDS[command][1]:
+        add(flag, **kwargs)
+    return parser
 
 
 def _config_from_args(args) -> SessionConfig:
@@ -455,7 +485,8 @@ def _config_from_args(args) -> SessionConfig:
     return cfg
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _root_parser() -> _Parser:
+    """The parser of a call whose first argument names no command."""
     parser = _Parser(
         prog="fracsym",
         description="Lie symmetry classification and similarity reduction "
@@ -464,70 +495,39 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    common = [_common_flags()]
-
-    subs.add_parser("classify", help="symmetry classification",
-                    parents=common)
-
-    p_reduce = subs.add_parser("reduce", help="similarity reduction",
-                               parents=common)
-    p_reduce.add_argument("--generator-index", type=int, default=1,
-                          dest="generator_index",
-                          help="index into the classified basis (0 = "
-                               "translation; default 1, the scaling)")
-
-    p_verify = subs.add_parser("verify", help="check explicit infinitesimals",
-                               parents=common)
-    p_verify.add_argument("--xi-t", required=True, dest="xi_t")
-    p_verify.add_argument("--xi-x", required=True, dest="xi_x")
-    p_verify.add_argument("--eta", required=True)
-
-    p_fd = subs.add_parser("frac-deriv",
-                           help="numeric RL derivative of an expression",
-                           parents=common)
-    p_fd.add_argument("--expr", required=True)
-    p_fd.add_argument("--at", type=float, required=True)
-
-    p_rep = subs.add_parser("report", help="re-read and summarize a report")
-    p_rep.add_argument("--in", dest="path", required=True)
+    for command, (text, _) in _COMMANDS.items():
+        # with its flags, so that after an unknown option the command
+        # still shows its own help and usage errors
+        _add_flags(subs.add_parser(command, help=text), command)
     return parser
 
 
 _EXIT_BY_STATUS = {STATUS_PASS: 0, STATUS_ADJUDICATED: 2, STATUS_FAIL: 1}
 
 
-def _value_flags(parser: argparse.ArgumentParser) -> set[str]:
-    """The option strings, of parser and of its subcommands, that take a
-    value."""
-    flags = set()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                flags |= _value_flags(sub)
-        elif action.nargs != 0:
-            flags.update(action.option_strings)
-    return flags
-
-
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv, first folding ['--alpha', '-1/3'] into ['--alpha=-1/3']
-    for every flag that takes a value, so a value that starts with one minus
-    sign (an expression such as -t, a negative rational) is not read as an
-    option.  A token that starts with '--' stays a flag."""
-    parser = _build_parser()
-    flags = _value_flags(parser)
+    """Parse argv with the parser of the command argv[0] names, or with the
+    root parser if it names none.  ['--alpha', '-1/3'] is first folded into
+    ['--alpha=-1/3'] for every flag that takes a value, so a value that
+    starts with one minus sign (an expression such as -t, a negative
+    rational) is not read as an option.  A token that starts with '--'
+    stays a flag."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (tok in flags and i + 1 < len(argv)
-                and argv[i + 1][:1] == "-" and argv[i + 1][:2] != "--"):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if (out and out[-1] in _VALUE_FLAGS
+                and tok[:1] == "-" and tok[:2] != "--"):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
-            i += 1
-    return parser.parse_args(out)
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        return _root_parser().parse_args(out)
+    parser = _add_flags(_Parser(prog=f"fracsym {command}"), command)
+    args, extras = parser.parse_known_args(out[1:])
+    if extras:   # the root parser's message, as for any unknown argument
+        raise CliError(f"fracsym: unrecognized arguments: {' '.join(extras)}")
+    args.command = command
+    return args
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import fracsym
 from fracsym import cases, cli
 from fracsym.cli import (
-    SessionConfig, _build_parser, main, run_classify, run_fracderiv,
+    SessionConfig, _parse_args, main, run_classify, run_fracderiv,
     run_reduce, run_verify,
 )
 from fracsym.expr import add, func, mul, pow_, sym
@@ -872,19 +872,53 @@ def test_g_cannot_name_an_ansatz_unknown(capsys):
 
 
 def test_solving_subcommands_share_the_common_flags():
-    parser = _build_parser()
     common = ["--case", "1.2", "--zeta", "-1", "--m", "3", "--dt", "0.5"]
     own = {"classify": [], "reduce": [],
            "verify": ["--xi-t", "0", "--xi-x", "1", "--eta", "0"],
            "frac-deriv": ["--expr", "t", "--at", "1"]}
     for command, flags in own.items():
-        args = parser.parse_args([command, *common, *flags])
+        args = _parse_args([command, *common, *flags])
         assert (args.case, args.zeta, args.m, args.dt) == ("1.2", -1, 3, 0.5)
         assert args.alpha is None and args.seed is None
 
 
+def test_value_flags_are_the_options_that_take_a_value():
+    taking = set()
+    for command in cli._COMMANDS:
+        parser = cli._add_flags(cli._Parser(prog="fracsym"), command)
+        taking.update(flag for action in parser._actions
+                      if action.nargs != 0 for flag in action.option_strings)
+    assert cli._VALUE_FLAGS == taking
+
+
 class TestPerCallWork:
     """Work each CLI call does once: guards against its silent return."""
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--case", "1.1"],
+        ["reduce", "--case", "1.1", "--generator-index", "0"],
+        ["verify", "--xi-t", "0", "--xi-x", "1", "--eta", "0"],
+        ["frac-deriv", "--expr", "t", "--alpha", "1/2", "--at", "1",
+         "--dt", "0.01"],
+        ["report", "--in"],
+    ], ids=lambda argv: argv[0])
+    def test_main_builds_one_parser(self, argv, tmp_path, monkeypatch,
+                                    capsys):
+        if argv[0] == "report":
+            path = str(tmp_path / "report.json")
+            assert main(["classify", "--case", "1.1", "--out", path]) == 0
+            argv = [*argv, path]
+        real = cli._Parser.__init__
+        built = []
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", spy)
+        main(argv)
+        assert capsys.readouterr().err == ""
+        assert len(built) == 1
 
     @pytest.mark.parametrize("case", sorted(cases.CLASSIFICATION_CASES))
     def test_classify_builds_one_residual(self, case, monkeypatch):
