@@ -12,7 +12,7 @@ oracle (Riemann-Liouville power rule plus a Grünwald-Letnikov scheme).
 
 __version__ = "0.1.0"
 
-from .calculus import JetContext, diff
+from .calculus import diff
 from .expr import (
     Expr, add, eval_numeric, fderiv, func, gammaf, mul, num, pow_, simplify,
     substitute, sym, to_text,
@@ -23,8 +23,7 @@ from .fracnum import (
 )
 from .parser import parse_expression
 from .pde import (
-    CoeffTag, Generator, PdeSpec, ScalingWeights,
-    scaling_invariance_check, term_weights,
+    CoeffTag, Generator, PdeSpec, scaling_invariance_check, term_weights,
 )
 from .reduction import (
     SimilarityReduction, characteristic_invariants, compare_reduced_forms,
@@ -42,9 +41,9 @@ __all__ = [
     "gammaf", "fderiv", "simplify", "substitute", "eval_numeric", "to_text",
     "parse_expression",
     # calculus
-    "JetContext", "diff",
+    "diff",
     # model
-    "PdeSpec", "CoeffTag", "Generator", "ScalingWeights",
+    "PdeSpec", "CoeffTag", "Generator",
     "term_weights", "scaling_invariance_check",
     # symmetry
     "classify", "determining_system", "eta_alpha", "integer_prolongations",

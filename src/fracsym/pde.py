@@ -11,7 +11,9 @@ with k and b free of t (numbers or symbols).  g names none of the
 equation's other variables: x, u and its derivatives, and the reductions'
 similarity variable r.  The catalog form's tag is read off the expression
 when a spec is built, and :func:`power_law` reads k and b off the
-weight-homogeneous forms k and k*t^b.
+weight-homogeneous forms k and k*t^b.  :func:`term_weights` and
+:func:`scaling_invariance_check` take a scaling as its three weights
+(w_t, w_x, w_u); any other g-form raises ``PdeModelError`` there.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
-from .calculus import JetContext, diff
+from .calculus import diff, parse_jet
 from .expr import (
     Expr, Num, Pow, Prod, Func, ExprError,
     add, mul, pow_, num, sym, func, as_expr, contains_symbol, free_symbols,
@@ -29,8 +31,7 @@ from .expr import (
 from .parser import parse_expression
 
 __all__ = [
-    "CoeffTag", "PdeSpec", "Generator", "ScalingWeights",
-    "PdeModelError", "NotWeightHomogeneous",
+    "CoeffTag", "PdeSpec", "Generator", "PdeModelError",
     "term_weights", "scaling_invariance_check", "power_law",
     "coeff_form_from_text", "T", "X", "U", "ALPHA", "B", "K",
 ]
@@ -48,17 +49,12 @@ _G = func("g", (T,))
 _MAX_EXPONENT = 6
 
 # x and the reductions' similarity variable r; u and its jets are read by
-# JetContext.parse_jet
+# calculus.parse_jet
 _VARIABLES = ("x", "r")
-_JETS = JetContext()
 
 
 class PdeModelError(ExprError):
     pass
-
-
-class NotWeightHomogeneous(PdeModelError):
-    """g-form has no scaling weight (exponential and shifted forms)."""
 
 
 class CoeffTag(enum.Enum):
@@ -165,7 +161,7 @@ class PdeSpec:
             raise PdeModelError("coefficient k must be nonvanishing")
         named = sorted(name for name in free_symbols(self.g)
                        if name in _VARIABLES
-                       or _JETS.parse_jet(name) is not None)
+                       or parse_jet(name) is not None)
         if named:
             raise PdeModelError("g(t) may not name the equation's "
                                 f"variables: {', '.join(named)}")
@@ -251,42 +247,27 @@ class Generator:
         return True
 
 
-@dataclass(frozen=True)
-class ScalingWeights:
-    """Exponents of t -> lam^w_t t, x -> lam^w_x x, u -> lam^w_u u."""
-
-    w_t: Expr
-    w_x: Expr
-    w_u: Expr
-
-    def __post_init__(self):
-        object.__setattr__(self, "w_t", as_expr(self.w_t))
-        object.__setattr__(self, "w_x", as_expr(self.w_x))
-        object.__setattr__(self, "w_u", as_expr(self.w_u))
-        if self.w_t == ZERO and self.w_x == ZERO and self.w_u == ZERO:
-            raise PdeModelError("at least one weight must be nonzero")
-
-
-def term_weights(spec: PdeSpec, w: ScalingWeights) -> list[Expr]:
-    """lambda-exponents of the three PDE terms under the scaling.
+def term_weights(spec: PdeSpec, w_t, w_x, w_u) -> list[Expr]:
+    """lambda-exponents of the three PDE terms under the scaling
+    t -> lam^w_t t, x -> lam^w_x x, u -> lam^w_u u.
 
     The fractional term scales with w_u - alpha*w_t; each d/dx lowers the
-    weight by w_x; g = k*t^b contributes b*w_t.
+    weight by w_x; g = k*t^b contributes b*w_t.  An exponential or shifted
+    g has no weight, and raises ``PdeModelError``.
     """
     law = power_law(spec.g)
     if law is None:
-        raise NotWeightHomogeneous(f"g-form {spec.tag.value} is not "
-                                   "weight-homogeneous")
+        raise PdeModelError(f"g-form {spec.tag.value} is not "
+                            "weight-homogeneous")
     b = law[1]
-    frac = add(w.w_u, mul(MINUS_ONE, spec.alpha, w.w_t))
-    convect = add(mul(num(spec.m), w.w_u), mul(MINUS_ONE, w.w_x))
-    disperse = add(mul(b, w.w_t), mul(num(spec.n), w.w_u),
-                   mul(num(-3), w.w_x))
+    frac = add(w_u, mul(MINUS_ONE, spec.alpha, w_t))
+    convect = add(mul(num(spec.m), w_u), mul(MINUS_ONE, w_x))
+    disperse = add(mul(b, w_t), mul(num(spec.n), w_u), mul(num(-3), w_x))
     return [frac, convect, disperse]
 
 
-def scaling_invariance_check(spec: PdeSpec, w: ScalingWeights) -> bool:
+def scaling_invariance_check(spec: PdeSpec, w_t, w_x, w_u) -> bool:
     """True iff all three term weights agree as exact symbolic rationals."""
-    weights = term_weights(spec, w)
+    weights = term_weights(spec, w_t, w_x, w_u)
     return all(is_zero_exact(add(weights[0], mul(MINUS_ONE, wi)))
                for wi in weights[1:])

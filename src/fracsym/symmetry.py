@@ -19,16 +19,17 @@ refuses any other generator, and one whose series runs past
 ``MAX_SERIES_ORDER`` orders, with ``UnsupportedAnsatzError`` instead of
 cutting the series.  Each series term stays in eta_a, as its coefficient
 times a ``fderiv(u, t, a - m)`` or ``fderiv(u_x, t, a - m)`` node.  D_x is
-``diff`` under the one module jet context.  The fractional d^a/dt^a acts
-on the explicit t-dependence with u held as a t-independent indeterminate,
-through the Riemann-Liouville power rule (so it maps a u-independent
-constant c to c*t^-a/Gamma(1-a), not to zero).  Under that convention the
+``diff(..., total=True)``.  The fractional d^a/dt^a acts on the explicit
+t-dependence with u held as a t-independent indeterminate, through the
+Riemann-Liouville power rule (so it maps a u-independent constant c to
+c*t^-a/Gamma(1-a), not to zero).  Under that convention the
 two explicit terms cancel exactly for eta = c*u, and every series term
 vanishes for the affine/scaling ansatz xi_t = e*t, xi_x = a0 + a1*x,
 eta = c*u.
 
-``classify`` derives the basis of any spec; the case table is the front
-end's, and this module imports nothing of it.
+``classify`` derives the basis of any spec and refuses by name a vector
+that fails exact re-verification; the case table is the front end's, and
+this module imports nothing of it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import ClassVar
 
-from .calculus import JetContext, diff, is_polynomial_in, split_by
+from .calculus import diff, is_polynomial_in, jet, parse_jet, split_by
 from .expr import (
     Expr, Num, Sym, Pow, FDeriv, ExprError,
     add, mul, pow_, num, sym, gammaf, fderiv, as_expr,
@@ -48,7 +49,7 @@ from .pde import T, U, X, Generator, PdeSpec
 
 __all__ = [
     "SymmetryError", "UnsupportedAnsatzError",
-    "ProlongationResult", "DeterminingSystem",
+    "DeterminingSystem",
     "generalized_binomial", "rl_partial_t",
     "eta_alpha", "integer_prolongations", "invariance_residual",
     "determining_system", "classify",
@@ -57,9 +58,6 @@ __all__ = [
 # the most Leibniz-series orders eta_alpha sums: an input guard, since a
 # generator of t-degree 10^6 would otherwise run 10^6 orders
 MAX_SERIES_ORDER = 16
-
-# the jet coordinates (u, u_x, u_t, ...) of every total derivative here
-_JETS = JetContext()
 
 # the ansatz coefficients: '@' is no character of a parsed symbol, so a g
 # written by the user cannot name one
@@ -131,14 +129,6 @@ def rl_partial_t(e: Expr, alpha) -> Expr:
     return add(*out)
 
 
-@dataclass(frozen=True)
-class ProlongationResult:
-    eta_alpha: Expr
-    eta_x: Expr
-    eta_xx: Expr
-    eta_xxx: Expr
-
-
 def _check_polynomial_gen(gen: Generator):
     """Refuse, naming the component, a generator for which the Leibniz
     form of eta_alpha is not exact (see the module docstring)."""
@@ -147,7 +137,7 @@ def _check_polynomial_gen(gen: Generator):
             raise UnsupportedAnsatzError(
                 f"{name} = {to_text(e)} is not polynomial in (t, x, u)")
         jets = sorted(s for s in free_symbols(e)
-                      if _JETS.parse_jet(s) is not None
+                      if parse_jet(s) is not None
                       and not (name == "eta" and s == "u"))
         if jets:
             free_of = ("the derivatives of u" if name == "eta"
@@ -165,22 +155,22 @@ def _check_polynomial_gen(gen: Generator):
 def integer_prolongations(gen: Generator):
     """(eta_x, eta_xx, eta_xxx) by the standard recursion
     eta^(k+1) = D_x eta^(k) - u_{x^k x} D_x xi_x - u_{x^k t} D_x xi_t."""
-    dx = lambda e: diff(e, "x", 1, _JETS)
+    dx = lambda e: diff(e, "x", total=True)
     dxi_x = dx(gen.xi_x)
     dxi_t = dx(gen.xi_t)
     current = gen.eta
     out = []
     for k in range(1, 4):
         current = add(dx(current),
-                      mul(MINUS_ONE, _JETS.jet(k, 0), dxi_x),
-                      mul(MINUS_ONE, _JETS.jet(k - 1, 1), dxi_t))
+                      mul(MINUS_ONE, jet(k, 0), dxi_x),
+                      mul(MINUS_ONE, jet(k - 1, 1), dxi_t))
         out.append(current)
     return tuple(out)
 
 
-def eta_alpha(gen: Generator, alpha) -> ProlongationResult:
-    """Prolongation coefficient on the D^alpha_t u coordinate, plus the
-    integer prolongations, with the Leibniz series summed to its end."""
+def eta_alpha(gen: Generator, alpha) -> Expr:
+    """Prolongation coefficient on the D^alpha_t u coordinate, with the
+    Leibniz series summed to its end."""
     _check_polynomial_gen(gen)
     alpha = as_expr(alpha)
     # C(alpha, m) is built only for an m whose derivative is nonzero; the
@@ -228,13 +218,8 @@ def eta_alpha(gen: Generator, alpha) -> ProlongationResult:
                     if dtk_xi_x != ZERO else ZERO)
         if coeff_ux != ZERO:
             tail.append(mul(coeff_ux,
-                            fderiv(_JETS.jet(1, 0), T, add(alpha, num(-m)))))
-
-    ex, exx, exxx = integer_prolongations(gen)
-    return ProlongationResult(
-        eta_alpha=add(head, *tail),
-        eta_x=ex, eta_xx=exx, eta_xxx=exxx,
-    )
+                            fderiv(jet(1, 0), T, add(alpha, num(-m)))))
+    return add(head, *tail)
 
 
 def invariance_residual(spec: PdeSpec, gen: Generator) -> Expr:
@@ -244,17 +229,15 @@ def invariance_residual(spec: PdeSpec, gen: Generator) -> Expr:
     Surviving D^(alpha-m) obstruction terms stay in the result rather than
     being dropped.
     """
-    prol = eta_alpha(gen, spec.alpha)
+    applied = [eta_alpha(gen, spec.alpha)]
+    ex, exx, exxx = integer_prolongations(gen)
 
-    rest = add(mul(num(spec.zeta), diff(pow_(U, spec.m), "x", 1, _JETS)),
-               mul(spec.g, diff(pow_(U, spec.n), "x", 3, _JETS)))
+    rest = add(mul(num(spec.zeta), diff(pow_(U, spec.m), "x", total=True)),
+               mul(spec.g, diff(pow_(U, spec.n), "x", 3, total=True)))
 
-    applied = [prol.eta_alpha]
     coords = [
         (T, gen.xi_t), (X, gen.xi_x), (U, gen.eta),
-        (_JETS.jet(1, 0), prol.eta_x),
-        (_JETS.jet(2, 0), prol.eta_xx),
-        (_JETS.jet(3, 0), prol.eta_xxx),
+        (jet(1, 0), ex), (jet(2, 0), exx), (jet(3, 0), exxx),
     ]
     for coord, coeff in coords:
         if coeff == ZERO:
@@ -323,19 +306,27 @@ class DeterminingSystem:
         return basis
 
     def solve(self) -> list[Generator]:
-        """Generators of the ``nullspace`` vectors, each verified by
-        substituting it into the stored residual and requiring zero.
+        """Generators of the ``nullspace`` vectors, each re-verified by
+        substituting it into the stored residual and deciding zero with
+        ``is_zero_exact``; a vector that fails raises ``SymmetryError``
+        naming it.
 
         The coefficients do not depend on (t, x, u), and the prolonged
         generator is linear in the infinitesimals, so the substituted
-        residual is the vector's own invariance residual.  The equations were collected from that residual, so
-        this check guards the elimination against them; the build of the
-        residual itself is checked against a fresh ``invariance_residual``
-        by the test suite, not at run time."""
-        return [Generator.from_coeffs(e, a0, a1, c)
-                for a0, a1, e, c in self.nullspace()
-                if substitute(self.residual, _ansatz_binding(a0, a1, e, c))
-                == ZERO]
+        residual is the vector's own invariance residual.  The equations
+        were collected from that residual, so this check guards the
+        elimination against them; the build of the residual itself is
+        checked against a fresh ``invariance_residual`` by the test suite,
+        not at run time."""
+        gens = []
+        for a0, a1, e, c in self.nullspace():
+            gen = Generator.from_coeffs(e, a0, a1, c)
+            if not is_zero_exact(substitute(
+                    self.residual, _ansatz_binding(a0, a1, e, c))):
+                raise SymmetryError("nullspace vector fails re-verification: "
+                                    + "; ".join(gen.as_text_triple()))
+            gens.append(gen)
+        return gens
 
 
 def _ansatz_binding(a0, a1, e, c) -> dict:
@@ -355,7 +346,7 @@ def determining_system(spec: PdeSpec) -> DeterminingSystem:
         if isinstance(f, Pow):
             return is_state_factor(f.base)
         if isinstance(f, Sym):
-            return _JETS.parse_jet(f.name) is not None
+            return parse_jet(f.name) is not None
         # opaque g(t) and Gamma(1-alpha) belong to the t-structure side
         return False
 

@@ -9,7 +9,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from fracsym.calculus import JetContext, diff
+from fracsym.calculus import diff, jet, parse_jet
 from fracsym.cases import parse_printed_form
 from fracsym.expr import (
     EvalError, FDeriv, Func, GammaF, Num, Pow, Prod, Sum, Sym, _KNOWN_FUNCS,
@@ -158,12 +158,14 @@ def tree_walk_eval(e, point=None, *, funcs=None, fd_handler=None) -> float:
 def total_derivative_reference(e, v: str):
     """The total derivative D_v as a sum over coordinates: the partial
     derivative in v, plus, for each jet symbol of e, that jet raised along
-    v times the partial derivative in it.  The reference for ``diff`` under
-    a jet context, which raises each jet leaf in one walk; for expressions
-    without fractional-derivative nodes."""
-    ctx = JetContext()
+    v (t or x) times the partial derivative in it.  The reference for
+    ``diff`` with ``total=True``, which raises each jet leaf in one walk;
+    for expressions without fractional-derivative nodes."""
     out = diff(e, v)
     for name in sorted(free_symbols(e)):
-        if ctx.parse_jet(name) is not None:
-            out = add(out, mul(ctx.raise_jet(name, v), diff(e, name)))
+        parsed = parse_jet(name)
+        if parsed is not None:
+            nx, nt = parsed
+            raised = jet(nx + (v == "x"), nt + (v == "t"))
+            out = add(out, mul(raised, diff(e, name)))
     return out

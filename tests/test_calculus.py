@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from fracsym.calculus import (
-    DiffError, JetContext, diff,
+    DiffError, diff, jet, parse_jet,
     is_polynomial_in, split_by,
 )
 from fracsym.expr import (
@@ -18,7 +18,6 @@ x, t, u, c = sym("x"), sym("t"), sym("u"), sym("c")
 alpha, b = sym("alpha"), sym("b")
 u_x, u_xx, u_xxx, u_t, u_xt = (sym(n) for n in
                                ("u_x", "u_xx", "u_xxx", "u_t", "u_xt"))
-CTX = JetContext()
 
 
 # --- independent oracle: repeated product rule over jet monomials ----------
@@ -47,7 +46,7 @@ class TestJetDiff:
         for _ in range(3):
             state = brute_dx(state)
         expected = monomials_to_expr(state)
-        got = diff(pow_(u, 3), "x", 3, CTX)
+        got = diff(pow_(u, 3), "x", 3, total=True)
         assert got == expected
         # frozen form: 6 u_x^3 + 18 u u_x u_xx + 3 u^2 u_xxx
         assert got == add(mul(6, pow_(u_x, 3)), mul(18, u, u_x, u_xx),
@@ -58,7 +57,7 @@ class TestJetDiff:
         state = {tuple(["u"] * n): 1}
         for _ in range(3):
             state = brute_dx(state)
-        assert diff(pow_(u, n), "x", 3, CTX) == monomials_to_expr(state)
+        assert diff(pow_(u, n), "x", 3, total=True) == monomials_to_expr(state)
 
     def test_symbolic_power_rule(self):
         assert diff(pow_(t, b), "t") == mul(b, pow_(t, add(b, MINUS_ONE)))
@@ -70,8 +69,8 @@ class TestJetDiff:
         a = num(Q(3, 7))
         e1 = mul(u, pow_(x, 2))
         e2 = add(pow_(u, 2), mul(t, u))
-        lhs = diff(add(mul(a, e1), e2), "x", 1, CTX)
-        rhs = add(mul(a, diff(e1, "x", 1, CTX)), diff(e2, "x", 1, CTX))
+        lhs = diff(add(mul(a, e1), e2), "x", total=True)
+        rhs = add(mul(a, diff(e1, "x", total=True)), diff(e2, "x", total=True))
         assert lhs == rhs
 
     def test_fd_node_in_own_variable_rejected(self):
@@ -86,13 +85,13 @@ class TestJetDiff:
 
 class TestTotalDerivativeT:
     def test_no_explicit_t(self):
-        assert diff(mul(x, u), "t", 1, CTX) == mul(x, u_t)
+        assert diff(mul(x, u), "t", total=True) == mul(x, u_t)
 
     def test_chain_rule(self):
-        assert diff(pow_(u, 2), "t", 1, CTX) == mul(2, u, u_t)
+        assert diff(pow_(u, 2), "t", total=True) == mul(2, u, u_t)
 
     def test_product_with_explicit_t(self):
-        assert diff(mul(t, u_x), "t", 1, CTX) == add(u_x, mul(t, u_xt))
+        assert diff(mul(t, u_x), "t", total=True) == add(u_x, mul(t, u_xt))
 
     def test_against_finite_differences_along_trajectory(self):
         # u(x, t) = sin(x + t^2); compare D_t e with d/dt of e o trajectory
@@ -103,11 +102,11 @@ class TestTotalDerivativeT:
             for nt in range(3):
                 d = diff(traj, "x", nx) if nx else traj
                 d = diff(d, "t", nt) if nt else d
-                bindings[CTX.jet(nx, nt).name] = d
+                bindings[jet(nx, nt).name] = d
         exprs = [pow_(u, 2), mul(t, u_x), add(mul(u, u_x), mul(x, u))]
         rng = random.Random(7)
         for e in exprs:
-            de = diff(e, "t", 1, CTX)
+            de = diff(e, "t", total=True)
             de_explicit = substitute(de, bindings)
             e_explicit = substitute(e, bindings)
             for _ in range(10):
@@ -165,15 +164,15 @@ def test_is_polynomial_in(e, polynomial):
     assert is_polynomial_in(e, ("t", "x", "u")) is polynomial
 
 
-class TestJetContext:
+class TestJetNames:
     def test_jet_naming(self):
-        assert CTX.jet(2, 1) == sym("u_xxt")
-        assert CTX.parse_jet("u_xxt") == (2, 1)
-        assert CTX.parse_jet("u") == (0, 0)
-        assert CTX.parse_jet("v_x") is None
-        assert CTX.parse_jet("u_tx") is None
+        assert jet(2, 1) == sym("u_xxt")
+        assert parse_jet("u_xxt") == (2, 1)
+        assert parse_jet("u") == (0, 0)
+        assert parse_jet("v_x") is None
+        assert parse_jet("u_tx") is None
 
     def test_spatial_cap(self):
-        assert CTX.jet(5, 0) == sym("u_xxxxx")
+        assert jet(5, 0) == sym("u_xxxxx")
         with pytest.raises(DiffError):
-            CTX.jet(6, 0)
+            jet(6, 0)

@@ -346,6 +346,17 @@ class TestRunVerify:
         assert rec.detail.startswith(f"{component} = ")
         assert "fractional prolongation" in rec.detail
 
+    @pytest.mark.parametrize("zero", [
+        "(a^2-1)/(a-1) - a - 1", "1/(1+1/a) - a/(a+1)",
+        "1/(a-1) - 1/(a+1) - 2/(a^2-1)",
+    ])
+    def test_translation_with_a_rational_zero_passes(self, zero, capsys):
+        # x times a rational function of a that is zero only once its
+        # terms are over one denominator: the generator is d/dx
+        assert main(["verify", "--case", "1.2", "--xi-t", "0",
+                     "--xi-x", f"1 + x*({zero})", "--eta", "0"]) == 0
+        assert "pass] invariance_residual" in capsys.readouterr().out
+
     def test_moving_the_lower_terminal_is_flagged(self):
         # constant time translation formally passes the expanded criterion
         # for constant g but shifts the memory integral's terminal
@@ -869,6 +880,21 @@ def test_g_cannot_name_an_ansatz_unknown(capsys):
     named = capsys.readouterr()
     assert main(["classify", "--g", "k*t"]) == 0
     assert named == capsys.readouterr()
+
+
+def test_a_nullspace_vector_failing_reverification_is_named(
+        monkeypatch, capsys):
+    # u d/du is no symmetry of case 1.2: slipped into the nullspace, it
+    # must end the classification instead of vanishing from the basis
+    from fracsym import symmetry
+    real = symmetry.DeterminingSystem.nullspace
+    monkeypatch.setattr(symmetry.DeterminingSystem, "nullspace",
+                        lambda self: [*real(self), (0, 0, 0, 1)])
+    assert main(["classify", "--case", "1.2"]) == 1
+    out = capsys.readouterr().out
+    assert "fail] classification -- nullspace vector fails " \
+        "re-verification: 0; 0; u\n" in out
+    assert "X1:" not in out
 
 
 def test_solving_subcommands_share_the_common_flags():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import catalog_g
-from fracsym.calculus import JetContext, diff
+from fracsym.calculus import diff
 from fracsym.cli import main
 from fracsym.expr import (
     ONE, ZERO, MINUS_ONE, add, fderiv, func, mul, num, pow_, power_of, sym,
@@ -17,8 +17,8 @@ from fracsym.expr import (
 from fracsym.parser import parse_expression
 from fracsym.pde import (
     ALPHA, B, K, T, U, X,
-    CoeffTag, Generator, NotWeightHomogeneous, PdeModelError,
-    PdeSpec, ScalingWeights, coeff_form_from_text, power_law,
+    CoeffTag, Generator, PdeModelError,
+    PdeSpec, coeff_form_from_text, power_law,
     scaling_invariance_check, term_weights,
 )
 
@@ -28,14 +28,11 @@ nonzero = rationals.filter(bool)
 u_x, u_xx, u_xxx = (sym(n) for n in ("u_x", "u_xx", "u_xxx"))
 
 
-CTX = JetContext()
-
-
 def expanded(spec):
     """The equation's left-hand side, expanded in jet symbols."""
     return add(fderiv(U, T, spec.alpha),
-               mul(num(spec.zeta), diff(pow_(U, spec.m), "x", 1, CTX)),
-               mul(spec.g, diff(pow_(U, spec.n), "x", 3, CTX)))
+               mul(num(spec.zeta), diff(pow_(U, spec.m), "x", total=True)),
+               mul(spec.g, diff(pow_(U, spec.n), "x", 3, total=True)))
 
 
 class TestResidual:
@@ -84,45 +81,40 @@ class TestResidual:
 class TestWeights:
     def test_constant_g_scaling(self):
         spec = PdeSpec(g=catalog_g(CoeffTag.CONSTANT))
-        w = ScalingWeights(-1, ALPHA, mul(2, ALPHA))
-        got = term_weights(spec, w)
+        w = (-1, ALPHA, mul(2, ALPHA))
+        got = term_weights(spec, *w)
         three_alpha = mul(3, ALPHA)
         assert got == [three_alpha, three_alpha, three_alpha]
-        assert scaling_invariance_check(spec, w)
+        assert scaling_invariance_check(spec, *w)
 
     def test_power_g_scaling(self):
         spec = PdeSpec(g=catalog_g(CoeffTag.POWER))
-        w = ScalingWeights(-1, add(ALPHA, mul(-1, B)),
-                           add(mul(2, ALPHA), mul(-1, B)))
+        w = (-1, add(ALPHA, mul(-1, B)), add(mul(2, ALPHA), mul(-1, B)))
         expected = add(mul(3, ALPHA), mul(-1, B))
-        assert term_weights(spec, w) == [expected] * 3
-        assert scaling_invariance_check(spec, w)
+        assert term_weights(spec, *w) == [expected] * 3
+        assert scaling_invariance_check(spec, *w)
 
     def test_inhomogeneous_weights(self):
         spec = PdeSpec(g=catalog_g(CoeffTag.CONSTANT))
-        w = ScalingWeights(0, 1, 0)
-        assert term_weights(spec, w) == [ZERO, MINUS_ONE, num(-3)]
-        assert not scaling_invariance_check(spec, w)
+        assert term_weights(spec, 0, 1, 0) == [ZERO, MINUS_ONE, num(-3)]
+        assert not scaling_invariance_check(spec, 0, 1, 0)
 
     def test_mismatched_scaling_rejected(self):
         spec = PdeSpec(g=catalog_g(CoeffTag.CONSTANT))
-        assert not scaling_invariance_check(
-            spec, ScalingWeights(-1, ALPHA, ALPHA))
+        assert not scaling_invariance_check(spec, -1, ALPHA, ALPHA)
 
     def test_non_homogeneous_form_errors(self):
         spec = PdeSpec(g=catalog_g(CoeffTag.EXPONENTIAL))
-        with pytest.raises(NotWeightHomogeneous):
-            term_weights(spec, ScalingWeights(-1, 1, 1))
+        with pytest.raises(PdeModelError, match="not weight-homogeneous"):
+            term_weights(spec, -1, 1, 1)
 
     @pytest.mark.parametrize("scale", [Q(2), Q(-1, 3), Q(7, 5)])
     def test_boolean_invariant_under_weight_rescale(self, scale):
         spec = PdeSpec(g=catalog_g(CoeffTag.POWER))
-        w = ScalingWeights(-1, add(ALPHA, mul(-1, B)),
-                           add(mul(2, ALPHA), mul(-1, B)))
-        rescaled = ScalingWeights(mul(scale, w.w_t), mul(scale, w.w_x),
-                                  mul(scale, w.w_u))
-        assert scaling_invariance_check(spec, w) \
-            == scaling_invariance_check(spec, rescaled)
+        w = (-1, add(ALPHA, mul(-1, B)), add(mul(2, ALPHA), mul(-1, B)))
+        rescaled = [mul(scale, wi) for wi in w]
+        assert scaling_invariance_check(spec, *w) \
+            == scaling_invariance_check(spec, *rescaled)
 
     def test_every_cataloged_scaling_generator_is_homogeneous(self):
         # (case, alpha, g-form, weights from the printed generator)
@@ -139,8 +131,7 @@ class TestWeights:
         ]
         for case, alpha, tag, (wt, wx, wu) in rows:
             spec = PdeSpec(alpha=alpha, g=catalog_g(tag))
-            assert scaling_invariance_check(
-                spec, ScalingWeights(wt, wx, wu)), case
+            assert scaling_invariance_check(spec, wt, wx, wu), case
 
 
 class TestCoeffForms:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import subtrees, total_derivative_reference, tree_walk_eval
-from fracsym.calculus import JetContext, diff
+from fracsym.calculus import diff
 from fracsym.expr import (
     EvalError, ONE, ZERO, Pow, Prod, SimplifyError, Sum, add, compile_numeric,
     eval_numeric, _monic_sum, fderiv, func, gammaf, mul, num, pow_, rebuild,
@@ -354,7 +354,7 @@ class TestTotalDerivative:
     @given(jet_polys(), st.sampled_from(["t", "x"]))
     @settings(max_examples=200, deadline=None)
     def test_one_walk_matches_the_sum_over_jets(self, e, v):
-        assert diff(e, v, 1, JetContext()) == total_derivative_reference(e, v)
+        assert diff(e, v, total=True) == total_derivative_reference(e, v)
 
 
 class TestWeightProperties:
