@@ -890,11 +890,12 @@ def clear_denominators(e: Expr) -> Expr:
 
     The clearing factors are injected as raw ``Pow`` atoms so the product
     merger cancels them against the negative powers *before* any expansion.
+    The loop ends by itself: a round clears every negative power that is a
+    factor of a term, and expanding a clearer can expose only negative
+    powers nested inside its base, so each round strips one level of
+    nesting.
     """
-    for _ in range(8):
-        found = _negative_power_clearers(e)
-        if not found:
-            return e
+    while found := _negative_power_clearers(e):
         clearers = [Pow(base, num(-exp)) for base, exp in found.values()]
         terms = e.terms if isinstance(e, Sum) else (e,)
         e = add(*(mul(t, *clearers) for t in terms))
@@ -902,7 +903,8 @@ def clear_denominators(e: Expr) -> Expr:
 
 
 def is_zero_exact(e: Expr) -> bool:
-    """Exact zero test: canonical zero, or zero after clearing denominators."""
+    """Exact zero test: canonical zero, or zero once every denominator is
+    cleared; it decides every rational identity, at any nesting depth."""
     e = as_expr(e)
     if e == ZERO:
         return True

@@ -116,7 +116,7 @@ def _match_coeff_form(e: Expr) -> CoeffTag | None:
     if e == _G:
         return CoeffTag.ARBITRARY
     kk, t_parts = _split_t_factor(e)
-    if kk == ZERO or len(t_parts) > 1:
+    if is_zero_exact(kk) or len(t_parts) > 1:
         return None
     if not t_parts:
         return CoeffTag.CONSTANT
@@ -157,7 +157,7 @@ class PdeSpec:
     def __post_init__(self):
         object.__setattr__(self, "alpha", as_expr(self.alpha))
         object.__setattr__(self, "g", as_expr(self.g))
-        if self.g == ZERO:
+        if is_zero_exact(self.g):
             raise PdeModelError("coefficient k must be nonvanishing")
         named = sorted(name for name in free_symbols(self.g)
                        if name in _VARIABLES
@@ -194,7 +194,7 @@ class Generator:
         object.__setattr__(self, "xi_t", as_expr(self.xi_t))
         object.__setattr__(self, "xi_x", as_expr(self.xi_x))
         object.__setattr__(self, "eta", as_expr(self.eta))
-        if self.xi_t == ZERO and self.xi_x == ZERO and self.eta == ZERO:
+        if all(map(is_zero_exact, (self.xi_t, self.xi_x, self.eta))):
             raise PdeModelError("generator must not vanish identically")
 
     @classmethod
@@ -205,46 +205,31 @@ class Generator:
                    mul(as_expr(c), U))
 
     def normal_form(self):
-        """(e, a0, a1, c) if the generator is in the affine/scaling class,
-        else None."""
+        """(e, a0, a1, c) with xi_t = e*t, xi_x = a0 + a1*x, eta = c*u and
+        each part free of (t, x, u), else None.  A part that
+        ``is_zero_exact`` decides zero comes back as ``ZERO``."""
         e = diff(self.xi_t, "t")
-        if "t" in free_symbols(e) or not is_zero_exact(
-                add(self.xi_t, mul(MINUS_ONE, e, T))):
-            return None
         a1 = diff(self.xi_x, "x")
-        if "x" in free_symbols(a1):
-            return None
         a0 = add(self.xi_x, mul(MINUS_ONE, a1, X))
-        if "x" in free_symbols(a0) or "t" in free_symbols(a0) \
-                or "u" in free_symbols(a0):
-            return None
         c = diff(self.eta, "u")
-        if "u" in free_symbols(c) or not is_zero_exact(
-                add(self.eta, mul(MINUS_ONE, c, U))):
+        parts = tuple(ZERO if is_zero_exact(p) else p for p in (e, a0, a1, c))
+        if any(free_symbols(p) & {"t", "x", "u"} for p in parts) \
+                or not is_zero_exact(add(self.xi_t, mul(MINUS_ONE, e, T))) \
+                or not is_zero_exact(add(self.eta, mul(MINUS_ONE, c, U))):
             return None
-        for part in (e, a1, c):
-            if free_symbols(part) & {"t", "x", "u"}:
-                return None
-        return (e, a0, a1, c)
+        return parts
 
     def as_text_triple(self):
         return (to_text(self.xi_t), to_text(self.xi_x), to_text(self.eta))
 
     def proportional_to(self, other: "Generator") -> bool:
-        """Projective comparison: equal up to one nonzero scalar multiple."""
+        """Projective comparison: equal up to one nonzero scalar multiple,
+        decided by the three 2x2 minors (neither generator vanishes)."""
         mine = (self.xi_t, self.xi_x, self.eta)
         theirs = (other.xi_t, other.xi_x, other.eta)
-        for i in range(3):
-            for j in range(3):
-                cross = add(mul(mine[i], theirs[j]),
-                            mul(MINUS_ONE, mine[j], theirs[i]))
-                if not is_zero_exact(cross):
-                    return False
-        # rule out the zero-vs-nonzero mismatch: components vanish together
-        for a, b_ in zip(mine, theirs):
-            if (a == ZERO) != (b_ == ZERO):
-                return False
-        return True
+        return all(is_zero_exact(add(mul(mine[i], theirs[j]),
+                                     mul(MINUS_ONE, mine[j], theirs[i])))
+                   for i, j in ((0, 1), (0, 2), (1, 2)))
 
 
 def term_weights(spec: PdeSpec, w_t, w_x, w_u) -> list[Expr]:

@@ -14,8 +14,8 @@ Kasatkin & Lukashchuk, Physica Scripta T136, 2009): the mu-term of the
 fractional prolongation, which the form omits, vanishes only for such an
 eta, and on such a generator D_t is the partial d/dt.  Each infinitesimal
 is polynomial in t, so the series stops at the first m at which
-D_t^(m+1) xi_t, D_t^m xi_x and d^m(eta_u)/dt^m all vanish.  ``eta_alpha``
-refuses any other generator, and one whose series runs past
+D_t^(m+1) xi_t, D_t^m xi_x and d^m(eta_u)/dt^m all vanish exactly.
+``eta_alpha`` refuses any other generator, and one whose series runs past
 ``MAX_SERIES_ORDER`` orders, with ``UnsupportedAnsatzError`` instead of
 cutting the series.  Each series term stays in eta_a, as its coefficient
 times a ``fderiv(u, t, a - m)`` or ``fderiv(u_x, t, a - m)`` node.  D_x is
@@ -145,7 +145,7 @@ def _check_polynomial_gen(gen: Generator):
             raise UnsupportedAnsatzError(
                 f"{name} = {to_text(e)} names {', '.join(jets)}: the "
                 f"fractional prolongation needs {name} free of {free_of}")
-    if diff(gen.eta, "u", 2) != ZERO:
+    if not is_zero_exact(diff(gen.eta, "u", 2)):
         raise UnsupportedAnsatzError(
             f"eta = {to_text(gen.eta)} is not linear in u: the fractional "
             "prolongation omits its mu-term, which vanishes only for eta "
@@ -173,9 +173,7 @@ def eta_alpha(gen: Generator, alpha) -> Expr:
     Leibniz series summed to its end."""
     _check_polynomial_gen(gen)
     alpha = as_expr(alpha)
-    # C(alpha, m) is built only for an m whose derivative is nonzero; the
-    # affine ansatz needs none
-    binom = [ONE]
+    binom = [ONE]  # C(alpha, 0), ...; _binomial extends it as the series needs
 
     eta_u = diff(gen.eta, "u")
     dt_xi_t = diff(gen.xi_t, "t")
@@ -195,30 +193,22 @@ def eta_alpha(gen: Generator, alpha) -> Expr:
         dtk_xi_t = diff(dtk_xi_t, "t")  # D_t^{m+1} xi_t
         dtk_xi_x = diff(dtk_xi_x, "t")  # D_t^m xi_x
         dtk_eta_u = diff(dtk_eta_u, "t")  # d^m(eta_u)/dt^m
-        if dtk_eta_u == ZERO and dtk_xi_t == ZERO and dtk_xi_x == ZERO:
+        derivs = (("xi_t", dtk_xi_t), ("xi_x", dtk_xi_x), ("eta", dtk_eta_u))
+        live = [name for name, d in derivs if not is_zero_exact(d)]
+        if not live:
             break  # every higher derivative is zero too
         if m > MAX_SERIES_ORDER:
-            live = [name for name, d in (("xi_t", dtk_xi_t),
-                                         ("xi_x", dtk_xi_x),
-                                         ("eta", dtk_eta_u)) if d != ZERO]
             raise UnsupportedAnsatzError(
                 f"the Leibniz series of eta_alpha runs past its bound of "
                 f"{MAX_SERIES_ORDER} orders: the t-degree of "
                 f"{' and '.join(live)} is too high")
-        coeff_u = add(
-            mul(_binomial(binom, alpha, m), dtk_eta_u)
-            if dtk_eta_u != ZERO else ZERO,
-            mul(MINUS_ONE, _binomial(binom, alpha, m + 1), dtk_xi_t)
-            if dtk_xi_t != ZERO else ZERO,
-        )
-        if coeff_u != ZERO:
-            tail.append(mul(coeff_u,
-                            fderiv(U, T, add(alpha, num(-m)))))
-        coeff_ux = (mul(MINUS_ONE, _binomial(binom, alpha, m), dtk_xi_x)
-                    if dtk_xi_x != ZERO else ZERO)
-        if coeff_ux != ZERO:
-            tail.append(mul(coeff_ux,
-                            fderiv(jet(1, 0), T, add(alpha, num(-m)))))
+        fd_order = add(alpha, num(-m))
+        tail.append(mul(add(mul(_binomial(binom, alpha, m), dtk_eta_u),
+                            mul(MINUS_ONE, _binomial(binom, alpha, m + 1),
+                                dtk_xi_t)),
+                        fderiv(U, T, fd_order)))
+        tail.append(mul(MINUS_ONE, _binomial(binom, alpha, m), dtk_xi_x,
+                        fderiv(jet(1, 0), T, fd_order)))
     return add(head, *tail)
 
 

@@ -56,6 +56,12 @@ COVERAGE = {
 }
 
 
+# zeros that canonical form does not see: each is zero only once its terms
+# are over one denominator
+RATIONAL_ZEROS = ("(a^2-1)/(a-1) - a - 1", "1/(1+1/a) - a/(a+1)",
+                  "1/(a-1) - 1/(a+1) - 2/(a^2-1)")
+
+
 def statuses(doc):
     return {c.name: c.status for c in doc.checks}
 
@@ -282,6 +288,15 @@ class TestPrintedFormMutation:
         assert "'monomial': 'r^" in rec.detail
         assert "diff(h(r), r, 1)^3" in rec.detail
 
+    def test_an_adjudicated_mismatch_exits_2(self, monkeypatch, capsys):
+        hits = perturb_printed_forms(monkeypatch, "- 6*k*r^(3+b)",
+                                     "- 7*k*r^(3+b)")
+        assert main(["reduce", "--case", "1.2"]) == 2
+        assert hits == [True]
+        out, err = capsys.readouterr()
+        assert "[mismatch-adjudicated] printed_form[2.1]" in out
+        assert err == ""
+
     @pytest.mark.parametrize("alpha, g", [("generic", "arbitrary"),
                                           ("1/3", "k")])
     def test_translation_form(self, alpha, g, monkeypatch):
@@ -346,16 +361,32 @@ class TestRunVerify:
         assert rec.detail.startswith(f"{component} = ")
         assert "fractional prolongation" in rec.detail
 
-    @pytest.mark.parametrize("zero", [
-        "(a^2-1)/(a-1) - a - 1", "1/(1+1/a) - a/(a+1)",
-        "1/(a-1) - 1/(a+1) - 2/(a^2-1)",
-    ])
+    @pytest.mark.parametrize("zero", RATIONAL_ZEROS)
     def test_translation_with_a_rational_zero_passes(self, zero, capsys):
         # x times a rational function of a that is zero only once its
         # terms are over one denominator: the generator is d/dx
         assert main(["verify", "--case", "1.2", "--xi-t", "0",
                      "--xi-x", f"1 + x*({zero})", "--eta", "0"]) == 0
         assert "pass] invariance_residual" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("zero", RATIONAL_ZEROS)
+    @pytest.mark.parametrize("written, plain", [
+        (("0", "{}", "0"), ("0", "0", "0")),
+        (("0", "1 + x*({})", "0"), ("0", "1", "0")),
+        (("0", "1", "u^2*({})"), ("0", "1", "0")),
+        (("t^20*({})", "1", "0"), ("0", "1", "0")),
+    ], ids=["vanishing", "normal-form", "linear-in-u", "series-stop"])
+    def test_a_rational_zero_gets_the_checks_of_a_plain_zero(
+            self, written, plain, zero):
+        # the generator's vanishing test, the parts of its normal form, the
+        # linearity of eta in u and the stop of the Leibniz series each
+        # decide the zero exactly: the same checks as the plain component
+        def checks(triple):
+            doc = run_verify(SessionConfig(alpha="generic", g="k*t^b"),
+                             triple)
+            return [(c.name, c.status, c.detail) for c in doc.checks]
+
+        assert checks([w.format(zero) for w in written]) == checks(plain)
 
     def test_moving_the_lower_terminal_is_flagged(self):
         # constant time translation formally passes the expanded criterion
@@ -858,6 +889,17 @@ def test_exponent_in_t_is_outside_the_catalog(command, capsys):
     assert main([*command, "--g", "t^t"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: coefficient 't^t' is not in the g(t) "
+                          "catalog")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("g", ["0", *RATIONAL_ZEROS])
+def test_a_vanishing_g_is_outside_the_catalog(g, capsys):
+    # a g that is zero only over a common denominator gets the error of 0
+    assert main(["classify", "--g", g]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: coefficient '{g}' is not in the g(t) "
                           "catalog")
     assert err.count("\n") == 1
 

@@ -364,6 +364,20 @@ class TestZeroDetection:
         e = add(ONE, mul(alpha, X1))
         assert not is_zero_exact(e)
 
+    @pytest.mark.parametrize("depth", [10, 40])
+    def test_nested_fraction_identity(self, depth):
+        # s_0 = a, s_(k+1) = 1 + 1/s_k against its closed form p_k/q_k with
+        # p_(k+1) = p_k + q_k, q_(k+1) = p_k: one level of nesting is
+        # cleared per round, and the rounds have no cap
+        a = sym("a")
+        s, p, q = a, a, ONE
+        for _ in range(depth):
+            s = add(ONE, pow_(s, MINUS_ONE))
+            p, q = add(p, q), p
+        gap = add(s, mul(MINUS_ONE, p, pow_(q, MINUS_ONE)))
+        assert is_zero_exact(gap)
+        assert not is_zero_exact(add(gap, ONE))
+
     def test_clear_denominators_is_polynomial(self):
         X1 = pow_(add(alpha, mul(-1, b)), MINUS_ONE)
         cleared = clear_denominators(add(mul(alpha, X1), b))

@@ -219,6 +219,10 @@ class TestCoeffForms:
                 assert main([command, "--g", text]) == 1
             assert err.getvalue() == f"error: {refused.value}\n"
 
+    def test_a_rational_zero_g_is_refused(self):
+        with pytest.raises(PdeModelError, match="must be nonvanishing"):
+            PdeSpec(g=parse_expression("(a^2-1)/(a-1) - a - 1"))
+
     def test_other_symbols_are_constants(self):
         spec = PdeSpec(g=parse_expression("c*t^d"))
         assert spec.tag is CoeffTag.POWER
@@ -296,3 +300,14 @@ class TestGenerator:
     def test_zero_generator_rejected(self):
         with pytest.raises(PdeModelError):
             Generator(0, 0, 0)
+
+    def test_a_rational_zero_is_zero(self):
+        # zero only over a common denominator: the generator vanishes, the
+        # normal-form part reads ZERO, and the zero eta is proportional
+        zero = parse_expression("(a^2-1)/(a-1) - a - 1")
+        with pytest.raises(PdeModelError, match="must not vanish"):
+            Generator(0, zero, 0)
+        gen = Generator(0, add(ONE, mul(X, zero)), 0)
+        assert gen.normal_form() == (ZERO, ONE, ZERO, ZERO)
+        assert Generator(0, 1, mul(U, zero)).proportional_to(
+            Generator(0, 1, 0))
