@@ -151,8 +151,8 @@ def is_polynomial_in(e: Expr, names) -> bool:
             # only a base raised to a natural number; a Num exponent is free
             # of the names, so this also rejects names in the exponent
             exp = node.exp
-            if not (isinstance(exp, Num) and exp.value.denominator == 1
-                    and exp.value >= 0):
+            if not (isinstance(exp, Num) and exp.c.denominator == 1
+                    and exp.c >= 0):
                 return False
         elif isinstance(node, (Func, GammaF, FDeriv)):
             return False

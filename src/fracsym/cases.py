@@ -92,11 +92,11 @@ def alpha_kind(alpha: Expr) -> str:
     if isinstance(alpha, Sym):
         return "generic"
     if isinstance(alpha, Num):
-        if alpha.value == Q(1, 2):
+        if alpha.c == Q(1, 2):
             return "1/2"
-        if alpha.value == Q(1, 3):
+        if alpha.c == Q(1, 3):
             return "1/3"
-        if 0 < alpha.value < 1:
+        if 0 < alpha.c < 1:
             return "rational"
     return "unsupported"
 

@@ -294,7 +294,7 @@ def run_reduce(cfg: SessionConfig, generator_index: int) -> ReportDoc:
 
     if red.translation_case:
         # the derived ODE at h(r) = r^(alpha-1)/Gamma(alpha); r = t
-        kernel = kernel_solution(nspec.alpha.value)
+        kernel = kernel_solution(nspec.alpha.c)
         residuals = fode_residual_on_grid(
             nred.reduced_ode, substitute(kernel, {"t": r}),
             [tv for _, tv in points])

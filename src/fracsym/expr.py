@@ -13,12 +13,6 @@ Every public constructor returns a canonicalized tree:
 * ``Gamma`` arguments are shifted into ``[0, 1)`` + polynomial prefactors via
   the recurrence, so ratios of Gammas at integer offsets cancel exactly.
 
-A ``Num`` holds its value twice.  ``value`` is the public
-``fractions.Fraction``; ``c`` is what the kernel computes with: an ``int``
-when the denominator is 1, otherwise the same ``Fraction``.  Integer
-arithmetic stays in ``int``, and every division and negative power goes
-through ``Fraction``, so no coefficient is ever a float.
-
 A product of sums expands through one term table (sparse polynomial
 multiplication, S. C. Johnson, ACM SIGSAM Bull. 8(3), 1974).  Each term is
 a coefficient plus a map from base to exponent; two terms multiply by
@@ -50,8 +44,8 @@ __all__ = [
     "Expr", "Num", "Sym", "Sum", "Prod", "Pow", "Func", "GammaF", "FDeriv",
     "ExprError", "SimplifyError", "EvalError", "SubstitutionError",
     "num", "sym", "add", "mul", "pow_", "func", "gammaf", "fderiv",
-    "as_expr", "children", "rebuild", "rewrite", "simplify", "substitute",
-    "replace_node", "free_symbols", "contains_symbol", "power_of",
+    "as_expr", "children", "rebuild", "simplify", "substitute",
+    "free_symbols", "contains_symbol", "power_of",
     "compile_numeric", "eval_numeric", "is_zero_exact", "clear_denominators",
     "to_text",
     "ZERO", "ONE", "MINUS_ONE",
@@ -116,16 +110,18 @@ class Expr:
 
 
 class Num(Expr):
-    """``value`` is the ``Fraction``; ``c`` is the same number as the kernel
-    computes with it: an ``int`` when the denominator is 1, else ``value``."""
+    """``c`` is the number: an ``int`` when its denominator is 1, else a
+    ``Fraction``.  Integer arithmetic stays in ``int``, and every division
+    and negative power goes through ``Fraction``, so no coefficient is ever
+    a float."""
 
-    __slots__ = ("value", "c")
+    __slots__ = ("c",)
 
-    def __init__(self, value: Q):
-        c = value.numerator if value.denominator == 1 else value
-        object.__setattr__(self, "value", value)
+    def __init__(self, c):
+        if c.denominator == 1:
+            c = c.numerator
         object.__setattr__(self, "c", c)
-        self._set_key((0, c), hash((0, value.numerator, value.denominator)))
+        self._set_key((0, c), hash((0, c.numerator, c.denominator)))
 
 
 class Sym(Expr):
@@ -228,7 +224,7 @@ def num(value) -> Num:
                else (value.numerator, value.denominator))
     node = _NUM_CACHE.get(key)
     if node is None:
-        node = _NUM_CACHE.setdefault(key, Num(Q(value)))
+        node = _NUM_CACHE.setdefault(key, Num(value))
     return node
 
 
@@ -716,8 +712,8 @@ def children(e: Expr) -> tuple:
     """Direct subexpressions of a node.
 
     With :func:`_assemble` this is the one place that knows how each node
-    kind holds its children.  An FDeriv lists its variable, which is never
-    rewritten.
+    kind holds its children.  An FDeriv lists its variable, which
+    :func:`rebuild` never changes.
     """
     if isinstance(e, Sum):
         return e.terms
@@ -736,15 +732,9 @@ def children(e: Expr) -> tuple:
     raise TypeError(type(e))
 
 
-def _rewritable(e: Expr) -> tuple:
-    """The children a rewriting walk may change: all but an FDeriv's
-    variable."""
-    return (e.expr, e.alpha) if isinstance(e, FDeriv) else children(e)
-
-
 def _assemble(e: Expr, kids: list) -> Expr:
-    """A node of e's kind from new :func:`_rewritable` children, through the
-    canonical constructors."""
+    """A node of e's kind from new children, through the canonical
+    constructors; an FDeriv's are its expr and alpha."""
     if isinstance(e, Sum):
         return add(*kids)
     if isinstance(e, Prod):
@@ -763,18 +753,8 @@ def _assemble(e: Expr, kids: list) -> Expr:
 def rebuild(e: Expr, fn) -> Expr:
     """A node of e's kind built, through the canonical constructors, from
     ``fn`` applied to each child; an FDeriv keeps its variable as it is."""
-    return _assemble(e, [fn(c) for c in _rewritable(e)])
-
-
-def rewrite(e: Expr, fn) -> Expr:
-    """:func:`rebuild` for rewriting walks: when ``fn`` returns every child
-    as it is (the same object), ``e`` itself comes back, so a subtree the
-    walk leaves alone is not re-canonicalized."""
-    kids = _rewritable(e)
-    new = [fn(c) for c in kids]
-    if all(map(operator.is_, new, kids)):
-        return e
-    return _assemble(e, new)
+    kids = (e.expr, e.alpha) if isinstance(e, FDeriv) else children(e)
+    return _assemble(e, [fn(c) for c in kids])
 
 
 def free_symbols(e: Expr) -> frozenset:
@@ -850,61 +830,54 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
     return walk(e)
 
 
-def replace_node(e: Expr, target: Expr, replacement: Expr) -> Expr:
-    """Replace every occurrence of a canonical subtree by another expression."""
-    replacement = as_expr(replacement)
-
-    def walk(node: Expr) -> Expr:
-        return replacement if node == target else rewrite(node, walk)
-
-    return walk(e)
-
-
 # ---------------------------------------------------------------------------
 # zero testing
 
 
-def _negative_power_clearers(e: Expr) -> dict:
-    """Map base -> (base, most-negative Num exponent) over all terms."""
-    found: dict[Expr, list] = {}
-
-    def scan_factor(f: Expr):
-        if isinstance(f, Pow) and isinstance(f.exp, Num) and f.exp.c < 0:
-            entry = found.get(f.base)
-            if entry is None:
-                found[f.base] = [f.base, f.exp.c]
-            else:
-                entry[1] = min(entry[1], f.exp.c)
-
-    terms = e.terms if isinstance(e, Sum) else (e,)
-    for t in terms:
-        factors = t.factors if isinstance(t, Prod) else (t,)
-        for f in factors:
-            scan_factor(f)
-    return found
+def _is_zero_power(f: Expr) -> bool:
+    """f is b^p with p a positive Num and b a sum that is zero exactly."""
+    return (isinstance(f, Pow) and isinstance(f.base, Sum)
+            and isinstance(f.exp, Num) and f.exp.c > 0
+            and is_zero_exact(f.base))
 
 
 def clear_denominators(e: Expr) -> Expr:
     """Multiply through by enough positive powers to remove Num-exponent
     negative powers.  Preserves zero-ness (bases are assumed nonzero).
 
-    The clearing factors are injected as raw ``Pow`` atoms so the product
+    Each round first drops every term with a factor that
+    :func:`_is_zero_power` finds zero, such as ``Z^(1/3)`` for a rational
+    identity ``Z``: clearing alone never exposes a zero under a power.  The
+    clearing factors are injected as raw ``Pow`` atoms so the product
     merger cancels them against the negative powers *before* any expansion.
     The loop ends by itself: a round clears every negative power that is a
     factor of a term, and expanding a clearer can expose only negative
     powers nested inside its base, so each round strips one level of
     nesting.
     """
-    while found := _negative_power_clearers(e):
-        clearers = [Pow(base, num(-exp)) for base, exp in found.values()]
+    while True:
         terms = e.terms if isinstance(e, Sum) else (e,)
-        e = add(*(mul(t, *clearers) for t in terms))
-    return e
+        kept = []
+        found = {}      # base -> its most negative Num exponent
+        for t in terms:
+            factors = t.factors if isinstance(t, Prod) else (t,)
+            if any(map(_is_zero_power, factors)):
+                continue
+            kept.append(t)
+            for f in factors:
+                if (isinstance(f, Pow) and isinstance(f.exp, Num)
+                        and f.exp.c < 0):
+                    found[f.base] = min(found.get(f.base, 0), f.exp.c)
+        if not found:
+            return e if len(kept) == len(terms) else add(*kept)
+        clearers = [Pow(base, num(-exp)) for base, exp in found.items()]
+        e = add(*(mul(t, *clearers) for t in kept))
 
 
 def is_zero_exact(e: Expr) -> bool:
     """Exact zero test: canonical zero, or zero once every denominator is
-    cleared; it decides every rational identity, at any nesting depth."""
+    cleared; it decides every rational identity, at any nesting depth, and
+    a rational identity under a positive power."""
     e = as_expr(e)
     if e == ZERO:
         return True
@@ -994,10 +967,14 @@ def compile_numeric(e: Expr, *, funcs: Mapping | None = None,
                 b = base(point)
                 x = exp(point)
                 try:
-                    return b ** x
+                    out = b ** x
                 except (ValueError, ZeroDivisionError, OverflowError) as exc:
                     raise EvalError(
                         f"power evaluation failed: {b}**{x}") from exc
+                if isinstance(out, complex):
+                    raise EvalError(
+                        f"power evaluation failed: {b}**{x} is not real")
+                return out
             return power
         if isinstance(node, GammaF):
             arg = build(node.arg)
@@ -1061,7 +1038,7 @@ def _print_pow(e: Pow) -> str:
 def _print_factor(f: Expr) -> str:
     if isinstance(f, (Sum,)):
         return f"({to_text(f)})"
-    if isinstance(f, Num) and (f.value < 0):
+    if isinstance(f, Num) and f.c < 0:
         return f"({to_text(f)})"
     return to_text(f)
 

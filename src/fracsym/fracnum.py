@@ -208,7 +208,7 @@ def power_profile(e: Expr, variables: tuple[str, ...]) -> list:
             if not isinstance(p, Num):
                 raise UnsupportedProfileError(
                     f"factor {f} is not a pure power of {variables}")
-            exps[name] = exps.get(name, Q(0)) + p.value
+            exps[name] = exps.get(name, Q(0)) + p.c
         try:
             coeff = eval_numeric(mul(*coeff_parts) if coeff_parts else ONE)
         except EvalError as exc:
@@ -235,7 +235,7 @@ def _power_rule_sum(profile, var: str, alpha: float, point: dict) -> float:
 def _numeric_alpha(spec: PdeSpec) -> float:
     if not isinstance(spec.alpha, Num):
         raise FracDomainError("grid evaluation needs a numeric alpha")
-    return float(spec.alpha.value)
+    return float(spec.alpha.c)
 
 
 def pde_residual_on_grid(spec: PdeSpec, u_closed_form: Expr,
@@ -295,7 +295,7 @@ def fode_residual_on_grid(reduced_ode: Expr, h_closed_form: Expr,
     def fd_handler(node, point):
         if not isinstance(node.alpha, Num):
             raise EvalError("fractional order must be numeric here")
-        a = float(node.alpha.value)
+        a = float(node.alpha.c)
         inner = node.expr
         if isinstance(inner, Func) and inner.name == "h" and inner.order == 0:
             return _power_rule_sum(h_profile, "r", a, point)

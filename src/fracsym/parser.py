@@ -203,11 +203,11 @@ class _Parser:
             if not isinstance(v, Sym):
                 raise ParseError("diff variable must be a symbol", head.column)
             from .expr import Num
-            if not (isinstance(k, Num) and k.value.denominator == 1
-                    and k.value >= 1):
+            if not (isinstance(k, Num) and k.c.denominator == 1
+                    and k.c >= 1):
                 raise ParseError("diff order must be a positive integer",
                                  head.column)
-            return diff(e, v, int(k.value))
+            return diff(e, v, int(k.c))
         if name == "fdiff":
             if len(args) != 3:
                 raise ParseError("fdiff takes (expr, var, alpha)", head.column)

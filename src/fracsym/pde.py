@@ -131,11 +131,11 @@ def _match_coeff_form(e: Expr) -> CoeffTag | None:
             return CoeffTag.EXPONENTIAL
         return None
     if isinstance(tp, Pow) and isinstance(tp.exp, Num):
-        if tp.exp.value == Q(2, 3):
+        if tp.exp.c == Q(2, 3):
             bb = add(T, mul(MINUS_ONE, tp.base))
             if "t" not in free_symbols(bb):
                 return CoeffTag.SHIFTED_POWER_23
-        if tp.exp.value == Q(1, 3):
+        if tp.exp.c == Q(1, 3):
             bb = add(pow_(T, 2), mul(MINUS_ONE, tp.base))
             if "t" not in free_symbols(bb):
                 return CoeffTag.QUAD_POWER_13
@@ -170,7 +170,7 @@ class PdeSpec:
             raise _outside_catalog(to_text(self.g))
         object.__setattr__(self, "tag", tag)
         if isinstance(self.alpha, Num):
-            if not (0 < self.alpha.value <= 1):
+            if not (0 < self.alpha.c <= 1):
                 raise PdeModelError("alpha must lie in (0, 1]")
         if self.n == 0:
             raise PdeModelError("n must be nonzero")

@@ -42,7 +42,7 @@ from .calculus import diff, is_polynomial_in, jet, parse_jet, split_by
 from .expr import (
     Expr, Num, Sym, Pow, FDeriv, ExprError,
     add, mul, pow_, num, sym, gammaf, fderiv, as_expr,
-    contains_symbol, free_symbols, is_zero_exact, power_of, replace_node,
+    contains_symbol, free_symbols, is_zero_exact, power_of,
     substitute, to_text, ZERO, ONE, MINUS_ONE,
 )
 from .pde import T, U, X, Generator, PdeSpec
@@ -98,7 +98,7 @@ def generalized_binomial(alpha, m: int) -> Expr:
 
 def _gamma_ratio(a: Expr, b: Expr) -> Expr:
     """Gamma(a)/Gamma(b), exactly 0 when b is a nonpositive integer."""
-    if isinstance(b, Num) and b.value.denominator == 1 and b.value <= 0:
+    if isinstance(b, Num) and b.c.denominator == 1 and b.c <= 0:
         return ZERO
     return mul(gammaf(a), pow_(gammaf(b), MINUS_ONE))
 
@@ -119,7 +119,7 @@ def rl_partial_t(e: Expr, alpha) -> Expr:
         if not isinstance(p, Num):
             raise UnsupportedAnsatzError(
                 f"t-dependence {mono} is not a rational power of t")
-        p = p.value
+        p = p.c
         if p <= -1:
             raise UnsupportedAnsatzError(
                 f"power-rule domain requires exponent > -1, got {p}")
@@ -237,10 +237,12 @@ def invariance_residual(spec: PdeSpec, gen: Generator) -> Expr:
             applied.append(mul(coeff, partial))
     total = add(*applied)
 
-    # restrict to solutions: D^alpha_t u = -(the integer-order part)
+    # restrict to solutions: D^alpha_t u = -(the integer-order part); the
+    # residual is linear in D^alpha_t u, a factor of each term that holds it
     fd_u = fderiv(U, T, spec.alpha)
-    on_solution = replace_node(total, fd_u, mul(MINUS_ONE, rest))
-    return on_solution
+    parts = split_by(total, lambda f: f == fd_u)
+    return add(parts.get(ONE, ZERO),
+               mul(MINUS_ONE, parts.get(fd_u, ZERO), rest))
 
 
 # ---------------------------------------------------------------------------

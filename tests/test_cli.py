@@ -57,9 +57,11 @@ COVERAGE = {
 
 
 # zeros that canonical form does not see: each is zero only once its terms
-# are over one denominator
+# are over one denominator, the last two under a power
 RATIONAL_ZEROS = ("(a^2-1)/(a-1) - a - 1", "1/(1+1/a) - a/(a+1)",
-                  "1/(a-1) - 1/(a+1) - 2/(a^2-1)")
+                  "1/(a-1) - 1/(a+1) - 2/(a^2-1)",
+                  "((a^2-1)/(a-1) - a - 1)^(1/3)",
+                  "((a^2-1)/(a-1) - a - 1)^17")
 
 
 def statuses(doc):
@@ -101,7 +103,7 @@ class TestSessionConfig:
 
     def test_alpha_parsing(self):
         assert SessionConfig(alpha="generic").alpha_expr().name == "alpha"
-        assert SessionConfig(alpha="1/2").alpha_expr().value == Q(1, 2)
+        assert SessionConfig(alpha="1/2").alpha_expr().c == Q(1, 2)
         from fracsym.cli import CliError
         with pytest.raises(CliError):
             SessionConfig(alpha="sometimes").alpha_expr()
@@ -893,7 +895,8 @@ def test_exponent_in_t_is_outside_the_catalog(command, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("g", ["0", *RATIONAL_ZEROS])
+@pytest.mark.parametrize("g", ["0", *RATIONAL_ZEROS,
+                               "k*((a^2-1)/(a-1) - a - 1)^(1/3)"])
 def test_a_vanishing_g_is_outside_the_catalog(g, capsys):
     # a g that is zero only over a common denominator gets the error of 0
     assert main(["classify", "--g", g]) == 1
@@ -902,6 +905,28 @@ def test_a_vanishing_g_is_outside_the_catalog(g, capsys):
     assert err.startswith(f"error: coefficient '{g}' is not in the g(t) "
                           "catalog")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, stream", [
+    (["reduce", "--case", "3.1", "--m", "2", "--n", "4",
+      "--generator-index", "1", "--zeta", zeta], "err")
+    for zeta in ("1", "-1")
+] + [
+    (["frac-deriv", "--expr", "(-8)^(1/3)*t", "--alpha", "1/2", "--at", "1"],
+     "out"),
+], ids=["reduce-zeta+1", "reduce-zeta-1", "frac-deriv"])
+def test_a_power_that_is_not_real_fails_by_name(argv, stream, capsys):
+    # a negative float to a fractional power is complex in Python: the
+    # grid oracle's g = (t-2)^(2/3) at t < 2, and the constant (-8)^(1/3)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    text = getattr(captured, stream)
+    assert "power evaluation failed: " in text and " is not real" in text
+    if stream == "err":
+        assert captured.out == ""
+        assert text.startswith("error: ") and text.count("\n") == 1
+    else:
+        assert "fail] profile" in text and captured.err == ""
 
 
 @pytest.mark.parametrize("g, named", [

@@ -12,7 +12,7 @@ from fracsym.expr import (
     Expr, FDeriv, Func, GammaF, Num, Pow, Prod, Sum, Sym,
     _monic_sum, add, clear_denominators, eval_numeric,
     fderiv, free_symbols, func, gammaf, is_zero_exact, mul, num, pow_,
-    rebuild, replace_node, simplify, substitute, sym, to_text,
+    rebuild, simplify, substitute, sym, to_text,
 )
 
 x, t, u, r, h = sym("x"), sym("t"), sym("u"), sym("r"), sym("h")
@@ -76,12 +76,12 @@ class TestExpansion:
 
     def test_monic_sum_is_cached_on_the_sum(self):
         s = add(mul(3, x), mul(Q(1, 2), t), 5)
-        lead = s.terms[0].value
+        lead = s.terms[0].c
         assert lead == 5
         first, second = _monic_sum(s), _monic_sum(s)
         assert second[1] is first[1]
         # computed without the cache: every term divided by the lead
-        want = (lead, add(*(mul(num(1 / lead), term) for term in s.terms)))
+        want = (lead, add(*(mul(num(Q(1, lead)), term) for term in s.terms)))
         assert first == second == want
 
 
@@ -93,17 +93,16 @@ class TestExactCoefficients:
         got = pow_(mul(2, add(x, t)), -3)
         assert got == mul(Q(1, 8), pow_(add(x, t), -3))
         coeff = got.factors[0]
-        assert type(coeff.value) is Q and coeff.value == Q(1, 8)
-        assert type(coeff.c) is Q
+        assert type(coeff.c) is Q and coeff.c == Q(1, 8)
         # a lead of 3 has no exact binary float: 3 ** -2 must not be floated
         got = pow_(mul(3, add(x, t)), -2)
-        assert got.factors[0].value == Q(1, 9)
+        assert got.factors[0].c == Q(1, 9)
 
     def test_monic_sum_divides_exactly(self):
         lead, monic = _monic_sum(add(mul(2, x), mul(3, t)))
         assert type(lead) is int and lead == 3
         assert monic == add(t, mul(Q(2, 3), x))
-        assert monic.terms[1].factors[0].value == Q(2, 3)
+        assert monic.terms[1].factors[0].c == Q(2, 3)
 
     def test_every_num_on_the_corpus_is_exact(self, rng):
         seen = 0
@@ -111,9 +110,8 @@ class TestExactCoefficients:
             for node in subtrees(random_expr(rng, depth=6)):
                 if isinstance(node, Num):
                     seen += 1
-                    assert type(node.value) is Q
-                    assert (type(node.c) is int) == (node.value.denominator == 1)
-                    assert node.c == node.value
+                    assert type(node.c) in (int, Q)
+                    assert (type(node.c) is int) == (node.c.denominator == 1)
         assert seen > 1000
 
     def test_huge_rational_roots_are_exact(self):
@@ -302,11 +300,6 @@ class TestTraversal:
         assert simplify(e) == e
         assert free_symbols(e) == {n.name for n in subtrees(e)
                                    if isinstance(n, Sym)}
-        inside = set(subtrees(e))
-        probes = {n for s in NODE_SAMPLES.values() for n in subtrees(s)}
-        fresh = sym("fresh")
-        for probe in probes | {sym("w"), mul(7, sym("w"))}:
-            assert (replace_node(e, probe, fresh) != e) == (probe in inside)
 
     def test_rebuild_keeps_the_fd_variable(self):
         e = NODE_SAMPLES[FDeriv]
@@ -318,11 +311,6 @@ class TestTraversal:
         assert substitute(e, {"t": r}) == fderiv(func("h", (r,)), r, alpha)
         with pytest.raises(SubstitutionError):
             substitute(e, {"t": mul(2, r)})
-
-    def test_replace_node_rewrites_every_occurrence(self):
-        fd_u = fderiv(u, t, alpha)
-        e = add(fd_u, mul(x, pow_(fd_u, 2)))
-        assert replace_node(e, fd_u, h) == add(h, mul(x, pow_(h, 2)))
 
 
 class TestEval:
@@ -377,6 +365,21 @@ class TestZeroDetection:
         gap = add(s, mul(MINUS_ONE, p, pow_(q, MINUS_ONE)))
         assert is_zero_exact(gap)
         assert not is_zero_exact(add(gap, ONE))
+
+    # (a^2-1)/(a-1) - a - 1: zero once its terms are over one denominator
+    A = sym("a")
+    Z = add(mul(add(pow_(A, 2), -1), pow_(add(A, -1), -1)), mul(-1, A), -1)
+
+    @pytest.mark.parametrize("e", [
+        pow_(Z, Q(1, 3)), pow_(Z, 17), mul(sym("k"), pow_(Z, Q(1, 3))),
+    ], ids=["Z^(1/3)", "Z^17", "k*Z^(1/3)"])
+    def test_a_zero_under_a_power(self, e):
+        # clearing alone never exposes the zero under the power: a term
+        # with a positive power of a zero sum is dropped first
+        assert e != ZERO
+        assert is_zero_exact(e)
+        assert is_zero_exact(add(mul(x, e), pow_(e, 2)))
+        assert not is_zero_exact(add(e, x))
 
     def test_clear_denominators_is_polynomial(self):
         X1 = pow_(add(alpha, mul(-1, b)), MINUS_ONE)

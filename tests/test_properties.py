@@ -7,15 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import subtrees, total_derivative_reference, tree_walk_eval
-from fracsym.calculus import diff
+from conftest import total_derivative_reference, tree_walk_eval
+from fracsym.calculus import diff, jet
+from fracsym.cases import CLASSIFICATION_CASES, spec_for_case
 from fracsym.expr import (
-    EvalError, ONE, ZERO, Pow, Prod, SimplifyError, Sum, add, compile_numeric,
-    eval_numeric, _monic_sum, fderiv, func, gammaf, mul, num, pow_, rebuild,
-    replace_node, simplify, substitute, sym, to_text,
+    EvalError, MINUS_ONE, ONE, ZERO, Pow, Prod, Sum, add,
+    compile_numeric, eval_numeric, _monic_sum, fderiv, func, gammaf, mul, num,
+    pow_, rebuild, simplify, substitute, sym, to_text,
 )
 from fracsym.fracnum import gl_weights
 from fracsym.parser import parse_expression
+from fracsym.pde import T, U, X, Generator
+from fracsym.symmetry import (
+    eta_alpha, integer_prolongations, invariance_residual,
+)
 
 rationals = st.fractions(min_value=-20, max_value=20,
                          max_denominator=9)
@@ -153,31 +158,52 @@ def rich_exprs(depth: int = 4):
 
 
 def replace_by_full_rebuild(e, target, replacement):
-    """replace_node as it was: every node re-canonicalized on the way up."""
+    """Every occurrence of ``target`` replaced, every node re-canonicalized
+    on the way up."""
     def walk(node):
         return replacement if node == target else rebuild(node, walk)
 
     return walk(e)
 
 
-class TestRewritingWalks:
-    @given(rich_exprs(), exprs(depth=2), st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_replace_node_equals_full_rebuild(self, e, replacement, data):
-        target = data.draw(st.sampled_from(list(subtrees(e))))
-        try:
-            want = replace_by_full_rebuild(e, target, replacement)
-        except SimplifyError:   # e.g. a zero replacement under a ^-1
-            with pytest.raises(SimplifyError):
-                replace_node(e, target, replacement)
-            return
-        assert replace_node(e, target, replacement) == want
+def invariance_residual_as_it_was(spec, gen):
+    """invariance_residual as it was: the prolonged generator applied to
+    the equation, then every D^alpha_t u node replaced by minus the
+    integer-order part through a full rebuild."""
+    rest = add(mul(num(spec.zeta), diff(pow_(U, spec.m), "x", total=True)),
+               mul(spec.g, diff(pow_(U, spec.n), "x", 3, total=True)))
+    coords = zip((T, X, U, jet(1, 0), jet(2, 0), jet(3, 0)),
+                 (gen.xi_t, gen.xi_x, gen.eta, *integer_prolongations(gen)))
+    total = add(eta_alpha(gen, spec.alpha),
+                *(mul(coeff, diff(rest, coord.name))
+                  for coord, coeff in coords))
+    return replace_by_full_rebuild(total, fderiv(U, T, spec.alpha),
+                                   mul(MINUS_ONE, rest))
 
-    @given(rich_exprs())
-    @settings(max_examples=200, deadline=None)
-    def test_absent_target_returns_the_tree_itself(self, e):
-        for absent in (sym("w"), func("g", (sym("w"),))):
-            assert replace_node(e, absent, sym("r")) is e
+
+# polynomials in (t, x) of low degree with small integer coefficients
+small_polys = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(0, 2), st.integers(0, 2)),
+    max_size=3,
+).map(lambda terms: add(*(mul(c, pow_(T, i), pow_(X, j))
+                          for c, i, j in terms)))
+
+
+class TestRewritingWalks:
+    @given(st.sampled_from(sorted(CLASSIFICATION_CASES)),
+           st.integers(1, 4), st.integers(1, 4),
+           small_polys, small_polys, small_polys, small_polys)
+    @settings(max_examples=60, deadline=None)
+    def test_residual_on_solutions_equals_the_full_rebuild(
+            self, key, m, n, xi_t, xi_x, eta_0, eta_1):
+        # D^alpha_t u enters the residual linearly, as a factor of a term:
+        # collecting its coefficient is the same as replacing the node
+        eta = add(eta_0, mul(eta_1, U))
+        assume(any(e != ZERO for e in (xi_t, xi_x, eta)))
+        spec = spec_for_case(key, m=m, n=n)
+        gen = Generator(xi_t, xi_x, eta)
+        assert invariance_residual(spec, gen) == \
+            invariance_residual_as_it_was(spec, gen)
 
     @given(exprs())
     @settings(max_examples=200, deadline=None)

@@ -22,7 +22,7 @@ from fracsym.cases import (
 from fracsym.expr import (
     ZERO, MINUS_ONE, EvalError, FDeriv, Func, Pow, Prod, add, eval_numeric,
     fderiv, free_symbols, func, gammaf, is_zero_exact, mul, num, pow_,
-    rewrite, substitute, sym, to_text,
+    rebuild, substitute, sym, to_text,
 )
 from fracsym.fracnum import (
     _power_rule_sum, fode_residual_on_grid, pde_residual_on_grid,
@@ -440,7 +440,7 @@ def _chain_rule_pull_x_factor(e):
             if x_free and rest:
                 return mul(*x_free, fderiv(mul(*rest), node.var, node.alpha))
             return node
-        return rewrite(node, walk)
+        return rebuild(node, walk)
 
     return walk(e)
 
@@ -460,7 +460,7 @@ def _chain_rule_rescale_fd_nodes(e):
                                     r, node.alpha)
                     return mul(pow_(lam, node.alpha), new_fd)
             return node
-        return rewrite(node, walk)
+        return rebuild(node, walk)
 
     return walk(e)
 
@@ -516,7 +516,7 @@ def _h_degree(mono) -> int:
     for f in factors:
         base, exp = (f.base, f.exp) if isinstance(f, Pow) else (f, num(1))
         if isinstance(base, Func) and base.name == "h":
-            degree += int(exp.value)
+            degree += int(exp.c)
     return degree
 
 
@@ -562,7 +562,7 @@ class TestZetaFlip:
 
 def tree_walk_pde_residual(spec, u_expr, points):
     """pde_residual_on_grid as it was: every term walked at every point."""
-    alpha = float(spec.alpha.value)
+    alpha = float(spec.alpha.c)
     profile = power_profile(u_expr, ("x", "t"))
     convect = diff(pow_(u_expr, spec.m), "x", 1)
     disperse = diff(pow_(u_expr, spec.n), "x", 3)
@@ -591,7 +591,7 @@ def tree_walk_fode_residual(reduced_ode, h_expr, r_points):
         total = 0.0
         for coeff, exps in profile:
             total += coeff * rl_power_rule(exps.get("r", Q(0)),
-                                           float(node.alpha.value),
+                                           float(node.alpha.c),
                                            point["r"])
         return total
 

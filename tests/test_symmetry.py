@@ -42,7 +42,7 @@ def series_terms(eta, alpha=ALPHA) -> dict:
             continue
         m = add(alpha, mul(MINUS_ONE, mono.alpha))
         if m != ZERO:
-            out[(int(m.value), mono.expr.name)] = coeff
+            out[(int(m.c), mono.expr.name)] = coeff
     return out
 
 
