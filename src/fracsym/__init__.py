@@ -13,6 +13,7 @@ oracle (Riemann-Liouville power rule plus a Grünwald-Letnikov scheme).
 __version__ = "0.1.0"
 
 from .calculus import diff
+from .cases import CoeffTag
 from .expr import (
     Expr, add, eval_numeric, fderiv, func, gammaf, mul, num, pow_, simplify,
     substitute, sym, to_text,
@@ -23,7 +24,7 @@ from .fracnum import (
 )
 from .parser import parse_expression
 from .pde import (
-    CoeffTag, Generator, PdeSpec, scaling_invariance_check, term_weights,
+    Generator, PdeSpec, scaling_invariance_check, term_weights,
 )
 from .reduction import (
     SimilarityReduction, characteristic_invariants, compare_reduced_forms,

@@ -1,8 +1,12 @@
-"""Catalog of classification cases and the two printed reduced forms.
+"""The g(t) catalog, the classification cases and the two printed reduced
+forms.
 
-Classification keys follow the symmetry table (1.1 .. 3.3).  A case holds
-its alpha kind and its g as text in the CLI expression grammar; its catalog
-tag is the one its parsed spec derives from g.  The printed
+The model takes any g(t); the catalog holds the g-forms that the table
+covers, the opaque g(t) and k, k*t^b, k*exp(b*t), k*(t-b)^(2/3) and
+k*(t^2-b)^(1/3) with k and b free of t, and :func:`coeff_tag` reads a g's
+form off the expression.  Classification keys follow the symmetry table
+(1.1 .. 3.3).  A case holds its alpha kind and its g-forms as text in the
+CLI expression grammar, the one its key presets first.  The printed
 reduced forms are named by their paper section: 1 for the translation and
 2.1 for the scaling, whose print at generic alpha and g = k*t^b covers every
 scaling case of K(2,3) once alpha, b, k and zeta are bound.  They live in
@@ -17,21 +21,84 @@ itself derives a basis for any spec.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from importlib import resources
 
-from .expr import Expr, Num, Sym, as_expr, num, substitute, sym, to_text
+from .calculus import split_by
+from .expr import (
+    Expr, Func, Num, Pow, Sym, MINUS_ONE, ONE, add, as_expr, contains_symbol,
+    free_symbols, is_zero_exact, mul, num, pow_, substitute, to_text,
+)
 from .parser import parse_expression
-from .pde import CoeffTag, PdeSpec, coeff_form_from_text, power_law
+from .pde import ALPHA, G, T, PdeModelError, PdeSpec, power_law
 
 __all__ = [
+    "CoeffTag", "coeff_tag", "coeff_form_from_text",
     "ClassificationCase", "CLASSIFICATION_CASES", "alpha_kind",
     "classification_case", "spec_for_case", "outside_catalog",
     "parse_printed_form", "load_printed_form",
 ]
 
-ALPHA = sym("alpha")
+
+class CoeffTag(enum.Enum):
+    ARBITRARY = "arbitrary"
+    CONSTANT = "constant"
+    POWER = "power"
+    EXPONENTIAL = "exponential"
+    SHIFTED_POWER_23 = "shifted-power-2/3"
+    QUAD_POWER_13 = "quad-power-1/3"
+
+
+def coeff_tag(g: Expr) -> CoeffTag | None:
+    """The catalog tag of a nonzero g, or None outside the catalog: g is
+    the opaque g(t), or a t-free k times one t-part."""
+    if g == G:
+        return CoeffTag.ARBITRARY
+    parts = split_by(g, lambda f: "t" in free_symbols(f))
+    if len(parts) != 1:
+        return None
+    (tp, kk), = parts.items()
+    if is_zero_exact(kk):
+        return None
+    if tp == ONE:
+        return CoeffTag.CONSTANT
+    if power_law(g) is not None:
+        return CoeffTag.POWER
+    if isinstance(tp, Func) and tp.name == "exp" and tp.order == 0:
+        law = power_law(tp.args[0])      # the exponent is b*t
+        return CoeffTag.EXPONENTIAL if law and law[1] == ONE else None
+    if isinstance(tp, Pow) and isinstance(tp.exp, Num):
+        if tp.exp.c == Q(2, 3) and not contains_symbol(
+                add(T, mul(MINUS_ONE, tp.base)), "t"):
+            return CoeffTag.SHIFTED_POWER_23
+        if tp.exp.c == Q(1, 3) and not contains_symbol(
+                add(pow_(T, 2), mul(MINUS_ONE, tp.base)), "t"):
+            return CoeffTag.QUAD_POWER_13
+    return None
+
+
+def _read_g(src: str, alpha: Expr) -> Expr:
+    """:func:`coeff_form_from_text` without its catalog test."""
+    text = src.strip()
+    if text.lower() in ("arbitrary", "g", "g(t)"):
+        return G
+    return parse_expression(text, {"alpha": alpha})
+
+
+def coeff_form_from_text(src: str, alpha: Expr) -> Expr:
+    """g(t) from its text, with ``alpha`` bound to the spec's order.
+
+    ``"arbitrary"`` (or ``g``, ``g(t)``) selects the opaque g(t); any
+    other text must parse to a catalog form."""
+    g = _read_g(src, alpha)
+    if coeff_tag(g) is None:
+        raise PdeModelError(
+            f"coefficient {src!r} is not in the g(t) catalog "
+            "(constant, k*t^b, k*exp(b*t), k*(t-b)^(2/3), k*(t^2-b)^(1/3), "
+            "or 'arbitrary')")
+    return g
 
 
 @dataclass(frozen=True)
@@ -39,6 +106,7 @@ class ClassificationCase:
     key: str
     alpha: str               # "generic" | "1/2" | "1/3", as alpha_kind names it
     g: str                   # the g-form in the CLI expression grammar
+    also: tuple[str, ...] = ()   # further g-forms the case covers
 
     def spec(self, m: int = 2, n: int = 3, zeta: int = 1,
              k=None, b=None) -> PdeSpec:
@@ -47,7 +115,7 @@ class ClassificationCase:
         binding = {name: as_expr(value)
                    for name, value in (("k", k), ("b", b))
                    if value is not None}
-        g = substitute(coeff_form_from_text(self.g, alpha), binding)
+        g = substitute(_read_g(self.g, alpha), binding)
         return PdeSpec(alpha=alpha, m=m, n=n, zeta=zeta, g=g)
 
 
@@ -59,18 +127,17 @@ CLASSIFICATION_CASES: dict[str, ClassificationCase] = {
         ClassificationCase("2.1", "1/2", "k*exp(b*t)"),
         ClassificationCase("2.2", "1/2", "k*t^b"),
         ClassificationCase("2.3", "1/2", "k"),
-        ClassificationCase("3.1", "1/3", "k*(t-b)^(2/3)"),
+        ClassificationCase("3.1", "1/3", "k*(t-b)^(2/3)",
+                           also=("k*(t^2-b)^(1/3)", "k*exp(b*t)")),
         ClassificationCase("3.2", "1/3", "k*t^b"),
         ClassificationCase("3.3", "1/3", "k"),
     )
 }
 
-# (alpha kind, g-form) -> case key: the table, plus the two further
-# g-forms that case 3.1 covers at alpha = 1/3
-_CASE_KEYS = {(case.alpha, case.spec().tag): case.key
-              for case in CLASSIFICATION_CASES.values()}
-_CASE_KEYS.update({("1/3", CoeffTag.QUAD_POWER_13): "3.1",
-                   ("1/3", CoeffTag.EXPONENTIAL): "3.1"})
+# (alpha kind, g-form) -> case key, for every g-form of every row
+_CASE_KEYS = {(case.alpha, coeff_tag(_read_g(g, ALPHA))): case.key
+              for case in CLASSIFICATION_CASES.values()
+              for g in (case.g, *case.also)}
 
 
 def classification_case(key: str) -> ClassificationCase:
@@ -109,7 +176,7 @@ def resolve_case_key(spec: PdeSpec) -> str | None:
     arbitrary-coefficient case 1.1, as the classification degenerates to
     the translation alone.
     """
-    tag = spec.tag
+    tag = coeff_tag(spec.g)
     hit = (_CASE_KEYS.get((alpha_kind(spec.alpha), tag))
            or _CASE_KEYS.get(("generic", tag)))
     if hit is None and tag is CoeffTag.EXPONENTIAL:
@@ -123,7 +190,10 @@ def outside_catalog(spec: PdeSpec) -> str | None:
     if alpha_kind(spec.alpha) == "unsupported":
         return f"alpha = {to_text(spec.alpha)} is outside the catalog"
     if resolve_case_key(spec) is None:
-        return f"g-form {spec.tag.value} is cataloged only at alpha = 1/3"
+        tag = coeff_tag(spec.g)
+        if tag is None:
+            return f"g = {to_text(spec.g)} is outside the catalog"
+        return f"g-form {tag.value} is cataloged only at alpha = 1/3"
     return None
 
 

@@ -22,8 +22,8 @@ from fractions import Fraction as Q
 
 from . import __version__
 from .cases import (
-    CLASSIFICATION_CASES, classification_case, load_printed_form,
-    outside_catalog, resolve_case_key,
+    CLASSIFICATION_CASES, classification_case, coeff_form_from_text,
+    load_printed_form, outside_catalog, resolve_case_key,
 )
 from .expr import (
     Expr, Num, ExprError, ZERO,
@@ -35,7 +35,7 @@ from .fracnum import (
 )
 from .parser import ParseError, parse_expression
 from .pde import (
-    Generator, PdeSpec, PdeModelError, coeff_form_from_text, power_law,
+    Generator, PdeSpec, PdeModelError, power_law,
     scaling_invariance_check, term_weights,
 )
 from .reduction import (

@@ -2,38 +2,32 @@
 scaling-weight homogeneity check behind every scaling symmetry.
 
 The equation is  D^a_t u + zeta*(u^m)_x + g(t)*(u^n)_xxx = 0  on t > 0 with
-0 < a <= 1, zeta = +-1 and n != 0.  g is held as the expression written
-for it: the opaque g(t), or a member of the closed catalog
-
-    k,  k*t^b,  k*exp(b*t),  k*(t-b)^(2/3),  k*(t^2-b)^(1/3)
-
-with k and b free of t (numbers or symbols).  g names none of the
-equation's other variables: x, u and its derivatives, and the reductions'
-similarity variable r.  The catalog form's tag is read off the expression
-when a spec is built, and :func:`power_law` reads k and b off the
-weight-homogeneous forms k and k*t^b.  :func:`term_weights` and
-:func:`scaling_invariance_check` take a scaling as its three weights
-(w_t, w_x, w_u); any other g-form raises ``PdeModelError`` there.
+0 < a <= 1, zeta = +-1 and n != 0.  g is any nonzero expression in t and
+parameters (numbers or symbols), the opaque g(t), :data:`G`, included.  g
+names none of the equation's other variables: x, u and its derivatives,
+and the reductions' similarity variable r.  The catalog of the g-forms
+that the classification table covers is :mod:`fracsym.cases`'s, not the
+model's.  :func:`power_law` reads k and b off the weight-homogeneous
+forms k and k*t^b; :func:`term_weights` and :func:`scaling_invariance_check`
+take a scaling as its three weights (w_t, w_x, w_u), and any other g
+raises ``PdeModelError`` there.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-from fractions import Fraction as Q
+from dataclasses import dataclass
 
-from .calculus import diff, parse_jet
+from .calculus import diff, parse_jet, split_by
 from .expr import (
-    Expr, Num, Pow, Prod, Func, ExprError,
-    add, mul, pow_, num, sym, func, as_expr, contains_symbol, free_symbols,
-    is_zero_exact, power_of, to_text, ZERO, ONE, MINUS_ONE,
+    Expr, Num, ExprError,
+    add, mul, num, sym, func, as_expr, contains_symbol, free_symbols,
+    is_zero_exact, power_of, to_text, ZERO, MINUS_ONE,
 )
-from .parser import parse_expression
 
 __all__ = [
-    "CoeffTag", "PdeSpec", "Generator", "PdeModelError",
+    "PdeSpec", "Generator", "PdeModelError",
     "term_weights", "scaling_invariance_check", "power_law",
-    "coeff_form_from_text", "T", "X", "U", "ALPHA", "B", "K",
+    "T", "X", "U", "G", "ALPHA", "B", "K",
 ]
 
 T = sym("t")
@@ -43,8 +37,8 @@ ALPHA = sym("alpha")
 B = sym("b")
 K = sym("k")
 
-# the opaque coefficient of the arbitrary form
-_G = func("g", (T,))
+# the opaque coefficient g(t) of the arbitrary form
+G = func("g", (T,))
 
 _MAX_EXPONENT = 6
 
@@ -57,102 +51,29 @@ class PdeModelError(ExprError):
     pass
 
 
-class CoeffTag(enum.Enum):
-    ARBITRARY = "arbitrary"
-    CONSTANT = "constant"
-    POWER = "power"
-    EXPONENTIAL = "exponential"
-    SHIFTED_POWER_23 = "shifted-power-2/3"
-    QUAD_POWER_13 = "quad-power-1/3"
-
-
-def _outside_catalog(text: str) -> PdeModelError:
-    return PdeModelError(
-        f"coefficient {text!r} is not in the g(t) catalog "
-        "(constant, k*t^b, k*exp(b*t), k*(t-b)^(2/3), k*(t^2-b)^(1/3), "
-        "or 'arbitrary')")
-
-
-def coeff_form_from_text(src: str, alpha: Expr) -> Expr:
-    """g(t) from its text, with ``alpha`` bound to the spec's order.
-
-    ``"arbitrary"`` (or ``g``, ``g(t)``) selects the opaque g(t);
-    any other text must parse to a catalog form.
-    """
-    text = src.strip()
-    if text.lower() in ("arbitrary", "g", "g(t)"):
-        return _G
-    g = parse_expression(text, {"alpha": alpha})
-    if _match_coeff_form(g) is None:
-        raise _outside_catalog(src)
-    return g
-
-
-def _split_t_factor(e: Expr):
-    """(k-part, t-parts): the product of e's t-free factors, and the list
-    of the others."""
-    factors = e.factors if isinstance(e, Prod) else (e,)
-    t_parts = [f for f in factors if "t" in free_symbols(f)]
-    k_parts = [f for f in factors if "t" not in free_symbols(f)]
-    kk = mul(*k_parts) if k_parts else ONE
-    return kk, t_parts
-
-
 def power_law(g: Expr):
-    """(k, b) with g = k*t^b and k, b free of t (b = 0 for a constant g);
-    None when g has no such form."""
-    kk, t_parts = _split_t_factor(g)
-    if not t_parts:
-        return kk, ZERO
-    if len(t_parts) == 1:
-        b = power_of(t_parts[0], "t")
-        if b is not None and not contains_symbol(b, "t"):
-            return kk, b
-    return None
-
-
-def _match_coeff_form(e: Expr) -> CoeffTag | None:
-    """The catalog tag of a nonzero g, or None outside the catalog."""
-    if e == _G:
-        return CoeffTag.ARBITRARY
-    kk, t_parts = _split_t_factor(e)
-    if is_zero_exact(kk) or len(t_parts) > 1:
+    """(k, b) with g = k*t^b and k, b free of t (b = 0 for a constant g):
+    g's terms share one t-part, a power of t; None when g has no such
+    form."""
+    parts = split_by(g, lambda f: "t" in free_symbols(f))
+    if len(parts) != 1:
         return None
-    if not t_parts:
-        return CoeffTag.CONSTANT
-    if power_law(e) is not None:
-        return CoeffTag.POWER
-    tp = t_parts[0]
-    if isinstance(tp, Func) and tp.name == "exp" and tp.order == 0:
-        arg = tp.args[0]
-        bb = diff(arg, "t")
-        if "t" not in free_symbols(bb) and is_zero_exact(
-                add(arg, mul(MINUS_ONE, bb, T))):
-            return CoeffTag.EXPONENTIAL
+    (t_part, kk), = parts.items()
+    b = power_of(t_part, "t")
+    if b is None or contains_symbol(b, "t"):
         return None
-    if isinstance(tp, Pow) and isinstance(tp.exp, Num):
-        if tp.exp.c == Q(2, 3):
-            bb = add(T, mul(MINUS_ONE, tp.base))
-            if "t" not in free_symbols(bb):
-                return CoeffTag.SHIFTED_POWER_23
-        if tp.exp.c == Q(1, 3):
-            bb = add(pow_(T, 2), mul(MINUS_ONE, tp.base))
-            if "t" not in free_symbols(bb):
-                return CoeffTag.QUAD_POWER_13
-    return None
+    return kk, b
 
 
 @dataclass(frozen=True)
 class PdeSpec:
-    """A K(m,n) instance: order alpha, exponents m, n, sign zeta, and g;
-    ``tag`` is g's catalog form."""
+    """A K(m,n) instance: order alpha, exponents m, n, sign zeta, and g."""
 
     alpha: Expr = ALPHA
     m: int = 2
     n: int = 3
     zeta: int = 1
-    g: Expr = _G
-    tag: CoeffTag = field(init=False)
+    g: Expr = G
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", as_expr(self.alpha))
@@ -165,10 +86,6 @@ class PdeSpec:
         if named:
             raise PdeModelError("g(t) may not name the equation's "
                                 f"variables: {', '.join(named)}")
-        tag = _match_coeff_form(self.g)
-        if tag is None:
-            raise _outside_catalog(to_text(self.g))
-        object.__setattr__(self, "tag", tag)
         if isinstance(self.alpha, Num):
             if not (0 < self.alpha.c <= 1):
                 raise PdeModelError("alpha must lie in (0, 1]")
@@ -237,12 +154,12 @@ def term_weights(spec: PdeSpec, w_t, w_x, w_u) -> list[Expr]:
     t -> lam^w_t t, x -> lam^w_x x, u -> lam^w_u u.
 
     The fractional term scales with w_u - alpha*w_t; each d/dx lowers the
-    weight by w_x; g = k*t^b contributes b*w_t.  An exponential or shifted
-    g has no weight, and raises ``PdeModelError``.
+    weight by w_x; g = k*t^b contributes b*w_t.  Any other g has no
+    weight, and raises ``PdeModelError``.
     """
     law = power_law(spec.g)
     if law is None:
-        raise PdeModelError(f"g-form {spec.tag.value} is not "
+        raise PdeModelError(f"g = {to_text(spec.g)} is not "
                             "weight-homogeneous")
     b = law[1]
     frac = add(w_u, mul(MINUS_ONE, spec.alpha, w_t))

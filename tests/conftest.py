@@ -10,13 +10,13 @@ from fractions import Fraction as Q
 import pytest
 
 from fracsym.calculus import diff, jet, parse_jet
-from fracsym.cases import parse_printed_form
+from fracsym.cases import CoeffTag, coeff_form_from_text, parse_printed_form
 from fracsym.expr import (
     EvalError, FDeriv, Func, GammaF, Num, Pow, Prod, Sum, Sym, _KNOWN_FUNCS,
     _eval_known_func, add, as_expr, children, free_symbols, mul, num, pow_,
     substitute, sym,
 )
-from fracsym.pde import ALPHA, CoeffTag, coeff_form_from_text
+from fracsym.pde import ALPHA
 
 SYMBOL_POOL = ("x", "t", "u", "alpha", "b", "k")
 

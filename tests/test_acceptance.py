@@ -16,15 +16,14 @@ from conftest import (
     catalog_g, paper_print, random_expr, random_point, random_rational,
 )
 from fracsym import fracnum as fn
-from fracsym.cases import spec_for_case
+from fracsym.cases import CoeffTag, coeff_tag, spec_for_case
 from fracsym.expr import (
     ZERO, ONE, MINUS_ONE, EvalError,
     add, eval_numeric, fderiv, func, mul, num, pow_, simplify,
     substitute, sym, to_text,
 )
 from fracsym.pde import (
-    ALPHA, B, K, T, U, X,
-    CoeffTag, Generator, PdeSpec, scaling_invariance_check,
+    ALPHA, B, K, T, U, X, Generator, PdeSpec, scaling_invariance_check,
 )
 from fracsym.reduction import (
     characteristic_invariants, compare_reduced_forms, kernel_solution,
@@ -214,7 +213,7 @@ class TestCriterion5:
             full_binding["alpha"] = num(alpha)
             from dataclasses import replace
             spec_num = PdeSpec(alpha=num(alpha), m=2, n=3, zeta=1,
-                               g=catalog_g(spec_sym.tag, k=1, b=2))
+                               g=catalog_g(coeff_tag(spec_sym.g), k=1, b=2))
             red_num = replace(
                 red_sym,
                 p=substitute(red_sym.p, full_binding),

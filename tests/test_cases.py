@@ -8,11 +8,11 @@ import pytest
 
 from conftest import catalog_g
 from fracsym.cases import (
-    CLASSIFICATION_CASES, alpha_kind, load_printed_form, parse_printed_form,
-    resolve_case_key,
+    CLASSIFICATION_CASES, CoeffTag, alpha_kind, load_printed_form,
+    parse_printed_form, resolve_case_key,
 )
 from fracsym.expr import mul, num, substitute, to_text
-from fracsym.pde import ALPHA, CoeffTag, PdeSpec, power_law
+from fracsym.pde import ALPHA, PdeSpec, power_law
 
 HALF, THIRD, OTHER = Q(1, 2), Q(1, 3), Q(3, 4)
 

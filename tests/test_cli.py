@@ -907,6 +907,60 @@ def test_a_vanishing_g_is_outside_the_catalog(g, capsys):
     assert err.count("\n") == 1
 
 
+# a t-free coefficient may be a sum: mul expands (k+1)*t^b into two terms
+# that share one t-part
+@pytest.mark.parametrize("g, case, scaling", [
+    ("(k+1)*t^b", "1.2", True),
+    ("(k+1)*exp(b*t)", "1.1", False),
+    ("k*t^b + t^b", "1.2", True),
+])
+def test_a_t_free_sum_coefficient_is_in_the_catalog(g, case, scaling,
+                                                     capsys):
+    assert main(["classify", "--g", g]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith(f"case {case} ")
+    assert ("pass] scaling_weights[X2]" in out) is scaling
+
+
+class TestEarlyExits:
+    """Exits that end a call before its main work: each at exit 1, in one
+    error line or in one named failing check."""
+
+    def test_reduce_outside_the_catalog_stops_at_classification(self,
+                                                                capsys):
+        assert main(["reduce", "--alpha", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert "fail] classification -- alpha = 1 is outside the catalog" \
+            in out
+        assert "X1:" not in out and err == ""
+
+    def test_reduce_without_x_monomial_invariants(self, capsys):
+        assert main(["reduce", "--m", "3", "--n", "3", "--g", "k"]) == 1
+        out, err = capsys.readouterr()
+        assert ("fail] reduction -- scaling without an x-component admits "
+                "no x-monomial invariants") in out
+        assert err == ""
+
+    def test_frac_deriv_needs_a_numeric_alpha(self, capsys):
+        assert main(["frac-deriv", "--expr", "t", "--at", "1"]) == 1
+        assert capsys.readouterr() == \
+            ("", "error: a numeric --alpha is required here\n")
+
+    def test_config_line_without_a_key_value_pair(self, tmp_path, capsys):
+        path = tmp_path / "session.cfg"
+        path.write_text("alpha = 1/2\nno equals sign\n")
+        assert main(["classify", "--config", str(path)]) == 1
+        assert capsys.readouterr() == \
+            ("", "error: config line 2: expected key = value\n")
+
+    def test_unreadable_config(self, tmp_path, capsys):
+        path = tmp_path / "missing.cfg"
+        assert main(["classify", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot read config: ")
+        assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, stream", [
     (["reduce", "--case", "3.1", "--m", "2", "--n", "4",
       "--generator-index", "1", "--zeta", zeta], "err")

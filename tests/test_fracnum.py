@@ -13,7 +13,8 @@ from fracsym.expr import (
     ZERO, MINUS_ONE, EvalError, GammaF, add, compile_numeric, func, gammaf,
     mul, num, pow_, sym,
 )
-from fracsym.pde import CoeffTag, PdeSpec
+from fracsym.cases import CoeffTag
+from fracsym.pde import PdeSpec
 
 t, x, r, z = sym("t"), sym("x"), sym("r"), sym("z")
 

@@ -1,5 +1,5 @@
-"""PDE-model tests: jet expansion of the equation, scaling weights, g-form
-catalog."""
+"""PDE-model tests: jet expansion of the equation, scaling weights, and
+the g-forms the model and the catalog take."""
 
 import contextlib
 import io
@@ -10,15 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import catalog_g
 from fracsym.calculus import diff
+from fracsym.cases import (
+    CoeffTag, coeff_form_from_text, coeff_tag, outside_catalog,
+)
 from fracsym.cli import main
 from fracsym.expr import (
     ONE, ZERO, MINUS_ONE, add, fderiv, func, mul, num, pow_, power_of, sym,
 )
 from fracsym.parser import parse_expression
 from fracsym.pde import (
-    ALPHA, B, K, T, U, X,
-    CoeffTag, Generator, PdeModelError,
-    PdeSpec, coeff_form_from_text, power_law,
+    ALPHA, B, K, T, U, X, Generator, PdeModelError, PdeSpec, power_law,
     scaling_invariance_check, term_weights,
 )
 
@@ -137,6 +138,7 @@ class TestWeights:
 class TestCoeffForms:
     @pytest.mark.parametrize("text,tag", [
         ("k*t^b", CoeffTag.POWER),
+        ("(k+1)*t^b", CoeffTag.POWER),
         ("k", CoeffTag.CONSTANT),
         ("5", CoeffTag.CONSTANT),
         ("3*t^2", CoeffTag.POWER),
@@ -148,7 +150,7 @@ class TestCoeffForms:
         ("arbitrary", CoeffTag.ARBITRARY),
     ])
     def test_recognition(self, text, tag):
-        assert PdeSpec(g=coeff_form_from_text(text, ALPHA)).tag is tag
+        assert coeff_tag(coeff_form_from_text(text, ALPHA)) is tag
 
     def test_rejection(self):
         with pytest.raises(PdeModelError):
@@ -170,7 +172,7 @@ class TestCoeffForms:
     @given(tag=st.sampled_from(list(CoeffTag)), k=nonzero, b=nonzero)
     @settings(max_examples=150, deadline=None)
     def test_tag_of_each_catalog_text(self, tag, k, b):
-        assert PdeSpec(g=catalog_g(tag, k=k, b=b)).tag is tag
+        assert coeff_tag(catalog_g(tag, k=k, b=b)) is tag
 
     @pytest.mark.parametrize("tag, collapsed", [
         (CoeffTag.POWER, CoeffTag.CONSTANT),
@@ -180,10 +182,11 @@ class TestCoeffForms:
     ])
     def test_tag_at_b_zero(self, tag, collapsed):
         """At b = 0 a form is read as the simpler form it equals."""
-        assert PdeSpec(g=catalog_g(tag, k=3, b=0)).tag is collapsed
+        assert coeff_tag(catalog_g(tag, k=3, b=0)) is collapsed
 
     def test_rejections_carry_the_cli_messages(self):
-        """PdeSpec raises the line the CLI prints for the same g."""
+        """The catalog and PdeSpec raise the line the CLI prints for the
+        same g."""
         def cli_error(*argv):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), \
@@ -192,7 +195,7 @@ class TestCoeffForms:
             return err.getvalue()
 
         with pytest.raises(PdeModelError) as outside:
-            PdeSpec(g=parse_expression("t^t"))
+            coeff_form_from_text("t^t", ALPHA)
         assert "is not in the g(t) catalog" in str(outside.value)
         assert cli_error("classify", "--g", "t^t") \
             == f"error: {outside.value}\n"
@@ -219,13 +222,19 @@ class TestCoeffForms:
                 assert main([command, "--g", text]) == 1
             assert err.getvalue() == f"error: {refused.value}\n"
 
+    def test_the_model_takes_a_g_outside_the_catalog(self):
+        g = parse_expression("t^t")
+        spec = PdeSpec(g=g)
+        assert spec.g == g and coeff_tag(g) is None
+        assert outside_catalog(spec) == "g = t^t is outside the catalog"
+
     def test_a_rational_zero_g_is_refused(self):
         with pytest.raises(PdeModelError, match="must be nonvanishing"):
             PdeSpec(g=parse_expression("(a^2-1)/(a-1) - a - 1"))
 
     def test_other_symbols_are_constants(self):
         spec = PdeSpec(g=parse_expression("c*t^d"))
-        assert spec.tag is CoeffTag.POWER
+        assert coeff_tag(spec.g) is CoeffTag.POWER
         assert power_law(spec.g) == (sym("c"), sym("d"))
 
 

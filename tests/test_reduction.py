@@ -16,7 +16,7 @@ from conftest import (
 )
 from fracsym.calculus import diff, split_by
 from fracsym.cases import (
-    CLASSIFICATION_CASES, classification_case, load_printed_form,
+    CLASSIFICATION_CASES, CoeffTag, classification_case, load_printed_form,
     spec_for_case,
 )
 from fracsym.expr import (
@@ -29,8 +29,7 @@ from fracsym.fracnum import (
     power_profile, relative_deviation, rl_power_rule,
 )
 from fracsym.pde import (
-    ALPHA, B, K, T, U, X, CoeffTag, Generator, PdeModelError,
-    PdeSpec,
+    ALPHA, B, K, T, U, X, Generator, PdeModelError, PdeSpec,
 )
 from fracsym.reduction import (
     ReductionError, _group_x_power, _reduced_monomials,

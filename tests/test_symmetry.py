@@ -9,15 +9,15 @@ import pytest
 
 from conftest import catalog_g, random_rational, subtrees
 from fracsym.calculus import diff, jet, split_by
-from fracsym.cases import CLASSIFICATION_CASES, outside_catalog
+from fracsym.cases import CLASSIFICATION_CASES, CoeffTag, outside_catalog
 from fracsym.expr import (
     ZERO, ONE, MINUS_ONE, FDeriv, add, contains_symbol, eval_numeric,
     fderiv, func, gammaf, is_zero_exact, mul, num, pow_, substitute, sym,
     to_text,
 )
+from fracsym.parser import parse_expression
 from fracsym.pde import (
-    ALPHA, B, T, U, X,
-    CoeffTag, Generator, PdeSpec, term_weights,
+    ALPHA, B, T, U, X, Generator, PdeSpec, term_weights,
 )
 from fracsym.symmetry import (
     SymmetryError, UnsupportedAnsatzError, classify, determining_system,
@@ -451,6 +451,15 @@ class TestClassify:
             "g-form shifted-power-2/3 is cataloged only at alpha = 1/3"
         got = classify(spec)
         assert len(got) == 1 and got[0].proportional_to(X_TRANSLATION)
+
+    @pytest.mark.parametrize("text", ["t^2 + 1", "sin(t)", "k*t^b + 1"])
+    def test_a_g_outside_the_catalog_has_a_basis(self, text):
+        """The model takes any g(t); off the catalog the engine derives the
+        translation alone."""
+        spec = PdeSpec(g=parse_expression(text))
+        got = classify(spec)
+        assert [gen.as_text_triple() for gen in got] == [("0", "1", "0")]
+        assert invariance_residual(spec, got[0]) == ZERO
 
     def test_classify_output_is_verified(self):
         for case, (spec, _) in EXPECTED_BASES.items():
