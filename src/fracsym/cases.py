@@ -121,7 +121,10 @@ class ClassificationCase:
 
 CLASSIFICATION_CASES: dict[str, ClassificationCase] = {
     case.key: case for case in (
-        ClassificationCase("1.1", "generic", "arbitrary"),
+        # an exponential g has no generic-alpha case of its own: like an
+        # arbitrary g, it admits the translation alone
+        ClassificationCase("1.1", "generic", "arbitrary",
+                           also=("k*exp(b*t)",)),
         ClassificationCase("1.2", "generic", "k*t^b"),
         ClassificationCase("1.3", "generic", "k"),
         ClassificationCase("2.1", "1/2", "k*exp(b*t)"),
@@ -172,16 +175,11 @@ def resolve_case_key(spec: PdeSpec) -> str | None:
     """Classification key matching a spec's (alpha, g-form), if any.
 
     A form not in the table at the spec's alpha falls back to its
-    generic-alpha case; an exponential g, which has none, to the
-    arbitrary-coefficient case 1.1, as the classification degenerates to
-    the translation alone.
+    generic-alpha case.
     """
     tag = coeff_tag(spec.g)
-    hit = (_CASE_KEYS.get((alpha_kind(spec.alpha), tag))
-           or _CASE_KEYS.get(("generic", tag)))
-    if hit is None and tag is CoeffTag.EXPONENTIAL:
-        return "1.1"
-    return hit
+    return (_CASE_KEYS.get((alpha_kind(spec.alpha), tag))
+            or _CASE_KEYS.get(("generic", tag)))
 
 
 def outside_catalog(spec: PdeSpec) -> str | None:

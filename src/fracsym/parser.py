@@ -4,38 +4,50 @@ Grammar
 -------
 ::
 
-    expr    := term (('+' | '-') term)*
-    term    := unary (('*' | '/') unary)*
-    unary   := '-' unary | power
-    power   := atom ('^' unary)?          # right-associative
+    expr    := unary (('+' | '-' | '*' | '/') unary)*   # left-associative
+    unary   := '-' unary | atom ('^' unary)?          # '^' right-associative
     atom    := INT | IDENT | IDENT '(' expr (',' expr)* ')' | '(' expr ')'
 
 ``^`` binds tightest, then unary minus, then ``*``/``/``, then ``+``/``-``.
-Integer literals only; ``p/q`` therefore folds to an exact rational through
-ordinary division, and bare decimals are a syntax error (numeric values
-belong in CLI flags, not in symbolic sources).
+Integer literals only, each starting with a decimal digit; ``p/q``
+therefore folds to an exact rational through ordinary division, and bare
+decimals are a syntax error (numeric values belong in CLI flags, not in
+symbolic sources).
 
 Recognized function heads: ``diff(e, v, k)`` (integer derivative, applied
 eagerly), ``fdiff(e, v, a)`` (Riemann-Liouville derivative node),
 ``Gamma(e)``, and the opaque/analytic names in :data:`KNOWN_FUNCTIONS`.
-Unknown names followed by ``(`` are rejected with a position.
+Unknown names followed by ``(`` are rejected with a position, and so is
+nesting deeper than :data:`MAX_DEPTH` levels.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 from .calculus import diff
 from .expr import (
-    Expr, Sym, MINUS_ONE, ExprError,
+    Expr, Num, Sym, MINUS_ONE, ExprError,
     add, mul, pow_, num, sym, func, gammaf, fderiv,
 )
 
 __all__ = ["ParseError", "parse_expression", "KNOWN_FUNCTIONS"]
 
 KNOWN_FUNCTIONS = frozenset({"h", "g", "exp", "sin", "cos", "log"})
-_SPECIAL_HEADS = frozenset({"diff", "fdiff", "Gamma"})
+# the special heads: the number of arguments of each, and its signature
+_SIGNATURES = {"Gamma": (1, "Gamma takes one argument"),
+               "diff": (3, "diff takes (expr, var, order)"),
+               "fdiff": (3, "fdiff takes (expr, var, alpha)")}
+# binary operators by precedence; each level is left-associative
+_PRECEDENCE = {"+": 0, "-": 0, "*": 1, "/": 1}
+# A level is an open parenthesis or argument list, a unary minus or a '^'.
+# The parser and every walk of its tree recurse per level; a fixed bound,
+# unlike a caught RecursionError, gives an input one answer in any caller.
+MAX_DEPTH = 100
+# an integer, a word or any one other character
+_TOKEN = re.compile(r"\s*(?:(\d+)|(\w+)|(\S))")
+_KINDS = (None, "int", "ident", "op")
 
 
 class ParseError(ExprError):
@@ -46,177 +58,125 @@ class ParseError(ExprError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'int' | 'ident' | 'op' | 'end'
-    text: str
-    column: int
-
-
-def _tokenize(src: str) -> list[_Token]:
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, column)`` tokens, closed by an 'end' token."""
     tokens = []
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        col = i + 1
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            if j < n and src[j] == ".":
-                raise ParseError("decimal literals are not allowed in "
-                                 "symbolic expressions", j + 1)
-            tokens.append(_Token("int", src[i:j], col))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", src[i:j], col))
-            i = j
-            continue
-        if ch in "+-*/^(),":
-            tokens.append(_Token("op", ch, col))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", col)
-    tokens.append(_Token("end", "", n + 1))
+    for m in _TOKEN.finditer(src):
+        i = m.lastindex
+        kind, text, column = _KINDS[i], m[i], m.start(i) + 1
+        if kind == "int" and src.startswith(".", m.end()):
+            raise ParseError("decimal literals are not allowed in "
+                             "symbolic expressions", m.end() + 1)
+        if kind != "int" and not (text[0] in "+-*/^(),_"
+                                  or text[0].isalpha()):
+            raise ParseError(f"unexpected character {text[0]!r}", column)
+        tokens.append((kind, text, column))
+    tokens.append(("end", "", len(src) + 1))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], bindings: Mapping[str, Expr]):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, src: str, bindings: Mapping[str, Expr]):
+        self.tokens = _tokenize(src)
+        self.pos = self.depth = 0
         self.bindings = bindings
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
+    def take(self, ops: str | None = None) -> tuple[str, str, int] | None:
+        """Consume the next token, or with ``ops`` only an operator in it."""
         tok = self.tokens[self.pos]
+        if ops is not None and (tok[0] != "op" or tok[1] not in ops):
+            return None
         self.pos += 1
         return tok
 
-    def expect_op(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                             tok.column)
-        return self.advance()
+    def expect(self, op: str) -> None:
+        if self.take(op) is None:
+            _, text, column = self.tokens[self.pos]
+            raise ParseError(
+                f"expected {op!r}, found {text or 'end of input'!r}", column)
 
-    def parse(self) -> Expr:
-        e = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.text!r}", tok.column)
+    def nested(self, column: int, parse) -> Expr:
+        """``parse()`` one level deeper, the level opened at ``column``."""
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"nested deeper than {MAX_DEPTH} levels", column)
+        self.depth += 1
+        e = parse()
+        self.depth -= 1
         return e
 
-    def expr(self) -> Expr:
-        left = self.term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                right = self.term()
-                if tok.text == "-":
-                    right = mul(MINUS_ONE, right)
-                left = add(left, right)
-            else:
-                return left
+    def parse(self) -> Expr:
+        e = self.binary()
+        _, text, column = self.tokens[self.pos]
+        if text:
+            raise ParseError(f"unexpected {text!r}", column)
+        return e
 
-    def term(self) -> Expr:
+    def binary(self, lowest: int = 0) -> Expr:
+        """Operands joined by binary operators of precedence >= ``lowest``."""
         left = self.unary()
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "*/":
-                self.advance()
-                right = self.unary()
-                if tok.text == "/":
-                    right = pow_(right, MINUS_ONE)
-                left = mul(left, right)
-            else:
+            op = self.tokens[self.pos][1]
+            level = _PRECEDENCE.get(op, -1)
+            if level < lowest:
                 return left
+            self.pos += 1
+            right = self.binary(level + 1)
+            if op in "-/":
+                right = (mul(MINUS_ONE, right) if op == "-"
+                         else pow_(right, MINUS_ONE))
+            left = add(left, right) if level == 0 else mul(left, right)
 
     def unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return mul(MINUS_ONE, self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
+        tok = self.take("-")
+        if tok is not None:
+            return mul(MINUS_ONE, self.nested(tok[2], self.unary))
         base = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            return pow_(base, self.unary())
-        return base
+        tok = self.take("^")
+        if tok is None:
+            return base
+        return pow_(base, self.nested(tok[2], self.unary))
 
     def atom(self) -> Expr:
-        tok = self.advance()
-        if tok.kind == "int":
-            return num(int(tok.text))
-        if tok.kind == "op" and tok.text == "(":
-            inner = self.expr()
-            self.expect_op(")")
+        kind, text, column = self.take()
+        if kind == "int":
+            return num(int(text))
+        if text == "(":
+            inner = self.nested(column, self.binary)
+            self.expect(")")
             return inner
-        if tok.kind == "ident":
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "(":
-                return self.call(tok)
-            bound = self.bindings.get(tok.text)
-            return sym(tok.text) if bound is None else bound
-        raise ParseError(
-            f"unexpected {tok.text or 'end of input'!r}", tok.column)
+        if kind == "ident":
+            if self.tokens[self.pos][1] == "(":
+                return self.call(text, column)
+            return self.bindings[text] if text in self.bindings else sym(text)
+        raise ParseError(f"unexpected {text or 'end of input'!r}", column)
 
-    def call(self, head: _Token) -> Expr:
-        name = head.text
-        if name not in KNOWN_FUNCTIONS and name not in _SPECIAL_HEADS:
-            raise ParseError(f"unknown function {name!r}", head.column)
-        self.expect_op("(")
-        args = [self.expr()]
-        while self.peek().kind == "op" and self.peek().text == ",":
-            self.advance()
-            if name in ("diff", "fdiff") and len(args) == 1:
-                # a derivative's variable is never bound
-                bindings, self.bindings = self.bindings, {}
-                args.append(self.expr())
-                self.bindings = bindings
-            else:
-                args.append(self.expr())
-        self.expect_op(")")
-
-        if name == "Gamma":
-            if len(args) != 1:
-                raise ParseError("Gamma takes one argument", head.column)
+    def call(self, head: str, column: int) -> Expr:
+        if head not in KNOWN_FUNCTIONS and head not in _SIGNATURES:
+            raise ParseError(f"unknown function {head!r}", column)
+        paren = self.take()[2]
+        args = [self.nested(paren, self.binary)]
+        while self.take(","):
+            bindings = self.bindings
+            if head in ("diff", "fdiff") and len(args) == 1:
+                self.bindings = {}   # a derivative's variable is never bound
+            args.append(self.nested(paren, self.binary))
+            self.bindings = bindings
+        self.expect(")")
+        if head in _SIGNATURES and len(args) != _SIGNATURES[head][0]:
+            raise ParseError(_SIGNATURES[head][1], column)
+        if head == "Gamma":
             return gammaf(args[0])
-        if name == "diff":
-            if len(args) != 3:
-                raise ParseError("diff takes (expr, var, order)", head.column)
-            e, v, k = args
-            if not isinstance(v, Sym):
-                raise ParseError("diff variable must be a symbol", head.column)
-            from .expr import Num
-            if not (isinstance(k, Num) and k.c.denominator == 1
-                    and k.c >= 1):
-                raise ParseError("diff order must be a positive integer",
-                                 head.column)
-            return diff(e, v, int(k.c))
-        if name == "fdiff":
-            if len(args) != 3:
-                raise ParseError("fdiff takes (expr, var, alpha)", head.column)
-            e, v, a = args
-            if not isinstance(v, Sym):
-                raise ParseError("fdiff variable must be a symbol",
-                                 head.column)
-            return fderiv(e, v, a)
-        return func(name, args)
+        if head not in ("diff", "fdiff"):
+            return func(head, args)
+        e, v, order = args
+        if not isinstance(v, Sym):
+            raise ParseError(f"{head} variable must be a symbol", column)
+        if head == "fdiff":
+            return fderiv(e, v, order)
+        if not (isinstance(order, Num) and order.c.denominator == 1
+                and order.c >= 1):
+            raise ParseError("diff order must be a positive integer", column)
+        return diff(e, v, int(order.c))
 
 
 def parse_expression(src: str,
@@ -226,4 +186,4 @@ def parse_expression(src: str,
     An identifier named in ``bindings`` parses as its bound value, except as
     a function head or the variable of ``diff``/``fdiff``; the values enter
     while the expression is built instead of by a substitution after it."""
-    return _Parser(_tokenize(src), bindings or {}).parse()
+    return _Parser(src, bindings or {}).parse()

@@ -50,7 +50,7 @@ from .pde import T, U, X, Generator, PdeSpec
 __all__ = [
     "SymmetryError", "UnsupportedAnsatzError",
     "DeterminingSystem",
-    "generalized_binomial", "rl_partial_t",
+    "rl_partial_t",
     "eta_alpha", "integer_prolongations", "invariance_residual",
     "determining_system", "classify",
 ]
@@ -87,13 +87,6 @@ def _binomial(binom: list, alpha: Expr, m: int) -> Expr:
         k = len(binom) - 1
         binom.append(mul(binom[k], add(alpha, num(-k)), num(Q(1, k + 1))))
     return binom[m]
-
-
-def generalized_binomial(alpha, m: int) -> Expr:
-    """C(alpha, m) = prod_{j<m} (alpha - j) / m!  with exact arithmetic."""
-    if m < 0:
-        raise ValueError("binomial order must be >= 0")
-    return _binomial([ONE], as_expr(alpha), m)
 
 
 def _gamma_ratio(a: Expr, b: Expr) -> Expr:

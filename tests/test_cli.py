@@ -553,6 +553,47 @@ def test_series_past_its_bound_ends_in_a_named_check(tmp_path):
         f"{MAX_SERIES_ORDER} orders: the t-degree of xi_t is too high")
 
 
+def _nested(depth, core):
+    return "(" * depth + core + ")" * depth
+
+
+class TestNestingBound:
+    """Text nested past the parser's bound of 100 levels ends in a failing
+    parse check or one error line, in-process as from a shell, and never
+    in a RecursionError; text at the bound runs through every command."""
+
+    FRAC_DERIV = ["--alpha", "1/2", "--at", "1"]
+    CAUSE = "nested deeper than 100 levels (column 101)"
+
+    @pytest.mark.parametrize("argv, stream, line", [
+        (["classify", "--g", _nested(1000, "k")], "err", f"error: {CAUSE}"),
+        (["reduce", "--g", _nested(1000, "k")], "err", f"error: {CAUSE}"),
+        (["frac-deriv", "--expr", _nested(1000, "t"), *FRAC_DERIV], "out",
+         f"fail] parse -- {CAUSE}"),
+        (["verify", "--xi-t", "0", "--xi-x", _nested(1000, "1"), "--eta",
+          "0"], "out", f"fail] parse -- xi_x: {CAUSE}"),
+    ], ids=["classify", "reduce", "frac-deriv", "verify"])
+    def test_past_the_bound(self, argv, stream, line, capsys):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        if stream == "err":
+            assert err == line + "\n" and out == ""
+        else:
+            assert line in out and err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--g", _nested(100, "k")],
+        ["classify", "--g", "^".join(["k"] * 101)],
+        ["reduce", "--g", _nested(100, "k")],
+        ["frac-deriv", "--expr", _nested(100, "t"), *FRAC_DERIV],
+        ["verify", "--xi-t", "0", "--xi-x", _nested(100, "1"), "--eta", "0"],
+    ], ids=["classify", "classify-powers", "reduce", "frac-deriv", "verify"])
+    def test_at_the_bound(self, argv, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestHugeExactPowers:
     """Exact powers too large to compute end at once: in one error line, or
     in a report when the power is kept unevaluated."""

@@ -324,6 +324,12 @@ class TestGridResiduals:
             fn.pde_residual_on_grid(self.SPEC, func("exp", (t,)),
                                     self.POINTS)
 
+    def test_time_exponent_at_or_below_minus_one_is_refused(self):
+        with pytest.raises(fn.UnsupportedProfileError,
+                           match="^time exponents must exceed -1 "):
+            fn.pde_residual_on_grid(self.SPEC, mul(pow_(t, -2), x),
+                                    self.POINTS)
+
     def test_fode_translation_kernel(self):
         reduced = __import__("fracsym.reduction", fromlist=["x"])
         red_ode = __import__("fracsym.expr", fromlist=["x"])

@@ -53,6 +53,39 @@ class TestGrammar:
         assert parse("exp(b*t)") == func("exp", (mul(b, t),))
 
 
+# one input per raise site of the parser: its message and its column
+ERROR_PINS = [
+    ("1.5*x", "decimal literals are not allowed in symbolic expressions",
+     2),
+    ("x + $", "unexpected character '$'", 5),
+    ("(x + t", "expected ')', found 'end of input'", 7),
+    ("exp(x t)", "expected ')', found 't'", 7),
+    ("exp(x, t]", "unexpected character ']'", 9),
+    ("exp x", "unexpected 'x'", 5),
+    ("x + 1 2", "unexpected '2'", 7),
+    ("t^^2", "unexpected '^'", 3),
+    ("x +", "unexpected 'end of input'", 4),
+    ("2*frobnicate(x)", "unknown function 'frobnicate'", 3),
+    ("1 + Gamma(1, 2)", "Gamma takes one argument", 5),
+    ("t*diff(h(r), r)", "diff takes (expr, var, order)", 3),
+    ("t*diff(h(r), 3, 1)", "diff variable must be a symbol", 3),
+    ("t*diff(h(r), r, 0)", "diff order must be a positive integer", 3),
+    ("t*diff(h(r), r, 1/2)", "diff order must be a positive integer", 3),
+    ("x - fdiff(h(r), r)", "fdiff takes (expr, var, alpha)", 5),
+    ("x - fdiff(h(r), 2*r, alpha)", "fdiff variable must be a symbol", 5),
+    # a number starts with a decimal digit, not with any digit
+    ("²", "unexpected character '²'", 1),
+    ("x + 1²", "unexpected character '²'", 6),
+    # the nesting bound: the level past it is named by its opener
+    ("(" * 101 + "x" + ")" * 101, "nested deeper than 100 levels", 101),
+    ("-" * 101 + "x", "nested deeper than 100 levels", 101),
+    ("x" + "^x" * 101, "nested deeper than 100 levels", 202),
+    ("h(" * 101 + "x" + ")" * 101, "nested deeper than 100 levels", 202),
+    ("(" * 1000 + "t" + ")" * 1000, "nested deeper than 100 levels",
+     101),
+]
+
+
 class TestErrors:
     def test_double_caret_position(self):
         with pytest.raises(ParseError) as err:
@@ -80,6 +113,28 @@ class TestErrors:
             parse("diff(h(r), 3, 1)")
         with pytest.raises(ParseError):
             parse("diff(h(r), r, 0)")
+
+    @pytest.mark.parametrize("src, message, column", ERROR_PINS,
+                             ids=[src[:16] for src, _, _ in ERROR_PINS])
+    def test_message_and_column(self, src, message, column):
+        with pytest.raises(ParseError) as err:
+            parse(src)
+        assert str(err.value) == f"{message} (column {column})"
+        assert err.value.column == column
+
+    def test_other_decimal_digits_read_as_numbers(self):
+        assert parse("٣*x") == mul(3, x)
+        assert parse("x²") == sym("x²")
+
+    @pytest.mark.parametrize("src, want", [
+        ("(" * 100 + "x" + ")" * 100, x),
+        ("-" * 100 + "x", x),
+        ("h(" * 100 + "x" + ")" * 100, None),
+        ("-(" * 50 + "x" + ")" * 50, x),
+    ])
+    def test_the_deepest_nesting_parses(self, src, want):
+        e = parse(src)
+        assert want is None or e == want
 
 
 # every expression string printed in the engine's own catalog/reports

@@ -182,6 +182,20 @@ class TestSimilaritySubstitute:
             assert "x" not in text
             assert "t" not in text.replace("alpha", "").replace("fdiff", "")
 
+    def test_a_residual_of_several_x_powers_is_refused(self):
+        # -t d/dt + x d/dx + u d/du is no symmetry of K(2,3) at g = k
+        gen = Generator.from_coeffs(-1, 0, 1, 1)
+        with pytest.raises(ReductionError, match=r"^residual does not factor "
+                           r"as a single x-power: x\^\(0\), x\^\(1\), "):
+            similarity_substitute(PdeSpec(g=K),
+                                  characteristic_invariants(gen))
+
+    def test_a_term_that_mixes_x_is_refused(self):
+        with pytest.raises(ReductionError,
+                           match=r"^residual term mixes x irreducibly: "
+                                 r"exp\(x\)$"):
+            _group_x_power(add(X, func("exp", (X,))))
+
 
 class TestCompareReducedForms:
     @pytest.mark.parametrize("cls_key,red_key", [
@@ -239,6 +253,11 @@ class TestCompareReducedForms:
         red = similarity_substitute(
             spec_for_case("2.3"), characteristic_invariants(scaling_of("2.3")))
         assert compare_reduced_forms(red.reduced_ode, stored).all_equal
+
+    def test_a_form_without_a_fractional_term_is_refused(self):
+        with pytest.raises(ReductionError, match="^reduced form carries no "
+                           "fractional-derivative term$"):
+            compare_reduced_forms(h, fderiv(h, r, ALPHA))
 
 
 def _function_names(e) -> set:

@@ -21,8 +21,8 @@ from fracsym.pde import (
 )
 from fracsym.symmetry import (
     SymmetryError, UnsupportedAnsatzError, classify, determining_system,
-    eta_alpha, generalized_binomial, integer_prolongations,
-    invariance_residual, rl_partial_t,
+    _binomial, eta_alpha, integer_prolongations, invariance_residual,
+    rl_partial_t,
 )
 
 FD_U = fderiv(U, T, ALPHA)
@@ -46,6 +46,13 @@ def series_terms(eta, alpha=ALPHA) -> dict:
     return out
 
 
+def product_binomial(a, m: int):
+    """C(a, m) as prod_{j<m} (a - j) / m!, one product per order: the
+    reference for the recurrence that eta_alpha extends lazily."""
+    return mul(num(Q(1, math.factorial(m))),
+               mul(*(add(a, num(-j)) for j in range(m))))
+
+
 class TestBinomial:
     def test_against_gamma_oracle(self):
         # C(a, m) = Gamma(a+1) / (Gamma(m+1) Gamma(a-m+1)) for rational a
@@ -53,23 +60,22 @@ class TestBinomial:
         for _ in range(10):
             a = random_rational(rng, lo=1, hi=40) / 41  # in (0, 1)
             for m in range(1, 6):
-                mine = eval_numeric(generalized_binomial(a, m))
+                mine = eval_numeric(_binomial([ONE], num(a), m))
                 oracle = (math.gamma(float(a) + 1)
                           / (math.factorial(m) * math.gamma(float(a) - m + 1)))
                 assert mine == pytest.approx(oracle, rel=1e-10)
 
     def test_symbolic_form(self):
-        got = generalized_binomial(ALPHA, 2)
+        got = _binomial([ONE], ALPHA, 2)
         assert got == mul(Q(1, 2), add(pow_(ALPHA, 2), mul(-1, ALPHA)))
 
     @pytest.mark.parametrize("a", [ALPHA, num(Q(1, 3)), num(Q(3, 4)),
                                    num(Q(-5, 2)), num(7)])
     def test_recurrence_matches_product_form(self, a):
-        # reference: prod_{j<m} (a - j) / m!, one product per order
+        binom = [ONE]   # grown order by order, as eta_alpha grows it
         for m in range(9):
-            product = mul(num(Q(1, math.factorial(m))),
-                          mul(*(add(a, num(-j)) for j in range(m))))
-            assert generalized_binomial(a, m) == product, m
+            assert _binomial(binom, a, m) == product_binomial(a, m), m
+        assert _binomial([ONE], a, 8) == product_binomial(a, 8)
 
 
 class TestRlPartial:
@@ -141,12 +147,12 @@ class TestEtaAlpha:
                 dk_xi_t = diff(dk_xi_t, "t", total=True)
                 dk_xi_x = diff(dk_xi_x, "t", total=True)
                 coeff_u = add(
-                    mul(generalized_binomial(ALPHA, m), diff(eta_u, "t", m)),
-                    mul(MINUS_ONE, generalized_binomial(ALPHA, m + 1),
+                    mul(product_binomial(ALPHA, m), diff(eta_u, "t", m)),
+                    mul(MINUS_ONE, product_binomial(ALPHA, m + 1),
                         dk_xi_t))
                 if coeff_u != ZERO:
                     want[(m, "u")] = coeff_u
-                coeff_ux = mul(MINUS_ONE, generalized_binomial(ALPHA, m),
+                coeff_ux = mul(MINUS_ONE, product_binomial(ALPHA, m),
                                dk_xi_x)
                 if coeff_ux != ZERO:
                     want[(m, "u_x")] = coeff_ux
